@@ -4,7 +4,7 @@ The sweep harness evaluates an experiment over a grid of copy counts N and
 noise half-widths m, drawing every splitter reflectivity uniformly from
 [0.5 - m, 0.5 + m]. Each trial has its own RNG stream keyed by
 (seed, experiment, N, m-index, trial), so results are byte-reproducible
-regardless of execution order or thread count.
+regardless of execution order.
 
 This demo runs a compact version of each of the three experiments, prints the
 headline numbers, and writes the CSV tables plus SVG line plots next to this

@@ -40,11 +40,14 @@ from .fock import (
 )
 from .interferometers import (
     beamsplitter_layer,
+    beamsplitter_layers,
+    bsm_matrices,
     bsm_matrix,
     dft_matrix,
     direct_sum,
     effective_average,
     fusion_gate,
+    fusion_gates,
     permutation_matrix,
     swap_matrix,
 )
@@ -94,9 +97,11 @@ __all__ = [
     "TrialRecord",
     "apply_transfer",
     "beamsplitter_layer",
+    "beamsplitter_layers",
     "bell_state",
     "bsm_fidelity_closed",
     "bsm_fnorm_closed",
+    "bsm_matrices",
     "bsm_matrix",
     "bsm_psuccess_closed",
     "build_averaged_network",
@@ -106,6 +111,7 @@ __all__ = [
     "fidelity",
     "fock_dimension",
     "fusion_gate",
+    "fusion_gates",
     "fusion_outcomes",
     "inner_product",
     "norm_sq",

@@ -9,6 +9,7 @@ I/O or verification failures, 2 for flag/usage errors.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 
 from .detection import BSM_PATTERNS, pattern_support
@@ -73,8 +74,18 @@ def _parse_n_copies(value, parser: argparse.ArgumentParser) -> tuple[int, ...]:
     return tuple(_to_int(p.strip(), "--n-copies entry", parser) for p in parts)
 
 
+def _decimals(text: str) -> int:
+    """Digits after the decimal point in a number as written (0 for inf/nan)."""
+    exponent = decimal.Decimal(text.strip()).as_tuple().exponent
+    return max(0, -exponent) if isinstance(exponent, int) else 0
+
+
 def _parse_m_grid(value, parser: argparse.ArgumentParser) -> tuple[float, ...]:
-    """Parse ``start:stop:step`` (inclusive of both ends) or a single value."""
+    """Parse ``start:stop:step`` (inclusive of both ends) or a single value.
+
+    Grid points ``start + k*step`` are rounded to the most decimals written
+    in the flag, so ``0:0.4:0.1`` gives 0.3 rather than 0.30000000000000004.
+    """
     text = str(value)
     if ":" not in text:
         return (_to_float(text, "--m-grid", parser),)
@@ -89,7 +100,8 @@ def _parse_m_grid(value, parser: argparse.ArgumentParser) -> tuple[float, ...]:
             return (start,)
         parser.error(f"--m-grid step must be positive, got {step}")
     count = int(round((stop - start) / step))
-    return tuple(start + k * step for k in range(count + 1))
+    digits = max(_decimals(p) for p in parts)
+    return tuple(round(start + k * step, digits) for k in range(count + 1))
 
 
 def _run_sweep_command(experiment: str, args, parser, m_grid: tuple[float, ...]) -> int:

@@ -4,6 +4,11 @@ Basis convention for all 4-mode gates: (H1, V1, H2, V2), the dual spatial
 rails of the two qubits the gate touches. Sign conventions follow the printed
 beam-splitter block [[sqrt(eta), sqrt(1-eta)], [-sqrt(1-eta), sqrt(eta)]];
 state-level comparisons elsewhere allow one global phase.
+
+The gate algebra lives in the broadcasting constructors (``fusion_gates``,
+``bsm_matrices``, ``beamsplitter_layers``), which take reflectivity arrays
+and return stacks of 4x4 matrices; the scalar constructors wrap one matrix
+of them in a :class:`TransferMatrix`.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import numpy as np
 from .fock import TransferMatrix
 
 
-def _check_reflectivity(name: str, eta: float) -> float:
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
+def _check_reflectivity(name: str, eta) -> np.ndarray:
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((eta >= 0.0) & (eta <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1], got {eta}")
     return eta
 
@@ -29,19 +34,44 @@ def dft_matrix(n: int) -> TransferMatrix:
     return TransferMatrix(w / np.sqrt(n))
 
 
-def _bs_block(eta: float) -> np.ndarray:
+def _bs_blocks(eta: np.ndarray) -> np.ndarray:
     c, s = np.sqrt(eta), np.sqrt(1.0 - eta)
-    return np.array([[c, s], [-s, c]], dtype=complex)
+    block = np.empty(eta.shape + (2, 2), dtype=complex)
+    block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1] = c, s, -s, c
+    return block
+
+
+def beamsplitter_layers(eta_x, eta_y) -> np.ndarray:
+    """Broadcasting form of :func:`beamsplitter_layer`: array of shape (..., 4, 4)."""
+    eta_x, eta_y = np.broadcast_arrays(
+        _check_reflectivity("eta_x", eta_x), _check_reflectivity("eta_y", eta_y)
+    )
+    b = np.zeros(eta_x.shape + (4, 4), dtype=complex)
+    b[..., :2, :2] = _bs_blocks(eta_x)
+    b[..., 2:, 2:] = _bs_blocks(eta_y)
+    return b
+
+
+def fusion_gates(eta_x, eta_y) -> np.ndarray:
+    """Broadcasting form of :func:`fusion_gate`: array of shape (..., 4, 4)."""
+    b = beamsplitter_layers(eta_x, eta_y)
+    return b @ swap_matrix().entries @ b
+
+
+def bsm_matrices(eta_h, eta_v) -> np.ndarray:
+    """Broadcasting form of :func:`bsm_matrix`: array of shape (..., 4, 4)."""
+    eta_h, eta_v = np.broadcast_arrays(
+        _check_reflectivity("eta_h", eta_h), _check_reflectivity("eta_v", eta_v)
+    )
+    t = np.zeros(eta_h.shape + (4, 4), dtype=complex)
+    t[..., 0::2, 0::2] = _bs_blocks(eta_h)  # (H1, H2)
+    t[..., 1::2, 1::2] = _bs_blocks(eta_v)  # (V1, V2)
+    return t
 
 
 def beamsplitter_layer(eta_x: float, eta_y: float) -> TransferMatrix:
     """One layer of the fusion gate: a beam splitter on each qubit's rail pair."""
-    eta_x = _check_reflectivity("eta_x", eta_x)
-    eta_y = _check_reflectivity("eta_y", eta_y)
-    b = np.zeros((4, 4), dtype=complex)
-    b[:2, :2] = _bs_block(eta_x)
-    b[2:, 2:] = _bs_block(eta_y)
-    return TransferMatrix(b)
+    return TransferMatrix(beamsplitter_layers(eta_x, eta_y))
 
 
 def swap_matrix() -> TransferMatrix:
@@ -54,8 +84,7 @@ def fusion_gate(eta_x: float, eta_y: float) -> TransferMatrix:
 
     (1/2, 1/2) is the perfect gate; (1, 1) degenerates to the bare SWAP.
     """
-    b = beamsplitter_layer(eta_x, eta_y)
-    return b @ swap_matrix() @ b
+    return TransferMatrix(fusion_gates(eta_x, eta_y))
 
 
 def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
@@ -65,12 +94,7 @@ def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
     detection pattern; the psi- state is left invariant for any common
     reflectivity.
     """
-    eta_h = _check_reflectivity("eta_h", eta_h)
-    eta_v = _check_reflectivity("eta_v", eta_v)
-    t = np.eye(4, dtype=complex)
-    t[np.ix_((0, 2), (0, 2))] = _bs_block(eta_h)
-    t[np.ix_((1, 3), (1, 3))] = _bs_block(eta_v)
-    return TransferMatrix(t)
+    return TransferMatrix(bsm_matrices(eta_h, eta_v))
 
 
 def permutation_matrix(perm) -> TransferMatrix:

@@ -33,9 +33,15 @@ def bell_state(label: str) -> StateVec:
     return StateVec(4, dict(kets))
 
 
-def fidelity(state: StateVec, target: StateVec) -> float:
-    """|<state|target>|^2 for a normalized target; state may be unnormalized."""
-    return float(abs(inner_product(state, target)) ** 2)
+def fidelity(state, target):
+    """|<state|target>|^2 for a normalized target; state may be unnormalized.
+
+    Takes two StateVecs, or two amplitude arrays over one ket basis (last
+    axis); a stack of amplitude arrays gives an array of fidelities.
+    """
+    if isinstance(state, StateVec):
+        return float(abs(inner_product(state, target)) ** 2)
+    return np.abs(np.sum(np.conj(state) * target, axis=-1)) ** 2
 
 
 def normalized_fidelity(f: float, p: float) -> float:
@@ -53,9 +59,15 @@ def normalized_fidelity(f: float, p: float) -> float:
     return ratio
 
 
-def trace_distance(a: TransferMatrix, b: TransferMatrix) -> float:
-    """Half the nuclear norm of (a - b): 0.5 * sum of singular values."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimensions differ: {a.dim} vs {b.dim}")
-    sv = np.linalg.svd(a.entries - b.entries, compute_uv=False)
-    return float(0.5 * np.sum(sv))
+def trace_distance(a, b):
+    """Half the nuclear norm of (a - b): 0.5 * sum of singular values.
+
+    Takes TransferMatrix objects or arrays; arrays of shape (..., d, d) are
+    stacks of matrices and give an array of distances of shape (...).
+    """
+    a = a.entries if isinstance(a, TransferMatrix) else np.asarray(a)
+    b = b.entries if isinstance(b, TransferMatrix) else np.asarray(b)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
+    d = 0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False), axis=-1)
+    return float(d) if d.ndim == 0 else d

@@ -1,8 +1,9 @@
 """Self-check suites: closed forms vs simulation, averaging identity, tables.
 
-Each suite recomputes a known analytic fact with the full Fock-space
-simulator and reports the worst deviation. The suites back the ``verify``
-CLI subcommand and double as regression oracles.
+Each suite recomputes a known analytic fact, with the full Fock-space
+simulator or with the mean-matrix engine the sweeps run on, and reports the
+worst deviation. The suites back the ``verify`` CLI subcommand and double as
+regression oracles.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import numpy as np
 
 from .averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
 from .detection import BSM_PATTERNS, DetectionPattern, fusion_outcomes, project_pattern
-from .fock import StateVec, TransferMatrix, apply_transfer, tensor
+from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import bsm_matrix, effective_average, fusion_gate
 from .metrics import BELL_LABELS, bell_state, fidelity
-from .sweep import run_bsm_trial, run_fusion_trial
+from .sweep import _fusion_input, run_bsm_trial, run_fusion_trial
 
 DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 12345
@@ -128,7 +129,7 @@ def check_averaging_equivalence(samples: int = DEFAULT_SAMPLES, rng=None) -> Sui
 
 
 def check_closed_form(samples: int = DEFAULT_SAMPLES, rng=None) -> SuiteResult:
-    """Simulated analyzer metrics vs their closed forms, random draws."""
+    """Sweep-engine analyzer metrics vs their closed forms, random draws."""
     rng = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
     dev = 0.0
     for n_copies in (1, 2, 3):
@@ -166,11 +167,7 @@ def check_fusion_table(grid: int = 5) -> SuiteResult:
 
 def _fusion_patterns_at(eta_x: float, eta_y: float):
     net = build_averaged_network([fusion_gate(eta_x, eta_y)], n_passthrough=4)
-    pair = bell_state("phi+")
-    raw = tensor(pair, pair)
-    order = (2, 3, 4, 5, 0, 1, 6, 7)
-    state = StateVec(8, {tuple(k[i] for i in order): a for k, a in raw.items()})
-    kept = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
+    kept = postselect_vacuum_ancilla(run_averaged(net, _fusion_input()), net.layout)
     return fusion_outcomes(kept, (0, 1, 2, 3))
 
 

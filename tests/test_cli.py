@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from avgfusion import __version__
-from avgfusion.cli import main
+from avgfusion.cli import _parse_m_grid, main
 from avgfusion.sweep import METRIC_COLUMNS
 
 
@@ -75,6 +76,21 @@ def test_fusion_sweep_writes_csv(tmp_path, capsys):
     assert rows[0][:5] == ["experiment", "N", "m", "trial", "eta"]
     assert len(rows) == 1 + 4 * (2 + 2)
     assert {r[0] for r in rows[1:]} == {"fusion"}
+
+
+def test_m_grid_points_are_exact_decimals():
+    parser = argparse.ArgumentParser()
+    assert _parse_m_grid("0:0.4:0.1", parser) == (0.0, 0.1, 0.2, 0.3, 0.4)
+    assert _parse_m_grid("0.05:0.25:0.05", parser) == (0.05, 0.1, 0.15, 0.2, 0.25)
+    assert _parse_m_grid("1e-1:3e-1:1e-1", parser) == (0.1, 0.2, 0.3)
+
+
+def test_m_grid_csv_column_holds_the_grid_decimals(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["fusion-sweep", "--n-copies", "1", "--m-grid", "0:0.4:0.1", "--samples", "1", "--out", str(out)]
+    assert run_cli(argv, capsys)[0] == 0
+    written = [float(row[2]) for row in read_rows(out)[1:] if row[-1] == "trial"]
+    assert written == [0.0, 0.1, 0.2, 0.3, 0.4]
 
 
 def test_single_value_m_grid(tmp_path, capsys):

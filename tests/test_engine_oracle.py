@@ -1,0 +1,119 @@
+"""Per-trial agreement of the sweep engine with the full Fock-space network.
+
+Sweeps compute each trial from the mean matrix M_N by 2x2 permanents. These
+property tests recompute single trials through the (4N+4)-mode averaging
+network (build_averaged_network -> run_averaged -> postselect_vacuum_ancilla)
+for N from 1 to 6 and reflectivities anywhere on [0, 1], endpoints included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
+from avgfusion.detection import fusion_outcomes
+from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
+from avgfusion.interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
+from avgfusion.metrics import bell_state, fidelity, trace_distance
+from avgfusion.sweep import (
+    _PATTERNS,
+    _bsm_target,
+    _evolve_pairs,
+    _fusion_input,
+    run_bsm_trial,
+    run_fusion_trial,
+)
+
+TOL = 1e-12
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class ScriptedRng:
+    """Generator stand-in whose uniform() returns the given reflectivities."""
+
+    def __init__(self, etas):
+        self.etas = np.asarray(etas, dtype=float)
+
+    def uniform(self, low, high, size):
+        return self.etas.reshape(size)
+
+
+@st.composite
+def reflectivity_draws(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    eta = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    return n, draw(st.lists(eta, min_size=2 * n, max_size=2 * n))
+
+
+@PROPERTY
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_pair_amplitudes_match_apply_transfer(seed):
+    """Every click pattern, doubles included, for all six input mode pairs on
+    a random non-unitary matrix, with spectator kets shared between terms."""
+    rng = np.random.default_rng(seed)
+    mean = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    gate_kets = [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)]
+    spectator_kets = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    state = StateVec(7, {g + spectator_kets[t % 3]: a for t, (g, a) in enumerate(zip(gate_kets, amps))})
+
+    out, spectators = _evolve_pairs(mean, state)
+    expected = apply_transfer(direct_sum([TransferMatrix(mean), TransferMatrix(np.eye(3))]), state)
+    assert sorted(spectators) == sorted(spectator_kets)
+    for p, pattern in enumerate(_PATTERNS):
+        for s, spectator in enumerate(spectators):
+            assert out[p, s] == pytest.approx(expected.amplitude(pattern + spectator), abs=TOL)
+    assert np.sum(np.abs(out) ** 2) == pytest.approx(norm_sq(expected), rel=1e-12)
+
+
+def test_pair_amplitudes_reject_bunched_input():
+    with pytest.raises(ValueError, match="one photon in each"):
+        _evolve_pairs(np.eye(4), StateVec(4, {(2, 0, 0, 0): 1.0}))
+
+
+def _compare(fast: dict, oracle: dict) -> None:
+    for key, want in oracle.items():
+        assert fast[key] == pytest.approx(want, abs=TOL), key
+
+
+@PROPERTY
+@given(reflectivity_draws())
+def test_fusion_trial_matches_fock_network(case):
+    n, etas = case
+    rec = run_fusion_trial(n, 0.5, 0, ScriptedRng(etas))
+    assert rec.etas == tuple(etas)
+
+    copies = [fusion_gate(ex, ey) for ex, ey in zip(etas[:n], etas[n:])]
+    net = build_averaged_network(copies, n_passthrough=4)
+    kept = postselect_vacuum_ancilla(run_averaged(net, _fusion_input()), net.layout)
+    outcomes = fusion_outcomes(kept, (0, 1, 2, 3))
+    f_hh = fidelity(outcomes["HH"].residual, bell_state("phi+"))
+    p_hh = outcomes["HH"].probability
+    oracle = {
+        "F_HH": f_hh,
+        "P_HH": p_hh,
+        "F_HH_norm": f_hh / p_hh if p_hh > 0 else 0.0,
+        "P_single": sum(o.probability for o in outcomes.values()),
+        "trace_distance": trace_distance(effective_average(copies), fusion_gate(0.5, 0.5)),
+    }
+    _compare(rec.metrics, oracle)
+
+
+@PROPERTY
+@given(reflectivity_draws())
+def test_bsm_trial_matches_fock_network_and_closed_form(case):
+    n, etas = case
+    rec = run_bsm_trial(n, 0.5, 0, ScriptedRng(etas))
+    assert rec.etas == tuple(etas)
+
+    copies = [bsm_matrix(eh, ev) for eh, ev in zip(etas[:n], etas[n:])]
+    net = build_averaged_network(copies)
+    kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
+    f, p = fidelity(kept, _bsm_target()), norm_sq(kept)
+    _compare(rec.metrics, {"F": f, "P_success": p, "F_norm": f / p})
+
+    m = rec.metrics
+    for sim in ("F", "P_success", "F_norm"):
+        assert m[sim] == pytest.approx(m[f"{sim}_closed"], abs=TOL), sim

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from avgfusion import sweep
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
 from avgfusion.detection import fusion_outcomes
 from avgfusion.fock import TransferMatrix, apply_transfer
@@ -28,6 +29,15 @@ from avgfusion.sweep import (
 def test_sample_reflectivity_zero_width_is_exactly_balanced():
     rng = np.random.default_rng(0)
     assert all(sample_reflectivity(rng, 0.0) == 0.5 for _ in range(10))
+
+
+def test_sample_reflectivity_array_matches_scalar_draws():
+    for m in (0.0, 0.3, 0.5):
+        rng = np.random.default_rng(8)
+        scalars = [sample_reflectivity(rng, m) for _ in range(6)]
+        array = sample_reflectivity(np.random.default_rng(8), m, (2, 3))
+        assert array.shape == (2, 3)
+        assert array.ravel().tolist() == scalars
 
 
 def test_sample_reflectivity_support_and_mean():
@@ -212,19 +222,44 @@ def test_csv_layout(tmp_path):
     assert all(float(e) in rec.etas or 0.0 <= float(e) <= 1.0 for e in noisy_eta)
 
 
-def test_csv_bytes_identical_across_worker_counts(tmp_path, monkeypatch):
-    p1, p3, penv = (tmp_path / n for n in ("w1.csv", "w3.csv", "wenv.csv"))
-    run_sweep(_tiny_config(out_path=p1), max_workers=1)
-    run_sweep(_tiny_config(out_path=p3), max_workers=3)
-    monkeypatch.setenv("AVGFUSION_THREADS", "2")
-    run_sweep(_tiny_config(out_path=penv))
-    assert p1.read_bytes() == p3.read_bytes() == penv.read_bytes()
+def test_csv_bytes_identical_for_same_config(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    run_sweep(_tiny_config(out_path=first))
+    run_sweep(_tiny_config(out_path=second))
+    assert first.read_bytes() == second.read_bytes()
 
 
-def test_threads_env_var_must_be_integer(monkeypatch):
-    monkeypatch.setenv("AVGFUSION_THREADS", "many")
-    with pytest.raises(ValueError, match="AVGFUSION_THREADS"):
-        run_sweep(_tiny_config())
+@pytest.mark.parametrize("experiment", ["fusion", "bsm", "trace-distance"])
+def test_csv_round_trip_reproduces_every_trial(tmp_path, experiment):
+    path = tmp_path / "sweep.csv"
+    result = run_sweep(_tiny_config(out_path=path, experiment=experiment))
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = [r for r in csv.DictReader(f) if r["row_kind"] == "trial"]
+    assert len(rows) == len(result.trials)
+    for row, rec in zip(rows, result.trials):
+        assert (int(row["N"]), float(row["m"]), int(row["trial"])) == (rec.n_copies, rec.m, rec.trial)
+        assert tuple(float(e) for e in row["eta"].split(";")) == rec.etas
+        assert {c: float(row[c]) for c in METRIC_COLUMNS[experiment]} == rec.metrics
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "sweep.csv"
+    result = run_sweep(_tiny_config(out_path=path))
+    before = path.read_bytes()
+    calls = []
+
+    def failing_fmt(x):
+        calls.append(x)
+        if len(calls) > 20:
+            raise OSError("disk full")
+        return "%.17g" % x
+
+    monkeypatch.setattr(sweep, "_fmt", failing_fmt)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(result, path)
+    assert len(calls) > 20  # the failure hit part-way through the rows
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 def test_write_csv_rejects_unwritable_path(tmp_path):
