@@ -18,9 +18,7 @@ import numpy as np
 from avgfusion import (
     BELL_LABELS,
     BSM_PATTERNS,
-    DetectionPattern,
     ReflectivityDraw,
-    apply_transfer,
     bell_state,
     bsm_fnorm_closed,
     bsm_psuccess_closed,
@@ -28,8 +26,8 @@ from avgfusion import (
     build_averaged_network,
     fidelity,
     norm_sq,
+    pattern_probabilities,
     postselect_vacuum_ancilla,
-    project_pattern,
     run_averaged,
 )
 from avgfusion.sweep import _bsm_target
@@ -41,11 +39,8 @@ for eta in (0.5, 0.3):
     header = f"{'state':<7}" + "".join(f"{p:>8}" for p in BSM_PATTERNS)
     print(header)
     for label in BELL_LABELS:
-        out = apply_transfer(bsm_matrix(eta, eta), bell_state(label))
-        cells = []
-        for counts in BSM_PATTERNS.values():
-            _, prob = project_pattern(out, DetectionPattern((0, 1, 2, 3), counts))
-            cells.append(f"{prob:8.3f}" if prob > 1e-12 else f"{'.':>8}")
+        probs = pattern_probabilities(label, eta, eta).values()
+        cells = [f"{prob:8.3f}" if prob > 1e-12 else f"{'.':>8}" for prob in probs]
         print(f"{label:<7}" + "".join(cells))
     print()
 

@@ -25,6 +25,7 @@ from .detection import (
     DetectionPattern,
     FusionOutcome,
     fusion_outcomes,
+    pattern_probabilities,
     pattern_support,
     project_pattern,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "inner_product",
     "norm_sq",
     "normalized_fidelity",
+    "pattern_probabilities",
     "pattern_support",
     "permutation_matrix",
     "postselect_vacuum_ancilla",

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import DetectionPattern, project_pattern
 from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import dft_matrix, direct_sum, permutation_matrix
 
@@ -140,9 +141,4 @@ def postselect_vacuum_ancilla(full_state: StateVec, layout: NetworkLayout) -> St
             f"state has {full_state.mode_count} modes, layout expects {layout.total_modes}"
         )
     ancillas = layout.ancilla_modes()
-    keep = layout.primary_modes() + layout.passthrough_modes()
-    amp = {}
-    for ket, a in full_state.items():
-        if all(ket[i] == 0 for i in ancillas):
-            amp[tuple(ket[i] for i in keep)] = a
-    return StateVec(layout.n_logical + layout.n_passthrough, amp)
+    return project_pattern(full_state, DetectionPattern(ancillas, (0,) * len(ancillas)))[0]

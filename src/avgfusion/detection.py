@@ -7,6 +7,7 @@ state on the unmeasured modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .fock import StateVec, apply_transfer
@@ -26,6 +27,16 @@ BSM_PATTERNS: dict[str, tuple[int, int, int, int]] = {
     "bc": (0, 1, 1, 0),
     "bd": (0, 1, 0, 1),
     "cd": (0, 0, 1, 1),
+}
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+#: Balanced-analyzer image of each Bell state, up to one global phase.
+BSM_MAP_TARGETS: dict[str, dict[tuple[int, ...], complex]] = {
+    "psi+": {(1, 1, 0, 0): -_SQRT_HALF, (0, 0, 1, 1): _SQRT_HALF},
+    "psi-": {(1, 0, 0, 1): _SQRT_HALF, (0, 1, 1, 0): -_SQRT_HALF},
+    "phi+": {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5},
+    "phi-": {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): -0.5},
 }
 
 #: Success patterns of a polarization fusion gate on its (H1, V1, H2, V2)
@@ -100,6 +111,19 @@ def fusion_outcomes(state: StateVec, rails: tuple[int, int, int, int]) -> dict[s
     return outcomes
 
 
+def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[str, float]:
+    """Click probability of every analyzer pattern for one Bell state.
+
+    Sends the Bell state through a single Bell-state analyzer with the given
+    beam-splitter reflectivities; keys are the labels of :data:`BSM_PATTERNS`.
+    """
+    out = apply_transfer(bsm_matrix(eta_h, eta_v), bell_state(bell_label))
+    return {
+        label: project_pattern(out, DetectionPattern((0, 1, 2, 3), counts))[1]
+        for label, counts in BSM_PATTERNS.items()
+    }
+
+
 def pattern_support(
     bell_label: str,
     eta_h: float = 0.5,
@@ -108,14 +132,8 @@ def pattern_support(
 ) -> set[str]:
     """Which analyzer click patterns a Bell state can produce.
 
-    Sends the Bell state through a single Bell-state analyzer with the given
-    beam-splitter reflectivities and returns the labels from
-    :data:`BSM_PATTERNS` whose click probability exceeds ``threshold``.
+    The labels from :data:`BSM_PATTERNS` whose click probability, by
+    :func:`pattern_probabilities`, exceeds ``threshold``.
     """
-    out = apply_transfer(bsm_matrix(eta_h, eta_v), bell_state(bell_label))
-    support = set()
-    for label, counts in BSM_PATTERNS.items():
-        _, prob = project_pattern(out, DetectionPattern((0, 1, 2, 3), counts))
-        if prob > threshold:
-            support.add(label)
-    return support
+    probs = pattern_probabilities(bell_label, eta_h, eta_v)
+    return {label for label, prob in probs.items() if prob > threshold}

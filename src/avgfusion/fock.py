@@ -21,10 +21,6 @@ PRUNE_TOL = 1e-15
 # Max-norm defect below which a transfer matrix is flagged unitary.
 UNITARY_TOL = 1e-12
 
-# sqrt(n!) lookup for the bosonic normalization factors; photon numbers in
-# this package never get anywhere near the table size.
-_SQRT_FACT = np.sqrt(np.array([math.factorial(n) for n in range(64)], dtype=float))
-
 FockKet = tuple  # occupation numbers, one non-negative int per mode
 
 
@@ -160,9 +156,9 @@ def inner_product(a: StateVec, b: StateVec) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.mode_count != b.mode_count:
         raise ValueError(f"mode counts differ: {a.mode_count} vs {b.mode_count}")
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    small = a if len(a) <= len(b) else b
     acc = 0j
-    for ket, _ in small.items():
+    for ket in small.kets():
         acc += np.conj(a.amplitude(ket)) * b.amplitude(ket)
     return complex(acc)
 
@@ -173,10 +169,7 @@ def norm_sq(s: StateVec) -> float:
 
 
 def _sqrt_fact_prod(ket) -> float:
-    p = 1.0
-    for n in ket:
-        p *= _SQRT_FACT[n]
-    return p
+    return math.sqrt(math.prod(math.factorial(n) for n in ket))
 
 
 def apply_transfer(T: TransferMatrix, s: StateVec) -> StateVec:
@@ -190,32 +183,19 @@ def apply_transfer(T: TransferMatrix, s: StateVec) -> StateVec:
     if T.dim != s.mode_count:
         raise ValueError(f"matrix dim {T.dim} != state mode count {s.mode_count}")
     m = s.mode_count
-    A = T.entries
+    # Nonzero (l, T[l, j]) pairs of each column j; a zero column yields no terms.
+    columns = [[(l, t) for l, t in enumerate(col) if t] for col in T.entries.T.tolist()]
     acc: dict[FockKet, complex] = {}
     for ket, amp in s.items():
-        keys = np.zeros((1, m), dtype=np.int64)
-        coeffs = np.array([amp / _sqrt_fact_prod(ket)], dtype=complex)
-        dead = False
+        terms = {(0,) * m: amp / _sqrt_fact_prod(ket)}
         for j, n in enumerate(ket):
-            if n == 0:
-                continue
-            col = A[:, j]
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                dead = True  # zero column annihilates this ket
-                break
             for _ in range(n):
-                k, r = keys.shape[0], nz.size
-                new_keys = np.repeat(keys, r, axis=0)
-                new_keys[np.arange(k * r), np.tile(nz, k)] += 1
-                new_coeffs = (coeffs[:, None] * col[nz][None, :]).ravel()
-                keys, inv = np.unique(new_keys, axis=0, return_inverse=True)
-                coeffs = np.zeros(keys.shape[0], dtype=complex)
-                np.add.at(coeffs, inv.reshape(-1), new_coeffs)
-        if dead:
-            continue
-        weights = coeffs * np.prod(_SQRT_FACT[keys], axis=1)
-        for row, w in zip(keys.tolist(), weights.tolist()):
-            key = tuple(row)
-            acc[key] = acc.get(key, 0j) + w
+                expanded: dict[FockKet, complex] = {}
+                for key, c in terms.items():
+                    for l, t in columns[j]:
+                        out = key[:l] + (key[l] + 1,) + key[l + 1 :]
+                        expanded[out] = expanded.get(out, 0j) + c * t
+                terms = expanded
+        for key, c in terms.items():
+            acc[key] = acc.get(key, 0j) + c * _sqrt_fact_prod(key)
     return StateVec(m, acc)

@@ -49,7 +49,7 @@ from .closed_form import (
     bsm_fnorm_closed,
     bsm_psuccess_closed,
 )
-from .detection import BSM_PATTERNS, FUSION_PATTERNS
+from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
 from .fock import StateVec, tensor
 from .interferometers import bsm_matrices, fusion_gates
 from .metrics import bell_state, fidelity, normalized_fidelity, trace_distance
@@ -175,8 +175,7 @@ def _fusion_input() -> StateVec:
 @cache
 def _bsm_target() -> StateVec:
     """Balanced-analyzer image of psi+ (up to global phase): (|0011> - |1100>)/sqrt(2)."""
-    s = 1.0 / math.sqrt(2.0)
-    return StateVec(4, {(0, 0, 1, 1): s, (1, 1, 0, 0): -s})
+    return StateVec(4, BSM_MAP_TARGETS["psi+"])
 
 
 #: Every two-photon click pattern on the four gate modes, and the two modes

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgfusion.fock import (
     StateVec,
@@ -158,15 +160,35 @@ def test_apply_transfer_rejects_dim_mismatch():
         apply_transfer(beamsplitter(0.5), StateVec.from_ket((1, 0, 0)))
 
 
-def test_amplitudes_match_permanent_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        t = random_unitary(rng, 4)
-        for ket_in in [(1, 0, 1, 0), (2, 0, 0, 1), (1, 1, 1, 1), (0, 3, 0, 0)]:
-            out = apply_transfer(t, StateVec.from_ket(ket_in))
-            for ket_out in out.kets():
-                expected = amplitude_by_permanent(t, ket_in, ket_out)
-                assert out.amplitude(ket_out) == pytest.approx(expected, abs=1e-12)
+@st.composite
+def transfer_cases(draw):
+    """Random complex non-unitary matrix on 1-5 modes, some columns zeroed,
+    and an input ket of 0-4 photons, bunched ones included."""
+    n_modes = draw(st.integers(min_value=1, max_value=5))
+    mode = st.integers(min_value=0, max_value=n_modes - 1)
+    photons = draw(st.lists(mode, max_size=4))
+    zeroed = draw(st.sets(mode))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = (n_modes, n_modes)
+    entries = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    entries[:, sorted(zeroed)] = 0.0
+    return TransferMatrix(entries), tuple(photons.count(j) for j in range(n_modes))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(transfer_cases())
+def test_amplitudes_match_permanent_oracle(case):
+    """Every output ket of the input's photon number, absent kets read as 0."""
+    t, ket_in = case
+    out = apply_transfer(t, StateVec.from_ket(ket_in))
+    every_ket = {
+        tuple(modes.count(j) for j in range(t.dim))
+        for modes in itertools.combinations_with_replacement(range(t.dim), sum(ket_in))
+    }
+    assert set(out.kets()) <= every_ket
+    for ket_out in every_ket:
+        expected = amplitude_by_permanent(t, ket_in, ket_out)
+        assert out.amplitude(ket_out) == pytest.approx(expected, abs=1e-12)
 
 
 def test_composition_matches_matrix_product():
