@@ -18,7 +18,6 @@ import numpy as np
 from avgfusion import (
     BELL_LABELS,
     BSM_PATTERNS,
-    ReflectivityDraw,
     bell_state,
     bsm_fnorm_closed,
     bsm_psuccess_closed,
@@ -54,10 +53,9 @@ for n in (1, 2, 3):
     kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
     p_sim = norm_sq(kept)
     f_norm_sim = fidelity(kept, _bsm_target()) / p_sim
-    draw = ReflectivityDraw(eta_h, eta_v)
     print(
-        f"{n:3d} {p_sim:12.6f} {bsm_psuccess_closed(draw):12.6f}"
-        f" {f_norm_sim:12.6f} {bsm_fnorm_closed(draw):14.6f}"
+        f"{n:3d} {p_sim:12.6f} {bsm_psuccess_closed(eta_h, eta_v):12.6f}"
+        f" {f_norm_sim:12.6f} {bsm_fnorm_closed(eta_h, eta_v):14.6f}"
     )
 
 print()

@@ -58,10 +58,10 @@ for name, cfg in configs.items():
     svg_path = here / f"demo_{name.replace('-', '_')}.svg"
     write_svg(result, svg_path)
     print(f"--- {name}: mean {headline[name]} per (N, m) cell ---")
-    for summary in result.summaries:
+    for cell in result.cells:
         print(
-            f"  N={summary.n_copies} m={summary.m:.1f}:"
-            f" {summary.mean[headline[name]]:.4f} +/- {summary.std[headline[name]]:.4f}"
+            f"  N={cell.n_copies} m={cell.m:.1f}:"
+            f" {cell.mean[headline[name]]:.4f} +/- {cell.std[headline[name]]:.4f}"
         )
     print(f"  wrote {cfg.out_path} and {svg_path}")
     print()

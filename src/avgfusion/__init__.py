@@ -14,7 +14,6 @@ from .averaging import (
     run_averaged,
 )
 from .closed_form import (
-    ReflectivityDraw,
     bsm_fidelity_closed,
     bsm_fnorm_closed,
     bsm_psuccess_closed,
@@ -62,11 +61,11 @@ from .metrics import (
 from .svgplot import render_sweep_svg, write_svg
 from .sweep import (
     METRIC_COLUMNS,
-    CellSummary,
+    Cell,
     SweepConfig,
     SweepResult,
-    TrialRecord,
     run_bsm_trial,
+    run_cell,
     run_fusion_trial,
     run_sweep,
     run_trace_trial,
@@ -82,20 +81,18 @@ __all__ = [
     "AveragedNetwork",
     "BELL_LABELS",
     "BSM_PATTERNS",
-    "CellSummary",
+    "Cell",
     "DetectionPattern",
     "FUSION_PATTERNS",
     "FockKet",
     "FusionOutcome",
     "METRIC_COLUMNS",
     "NetworkLayout",
-    "ReflectivityDraw",
     "StateVec",
     "SuiteResult",
     "SweepConfig",
     "SweepResult",
     "TransferMatrix",
-    "TrialRecord",
     "apply_transfer",
     "beamsplitter_layer",
     "beamsplitter_layers",
@@ -126,6 +123,7 @@ __all__ = [
     "run_all",
     "run_averaged",
     "run_bsm_trial",
+    "run_cell",
     "run_fusion_trial",
     "run_sweep",
     "run_trace_trial",

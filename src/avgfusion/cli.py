@@ -119,7 +119,7 @@ def _run_sweep_command(experiment: str, args, parser, m_grid: tuple[float, ...])
     result = run_sweep(cfg)
     if args.svg:
         write_svg(result, args.svg)
-    print(f"wrote {cfg.out_path} ({len(result.trials)} trials, {len(result.summaries)} cells)")
+    print(f"wrote {cfg.out_path} ({len(result.cells) * cfg.samples} trials, {len(result.cells)} cells)")
     return 0
 
 

@@ -8,69 +8,53 @@ with the ideal analyzer's output depends only on the four sums
     sv = sum_k sqrt(eta^V_k)      svc = sum_k sqrt(1 - eta^V_k)
 
 These expressions reproduce the full Fock-space simulation to machine
-precision and make wide parameter sweeps cheap.
+precision and make wide parameter sweeps cheap. Every function takes the
+copies on the last axis of ``eta_h`` and ``eta_v`` and broadcasts over any
+leading axes, so a stack of S draws of shape (S, N) gives S values.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
 
-@dataclass(frozen=True)
-class ReflectivityDraw:
-    """One set of per-copy reflectivities for the two analyzer layers."""
-
-    eta_h: tuple[float, ...]
-    eta_v: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.eta_h) != len(self.eta_v) or not self.eta_h:
-            raise ValueError("eta_h and eta_v must be equal-length, non-empty tuples")
-        for eta in self.eta_h + self.eta_v:
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"reflectivity {eta} outside [0, 1]")
-
-    @property
-    def n_copies(self) -> int:
-        return len(self.eta_h)
+def _root_sums(eta_h, eta_v):
+    eta_h, eta_v = np.asarray(eta_h, dtype=float), np.asarray(eta_v, dtype=float)
+    if eta_h.ndim == 0 or eta_v.ndim == 0 or eta_h.shape[-1] != eta_v.shape[-1] or not eta_h.shape[-1]:
+        raise ValueError("eta_h and eta_v need equal, non-empty copy axes (the last axis)")
+    for eta in (eta_h, eta_v):
+        outside = eta[~((eta >= 0.0) & (eta <= 1.0))]
+        if outside.size:
+            raise ValueError(f"reflectivity {outside[0]} outside [0, 1]")
+    sums = [np.sqrt(x).sum(axis=-1) for x in (eta_h, 1.0 - eta_h, eta_v, 1.0 - eta_v)]
+    return (*sums, eta_h.shape[-1])
 
 
-def _root_sums(draw: ReflectivityDraw) -> tuple[float, float, float, float]:
-    sh = sum(math.sqrt(e) for e in draw.eta_h)
-    shc = sum(math.sqrt(1.0 - e) for e in draw.eta_h)
-    sv = sum(math.sqrt(e) for e in draw.eta_v)
-    svc = sum(math.sqrt(1.0 - e) for e in draw.eta_v)
-    return sh, shc, sv, svc
-
-
-def bsm_fidelity_closed(draw: ReflectivityDraw) -> float:
+def bsm_fidelity_closed(eta_h, eta_v):
     """Unnormalized overlap |<target|out>|^2 of the averaged analyzer.
 
     Equals 4*eta*(1-eta) for a single copy with eta_h = eta_v = eta, and 1 at
     the balanced point eta = 1/2.
     """
-    sh, shc, sv, svc = _root_sums(draw)
-    n = draw.n_copies
+    sh, shc, sv, svc, n = _root_sums(eta_h, eta_v)
     return (sh * svc + shc * sv) ** 2 / n**4
 
 
-def bsm_psuccess_closed(draw: ReflectivityDraw) -> float:
+def bsm_psuccess_closed(eta_h, eta_v):
     """Probability that both photons survive ancilla post-selection.
 
     Identically 1 for a single copy, whatever the reflectivities.
     """
-    sh, shc, sv, svc = _root_sums(draw)
-    n = draw.n_copies
+    sh, shc, sv, svc, n = _root_sums(eta_h, eta_v)
     return (sh**2 + shc**2) * (sv**2 + svc**2) / n**4
 
 
-def bsm_fnorm_closed(draw: ReflectivityDraw) -> float:
+def bsm_fnorm_closed(eta_h, eta_v):
     """Conditional fidelity: overlap renormalized by the success probability.
 
     Bounded by 1 (Cauchy-Schwarz on the root sums).
     """
-    sh, shc, sv, svc = _root_sums(draw)
+    sh, shc, sv, svc, _ = _root_sums(eta_h, eta_v)
     num = (sh * svc + shc * sv) ** 2
     den = (sh**2 + shc**2) * (sv**2 + svc**2)
     return num / den

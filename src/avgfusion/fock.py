@@ -10,6 +10,7 @@ state handled here carries at most a handful of photons over a few dozen modes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from types import MappingProxyType
 
@@ -64,6 +65,8 @@ class StateVec:
         if amplitudes:
             for ket, a in amplitudes.items():
                 a = complex(a)
+                if not cmath.isfinite(a):
+                    raise ValueError(f"non-finite amplitude {a} for ket {tuple(ket)}")
                 if abs(a) > PRUNE_TOL:
                     amp[_check_ket(ket, self.mode_count)] = a
         self._amp = amp

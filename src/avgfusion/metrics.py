@@ -1,4 +1,4 @@
-"""Bell-state constructors and scalar figures of merit."""
+"""Bell-state constructors and figures of merit."""
 
 from __future__ import annotations
 
@@ -44,19 +44,22 @@ def fidelity(state, target):
     return np.abs(np.sum(np.conj(state) * target, axis=-1)) ** 2
 
 
-def normalized_fidelity(f: float, p: float) -> float:
-    """Fidelity conditioned on success: F/P.
+def normalized_fidelity(f, p):
+    """Fidelity conditioned on success: F/P, elementwise over arrays.
 
-    Values beyond 1 + 1e-9 indicate a numerical anomaly and are clamped with
-    a warning; tiny float excursions above 1 are returned as-is.
+    Values beyond 1 + 1e-9 indicate a numerical anomaly and are clamped to 1,
+    with one warning per clamped value; tiny float excursions above 1 are
+    returned as-is. Scalars give a float.
     """
-    if p <= 0.0:
-        raise ValueError(f"success probability must be positive, got {p}")
+    f, p = np.asarray(f, dtype=float), np.asarray(p, dtype=float)
+    if np.any(p <= 0.0):
+        raise ValueError(f"success probability must be positive, got {np.min(p)}")
     ratio = f / p
-    if ratio > 1.0 + 1e-9:
-        warnings.warn(f"normalized fidelity {ratio} exceeds 1; clamping", RuntimeWarning)
-        return 1.0
-    return ratio
+    clamped = ratio > 1.0 + 1e-9
+    for value in ratio[clamped]:
+        warnings.warn(f"normalized fidelity {value} exceeds 1; clamping", RuntimeWarning)
+    ratio = np.where(clamped, 1.0, ratio)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def trace_distance(a, b):

@@ -2,11 +2,13 @@
 
 No plotting dependency: the chart is assembled as SVG text directly. One
 series per copy count N, x = noise half-width m, y = the chosen metric's
-per-cell mean, with +/- one standard deviation error bars.
+per-cell mean, with +/- one standard deviation error bars. A cell whose
+metric is undefined in every trial (mean NaN) has no point.
 """
 
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape, quoteattr
 
 from .sweep import DEFAULT_PLOT_METRIC, METRIC_COLUMNS, SweepResult
@@ -45,7 +47,11 @@ def render_sweep_svg(result: SweepResult, metric: str | None = None) -> str:
             f"choose from {METRIC_COLUMNS[cfg.experiment]}"
         )
     series = [
-        (n, [(s.m, s.mean[metric], s.std[metric]) for s in result.summaries if s.n_copies == n])
+        (n, [
+            (c.m, c.mean[metric], c.std[metric])
+            for c in result.cells
+            if c.n_copies == n and not math.isnan(c.mean[metric])
+        ])
         for n in cfg.n_copies_list
     ]
     xs = [p[0] for _, pts in series for p in pts]

@@ -27,7 +27,9 @@ gate modes, one photon per input mode. So each click-pattern amplitude is a
 One (N, m) cell runs in three stages: *draw* the reflectivities of every
 trial from its own stream, build the *copies* as one (S, N, 4, 4) array and
 average them to M_N of shape (S, 4, 4), and compute the *metrics* for all S
-trials at once. The full Fock-space network (:mod:`averaging`,
+trials at once. The cell, with its trial axis intact, is what a sweep
+returns (:class:`Cell`) and what the CSV and the plots read. The full
+Fock-space network (:mod:`averaging`,
 :func:`fock.apply_transfer`) stays the oracle that ``verify`` and the tests
 check this engine against.
 """
@@ -39,12 +41,11 @@ import math
 import os
 import secrets
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .closed_form import (
-    ReflectivityDraw,
     bsm_fidelity_closed,
     bsm_fnorm_closed,
     bsm_psuccess_closed,
@@ -96,37 +97,46 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """Sampled reflectivities and computed metrics of a single trial."""
+class Cell:
+    """One (N, m) cell of a sweep, its S trials along the first axis.
 
-    experiment: str
+    ``etas`` has shape (S, 2, N): per trial, the N first-layer then the N
+    second-layer reflectivities. ``metrics`` maps each metric column to an
+    (S,) array. A NaN marks a trial where the metric is undefined (a
+    conditional fidelity whose heralding probability is 0); ``mean`` and
+    ``std`` take only the defined trials and are NaN when there are none.
+    """
+
     n_copies: int
     m: float
-    trial: int
-    etas: tuple[float, ...]
-    metrics: dict[str, float]
+    etas: np.ndarray
+    metrics: dict[str, np.ndarray]
+
+    @property
+    def mean(self) -> dict[str, float]:
+        return {col: stats[0] for col, stats in self._stats.items()}
+
+    @property
+    def std(self) -> dict[str, float]:
+        """Sample standard deviation (ddof=1); 0.0 for a single defined trial."""
+        return {col: stats[1] for col, stats in self._stats.items()}
+
+    @cached_property
+    def _stats(self) -> dict[str, tuple[float, float]]:
+        return {col: _mean_std(values) for col, values in self.metrics.items()}
 
 
-@dataclass(frozen=True)
-class CellSummary:
-    """Per-(N, m) aggregate of a sweep: metric means and standard deviations."""
-
-    experiment: str
-    n_copies: int
-    m: float
-    samples: int
-    mean: dict[str, float]
-    std: dict[str, float]
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    defined = values[~np.isnan(values)]
+    if not len(defined):
+        return math.nan, math.nan
+    return float(defined.mean()), float(defined.std(ddof=1)) if len(defined) > 1 else 0.0
 
 
 @dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
-    trials: tuple[TrialRecord, ...]
-    summaries: tuple[CellSummary, ...]
-
-    def cell_trials(self, n_copies: int, m: float) -> tuple[TrialRecord, ...]:
-        return tuple(t for t in self.trials if t.n_copies == n_copies and t.m == m)
+    cells: tuple[Cell, ...]
 
 
 def sample_reflectivity(rng: np.random.Generator, m: float, size=None):
@@ -221,116 +231,97 @@ def _copy_mean(gates, etas: np.ndarray) -> np.ndarray:
     return gates(etas[:, 0], etas[:, 1]).mean(axis=1)
 
 
-def _trial_records(experiment, n_copies, m, first_trial, etas, columns) -> list[TrialRecord]:
-    """One record per trial from a cell's etas (S, 2, N) and per-trial metric lists."""
-    return [
-        TrialRecord(
-            experiment, n_copies, m, first_trial + s, tuple(draw),
-            {name: values[s] for name, values in columns.items()},
-        )
-        for s, draw in enumerate(etas.reshape(len(etas), -1).tolist())
-    ]
-
-
-def _fusion_cell(n_copies: int, m: float, first_trial: int, etas: np.ndarray) -> list[TrialRecord]:
-    """Fusion trials on Bell (x) Bell with 4 passthrough modes, one per row of ``etas``."""
+def _fusion_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
+    """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of ``etas``."""
     mean = _copy_mean(fusion_gates, etas)
     out, spectators = _evolve_pairs(mean, _fusion_input())
     prob = np.sum(np.abs(out) ** 2, axis=-1)
     hh = _PATTERNS.index(FUSION_PATTERNS["HH"])
     phi_plus = bell_state("phi+")
-    f_hh = fidelity(out[:, hh], np.array([phi_plus.amplitude(k) for k in spectators])).tolist()
-    p_hh = prob[:, hh].tolist()
-    columns = {
+    f_hh = fidelity(out[:, hh], np.array([phi_plus.amplitude(k) for k in spectators]))
+    p_hh = prob[:, hh]
+    heralded = p_hh > 0
+    f_hh_norm = np.full(len(p_hh), math.nan)
+    f_hh_norm[heralded] = normalized_fidelity(f_hh[heralded], p_hh[heralded])
+    return {
         "F_HH": f_hh,
         "P_HH": p_hh,
-        "F_HH_norm": [normalized_fidelity(f, p) if p > 0 else 0.0 for f, p in zip(f_hh, p_hh)],
-        "P_single": sum(prob[:, _PATTERNS.index(p)] for p in FUSION_PATTERNS.values()).tolist(),
-        "trace_distance": trace_distance(mean, _BALANCED_FUSION).tolist(),
+        "F_HH_norm": f_hh_norm,
+        "P_single": sum(prob[:, _PATTERNS.index(p)] for p in FUSION_PATTERNS.values()),
+        "trace_distance": trace_distance(mean, _BALANCED_FUSION),
     }
-    return _trial_records("fusion", n_copies, m, first_trial, etas, columns)
 
 
-def _bsm_cell(n_copies: int, m: float, first_trial: int, etas: np.ndarray) -> list[TrialRecord]:
-    """Bell-state-analyzer trials on a psi+ input, one per row of ``etas``."""
+def _bsm_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
+    """Bell-state analyzer on a psi+ input, one trial per row of ``etas``."""
     mean = _copy_mean(bsm_matrices, etas)
     out = _evolve_pairs(mean, bell_state("psi+"))[0][..., 0]
     target = np.array([_bsm_target().amplitude(p) for p in _PATTERNS])
-    f = fidelity(out, target).tolist()
-    p_success = np.sum(np.abs(out) ** 2, axis=-1).tolist()
-    draws = [ReflectivityDraw(tuple(h), tuple(v)) for h, v in etas.tolist()]
-    columns = {
+    f = fidelity(out, target)
+    p_success = np.sum(np.abs(out) ** 2, axis=-1)
+    eta_h, eta_v = etas[:, 0], etas[:, 1]
+    return {
         "F": f,
         "P_success": p_success,
-        "F_norm": [normalized_fidelity(fs, ps) for fs, ps in zip(f, p_success)],
-        "F_closed": [bsm_fidelity_closed(d) for d in draws],
-        "P_success_closed": [bsm_psuccess_closed(d) for d in draws],
-        "F_norm_closed": [bsm_fnorm_closed(d) for d in draws],
+        "F_norm": normalized_fidelity(f, p_success),
+        "F_closed": bsm_fidelity_closed(eta_h, eta_v),
+        "P_success_closed": bsm_psuccess_closed(eta_h, eta_v),
+        "F_norm_closed": bsm_fnorm_closed(eta_h, eta_v),
     }
-    return _trial_records("bsm", n_copies, m, first_trial, etas, columns)
 
 
-def _trace_cell(n_copies: int, m: float, first_trial: int, etas: np.ndarray) -> list[TrialRecord]:
-    """Matrix-level trials: distance of the copy average to the balanced gate."""
-    mean = _copy_mean(fusion_gates, etas)
-    columns = {"trace_distance": trace_distance(mean, _BALANCED_FUSION).tolist()}
-    return _trial_records("trace-distance", n_copies, m, first_trial, etas, columns)
+def _trace_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
+    """Matrix level: distance of the copy average to the balanced gate."""
+    return {"trace_distance": trace_distance(_copy_mean(fusion_gates, etas), _BALANCED_FUSION)}
 
 
-_CELL_FNS = {
-    "fusion": _fusion_cell,
-    "bsm": _bsm_cell,
-    "trace-distance": _trace_cell,
+_METRICS = {
+    "fusion": _fusion_metrics,
+    "bsm": _bsm_metrics,
+    "trace-distance": _trace_metrics,
 }
 
 
-def _run_trial(experiment: str, n_copies: int, m: float, trial: int, rng) -> TrialRecord:
-    etas = sample_reflectivity(rng, m, (1, 2, n_copies))
-    return _CELL_FNS[experiment](n_copies, m, trial, etas)[0]
+def run_cell(experiment: str, n_copies: int, m: float, etas: np.ndarray) -> Cell:
+    """Every trial of one (N, m) cell from its reflectivities, shape (S, 2, N)."""
+    return Cell(n_copies, m, etas, _METRICS[experiment](etas))
 
 
-def run_fusion_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> TrialRecord:
-    """One averaged-fusion trial on Bell⊗Bell with 4 passthrough modes."""
-    return _run_trial("fusion", n_copies, m, trial, rng)
+# The single-trial runners draw from ``rng`` as one trial of a sweep cell
+# does; ``trial`` only keeps their call signature and is not recorded.
 
 
-def run_bsm_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> TrialRecord:
-    """One averaged Bell-state-analyzer trial on a psi+ input."""
-    return _run_trial("bsm", n_copies, m, trial, rng)
+def run_fusion_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:
+    """One averaged-fusion trial on Bell⊗Bell with 4 passthrough modes, as a one-trial cell."""
+    return run_cell("fusion", n_copies, m, sample_reflectivity(rng, m, (1, 2, n_copies)))
 
 
-def run_trace_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> TrialRecord:
-    """One matrix-level trial: distance of the copy average to the balanced gate."""
-    return _run_trial("trace-distance", n_copies, m, trial, rng)
+def run_bsm_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:
+    """One averaged Bell-state-analyzer trial on a psi+ input, as a one-trial cell."""
+    return run_cell("bsm", n_copies, m, sample_reflectivity(rng, m, (1, 2, n_copies)))
+
+
+def run_trace_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:
+    """One matrix-level trial, as a one-trial cell: copy average vs balanced gate."""
+    return run_cell("trace-distance", n_copies, m, sample_reflectivity(rng, m, (1, 2, n_copies)))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Run every (N, m) cell, aggregate per cell, optionally write CSV.
+    """Run every (N, m) cell, optionally write CSV.
 
     Each cell draws the reflectivities of its trials, in trial order, from
     their own streams and computes all of the cell's trials in one pass.
     """
-    cell_fn = _CELL_FNS[cfg.experiment]
-    columns = METRIC_COLUMNS[cfg.experiment]
-    trials = []
-    summaries = []
+    cells = []
     for n in cfg.n_copies_list:
         for mi, m in enumerate(cfg.m_grid):
             etas = np.stack([
                 sample_reflectivity(trial_rng(cfg.master_seed, cfg.experiment, n, mi, t), m, (2, n))
                 for t in range(cfg.samples)
             ])
-            chunk = cell_fn(n, m, 0, etas)
-            trials += chunk
-            mean = {}
-            std = {}
-            for col in columns:
-                values = np.array([t.metrics[col] for t in chunk])
-                mean[col] = float(values.mean())
-                std[col] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-            summaries.append(CellSummary(cfg.experiment, n, m, cfg.samples, mean, std))
+            cells.append(run_cell(cfg.experiment, n, m, etas))
 
-    result = SweepResult(cfg, tuple(trials), tuple(summaries))
+    result = SweepResult(cfg, tuple(cells))
     if cfg.out_path is not None:
         write_csv(result, cfg.out_path)
     return result
@@ -344,7 +335,7 @@ def _fmt(x: float) -> str:
 def write_csv(result: SweepResult, path) -> None:
     """Write per-trial rows plus mean/std rows per cell (UTF-8, LF endings).
 
-    Aggregate rows leave the trial and eta columns empty and set row_kind to
+    An undefined metric of a trial is written as ``nan``. Aggregate rows leave the trial and eta columns empty and set row_kind to
     ``mean`` or ``std``; trial rows set it to ``trial``. The file is written
     under a temporary name in the target directory and then renamed over
     ``path``, so a failed write leaves any previous file as it was.
@@ -357,17 +348,15 @@ def write_csv(result: SweepResult, path) -> None:
         with open(tmp, "x", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(header)
-            for i, summary in enumerate(result.summaries):
-                chunk = result.trials[i * cfg.samples : (i + 1) * cfg.samples]
-                for t in chunk:
-                    eta = ";".join(_fmt(e) for e in t.etas)
-                    row = [t.experiment, t.n_copies, _fmt(t.m), t.trial, eta]
-                    row += [_fmt(t.metrics[c]) for c in columns]
-                    writer.writerow(row + ["trial"])
-                for kind, values in (("mean", summary.mean), ("std", summary.std)):
-                    row = [cfg.experiment, summary.n_copies, _fmt(summary.m), "", ""]
-                    row += [_fmt(values[c]) for c in columns]
-                    writer.writerow(row + [kind])
+            for cell in result.cells:
+                draws = cell.etas.reshape(len(cell.etas), -1).tolist()
+                values = zip(*(cell.metrics[c].tolist() for c in columns))
+                for trial, (draw, row_values) in enumerate(zip(draws, values)):
+                    row = [cfg.experiment, cell.n_copies, _fmt(cell.m), trial, ";".join(map(_fmt, draw))]
+                    writer.writerow(row + [_fmt(v) for v in row_values] + ["trial"])
+                for kind, stats in (("mean", cell.mean), ("std", cell.std)):
+                    row = [cfg.experiment, cell.n_copies, _fmt(cell.m), "", ""]
+                    writer.writerow(row + [_fmt(stats[c]) for c in columns] + [kind])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

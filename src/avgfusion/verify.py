@@ -18,7 +18,7 @@ from .detection import BSM_MAP_TARGETS, fusion_outcomes, pattern_probabilities
 from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import bsm_matrix, effective_average, fusion_gate
 from .metrics import BELL_LABELS, bell_state, fidelity
-from .sweep import _fusion_input, run_bsm_trial, run_fusion_trial
+from .sweep import _fusion_input, run_bsm_trial, run_cell, run_fusion_trial, sample_reflectivity
 
 DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 12345
@@ -125,10 +125,9 @@ def check_closed_form(samples: int = DEFAULT_SAMPLES, rng=None) -> SuiteResult:
     rng = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
     dev = 0.0
     for n_copies in (1, 2, 3):
-        for trial in range(samples):
-            rec = run_bsm_trial(n_copies, 0.3, trial, rng)
-            for sim, closed in (("F", "F_closed"), ("P_success", "P_success_closed"), ("F_norm", "F_norm_closed")):
-                dev = max(dev, abs(rec.metrics[sim] - rec.metrics[closed]))
+        cell = run_cell("bsm", n_copies, 0.3, sample_reflectivity(rng, 0.3, (samples, 2, n_copies)))
+        for sim in ("F", "P_success", "F_norm"):
+            dev = max(dev, float(np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))))
     return SuiteResult("closed-form-vs-simulator", dev < 1e-10, dev, 1e-10)
 
 
@@ -201,14 +200,14 @@ def check_perfect_sweep() -> SuiteResult:
     rng = np.random.default_rng(DEFAULT_SEED)
     dev = 0.0
     for n_copies in (1, 2, 3):
-        rec = run_fusion_trial(n_copies, 0.0, 0, rng)
-        dev = max(dev, abs(rec.metrics["P_HH"] - 0.125))
-        dev = max(dev, abs(rec.metrics["P_single"] - 0.5))
-        dev = max(dev, abs(rec.metrics["F_HH_norm"] - 1.0))
-        dev = max(dev, rec.metrics["trace_distance"])
-        bsm = run_bsm_trial(n_copies, 0.0, 0, rng)
-        dev = max(dev, abs(bsm.metrics["P_success"] - 1.0))
-        dev = max(dev, abs(bsm.metrics["F_norm"] - 1.0))
+        fusion = run_fusion_trial(n_copies, 0.0, 0, rng).metrics
+        dev = max(dev, abs(fusion["P_HH"][0] - 0.125))
+        dev = max(dev, abs(fusion["P_single"][0] - 0.5))
+        dev = max(dev, abs(fusion["F_HH_norm"][0] - 1.0))
+        dev = max(dev, fusion["trace_distance"][0])
+        bsm = run_bsm_trial(n_copies, 0.0, 0, rng).metrics
+        dev = max(dev, abs(bsm["P_success"][0] - 1.0))
+        dev = max(dev, abs(bsm["F_norm"][0] - 1.0))
     return SuiteResult("perfect-point-values", dev < 1e-10, dev, 1e-10)
 
 

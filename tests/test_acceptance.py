@@ -41,7 +41,7 @@ def _standard_error(values: np.ndarray) -> float:
 
 
 def _cell_stats(result, metric: str, n: int, m: float) -> tuple[float, float]:
-    values = np.array([t.metrics[metric] for t in result.cell_trials(n, m)])
+    values = next(c for c in result.cells if (c.n_copies, c.m) == (n, m)).metrics[metric]
     return float(values.mean()), _standard_error(values)
 
 
@@ -51,10 +51,10 @@ def _cell_stats(result, metric: str, n: int, m: float) -> tuple[float, float]:
 def test_01_perfect_fusion_values(capsys):
     dev = 0.0
     for n in (1, 2, 3):
-        rec = run_fusion_trial(n, 0.0, 0, trial_rng(42, "fusion", n, 0, 0))
-        dev = max(dev, abs(rec.metrics["P_HH"] - 0.125))
-        dev = max(dev, abs(rec.metrics["P_single"] - 0.5))
-        dev = max(dev, abs(rec.metrics["F_HH_norm"] - 1.0))
+        trial = run_fusion_trial(n, 0.0, 0, trial_rng(42, "fusion", n, 0, 0)).metrics
+        dev = max(dev, abs(trial["P_HH"][0] - 0.125))
+        dev = max(dev, abs(trial["P_single"][0] - 0.5))
+        dev = max(dev, abs(trial["F_HH_norm"][0] - 1.0))
 
         copies = [fusion_gate(0.5, 0.5)] * n
         net = build_averaged_network(copies, n_passthrough=4)
@@ -357,7 +357,7 @@ def test_10_bsm_normalized_fidelity(capsys):
         means = [_cell_stats(result, "F_norm", n, m)[0] for n in cfg.n_copies_list]
         monotone &= means[0] <= means[1] <= means[2]
     p_dev = max(
-        abs(t.metrics["P_success"] - 1.0) for t in result.trials if t.n_copies == 1
+        np.max(np.abs(c.metrics["P_success"] - 1.0)) for c in result.cells if c.n_copies == 1
     )
     _report(
         capsys, 10, "bsm-normalized-fidelity",

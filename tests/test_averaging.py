@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgfusion.averaging import (
     NetworkLayout,
@@ -91,23 +93,29 @@ def test_build_rejects_bad_copy_lists():
         build_averaged_network([TransferMatrix(np.eye(2) * 0.5)])
 
 
-def test_postselected_network_equals_mean_gate_evolution():
-    """The operational averaging identity, on random unitaries and photon numbers."""
-    rng = np.random.default_rng(17)
+#: One gate copy: a Haar-random 4-mode unitary (from a seed) or a fusion gate.
+_copies = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: random_unitary(np.random.default_rng(seed), 4)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(lambda etas: fusion_gate(*etas)),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(_copies, min_size=1, max_size=5))
+def test_postselected_network_equals_mean_gate_evolution(copies):
+    """The operational averaging identity for N = 1..5 mixed Haar and fusion
+    copies, on one- to four-photon inputs, bunched ones included."""
     inputs = [
         bell_state("psi+"),
         StateVec(4, {(2, 0, 0, 0): 0.6, (0, 1, 1, 0): -0.8j}),
         StateVec(4, {(1, 1, 1, 1): 1.0}),
         StateVec(4, {(1, 0, 0, 0): 0.5, (0, 0, 1, 0): 0.5j, (0, 1, 0, 0): -0.70710678}),
     ]
-    for n in (2, 3, 4):
-        for _ in range(3):
-            copies = [random_unitary(rng, 4) for _ in range(n)]
-            net = build_averaged_network(copies)
-            mean_gate = effective_average(copies)
-            for state in inputs:
-                kept = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
-                assert_states_close(kept, apply_transfer(mean_gate, state), atol=1e-10)
+    net = build_averaged_network(copies)
+    mean_gate = effective_average(copies)
+    for state in inputs:
+        kept = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
+        assert_states_close(kept, apply_transfer(mean_gate, state), atol=1e-10)
 
 
 def test_postselection_probability_is_one_only_for_equal_copies():

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from avgfusion.closed_form import (
-    ReflectivityDraw,
     bsm_fidelity_closed,
     bsm_fnorm_closed,
     bsm_psuccess_closed,
@@ -65,37 +64,81 @@ EXPANDED_FORMS = {
 }
 
 
+CLOSED_FORMS = (bsm_fidelity_closed, bsm_psuccess_closed, bsm_fnorm_closed)
+
+
 def test_reflectivity_draw_validation():
-    ReflectivityDraw((0.5, 0.5), (0.4, 0.6))
-    with pytest.raises(ValueError):
-        ReflectivityDraw((0.5,), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        ReflectivityDraw((1.2,), (0.5,))
-    with pytest.raises(ValueError):
-        ReflectivityDraw((), ())
+    for fn in CLOSED_FORMS:
+        fn((0.5, 0.5), (0.4, 0.6))
+        for eta_h, eta_v in (
+            ((0.5,), (0.5, 0.5)),  # unequal copy axes
+            ((1.2,), (0.5,)),  # outside [0, 1]
+            ((0.5,), (-0.1,)),
+            ((0.5,), (float("nan"),)),
+            ((), ()),  # no copies
+            (0.5, 0.5),  # no copy axis at all
+            (np.full((3, 2), 0.5), np.full((3, 1), 0.5)),
+        ):
+            with pytest.raises(ValueError):
+                fn(eta_h, eta_v)
+
+
+def test_closed_forms_broadcast_over_leading_axes():
+    rng = np.random.default_rng(12)
+    eta_h, eta_v = rng.uniform(0, 1, size=(2, 4, 5, 3))
+    for fn in CLOSED_FORMS:
+        stacked = fn(eta_h, eta_v)
+        assert stacked.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            assert stacked[idx] == fn(eta_h[idx], eta_v[idx])
+        # one shared second-layer draw broadcasts against the stack of first layers
+        shared = eta_v[0, 0]
+        expected = [[fn(h, shared) for h in row] for row in eta_h]
+        np.testing.assert_array_equal(fn(eta_h, shared), expected)
+
+
+def _per_draw_reference(eta_h, eta_v):
+    """The closed forms for one draw in Python floats, summed copy by copy."""
+    sh = sum(math.sqrt(e) for e in eta_h)
+    shc = sum(math.sqrt(1.0 - e) for e in eta_h)
+    sv = sum(math.sqrt(e) for e in eta_v)
+    svc = sum(math.sqrt(1.0 - e) for e in eta_v)
+    n = len(eta_h)
+    num = (sh * svc + shc * sv) ** 2
+    den = (sh**2 + shc**2) * (sv**2 + svc**2)
+    return num / n**4, den / n**4, num / den
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_array_forms_match_the_per_draw_formulas(n):
+    """Same root sums; only squaring (x*x vs pow) may move the last bits,
+    by at most 2 eps relative."""
+    eta_h, eta_v = np.random.default_rng(300 + n).uniform(0, 1, size=(2, 400, n))
+    stacked = [fn(eta_h, eta_v) for fn in CLOSED_FORMS]
+    for s in range(400):
+        expected = _per_draw_reference(eta_h[s].tolist(), eta_v[s].tolist())
+        for values, want in zip(stacked, expected):
+            assert values[s] == pytest.approx(want, rel=2 * np.finfo(float).eps, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_balanced_point_is_perfect(n):
-    draw = ReflectivityDraw((0.5,) * n, (0.5,) * n)
-    assert bsm_fidelity_closed(draw) == pytest.approx(1.0, abs=1e-12)
-    assert bsm_psuccess_closed(draw) == pytest.approx(1.0, abs=1e-12)
-    assert bsm_fnorm_closed(draw) == pytest.approx(1.0, abs=1e-12)
+    for fn in CLOSED_FORMS:
+        assert fn((0.5,) * n, (0.5,) * n) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_copy_success_probability_is_always_one():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        draw = ReflectivityDraw((float(rng.uniform()),), (float(rng.uniform()),))
-        assert bsm_psuccess_closed(draw) == pytest.approx(1.0, abs=1e-12)
+        eta_h, eta_v = (float(rng.uniform()),), (float(rng.uniform()),)
+        assert bsm_psuccess_closed(eta_h, eta_v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_copy_fidelity_equal_reflectivities():
     for eta in (0.1, 0.35, 0.5, 0.72, 0.9):
-        draw = ReflectivityDraw((eta,), (eta,))
         expected = 4 * eta * (1 - eta)
-        assert bsm_fidelity_closed(draw) == pytest.approx(expected, abs=1e-12)
-        assert bsm_fnorm_closed(draw) == pytest.approx(expected, abs=1e-12)
+        assert bsm_fidelity_closed((eta,), (eta,)) == pytest.approx(expected, abs=1e-12)
+        assert bsm_fnorm_closed((eta,), (eta,)) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -105,8 +148,7 @@ def test_general_form_matches_expanded_forms(n):
     for _ in range(1000):
         eta_h = tuple(rng.uniform(0, 1, size=n))
         eta_v = tuple(rng.uniform(0, 1, size=n))
-        draw = ReflectivityDraw(eta_h, eta_v)
-        assert bsm_psuccess_closed(draw) == pytest.approx(expanded(eta_h, eta_v), abs=1e-12)
+        assert bsm_psuccess_closed(eta_h, eta_v) == pytest.approx(expanded(eta_h, eta_v), abs=1e-12)
 
 
 def test_symmetry_under_copy_permutation_and_layer_swap():
@@ -114,24 +156,21 @@ def test_symmetry_under_copy_permutation_and_layer_swap():
     for _ in range(25):
         eta_h = tuple(rng.uniform(0, 1, size=3))
         eta_v = tuple(rng.uniform(0, 1, size=3))
-        draw = ReflectivityDraw(eta_h, eta_v)
-        shuffled = ReflectivityDraw(eta_h[::-1], (eta_v[1], eta_v[2], eta_v[0]))
-        swapped = ReflectivityDraw(eta_v, eta_h)
-        for fn in (bsm_fidelity_closed, bsm_psuccess_closed, bsm_fnorm_closed):
-            assert fn(draw) == pytest.approx(fn(shuffled), abs=1e-12)
-            assert fn(draw) == pytest.approx(fn(swapped), abs=1e-12)
+        shuffled = (eta_h[::-1], (eta_v[1], eta_v[2], eta_v[0]))
+        for fn in CLOSED_FORMS:
+            assert fn(eta_h, eta_v) == pytest.approx(fn(*shuffled), abs=1e-12)
+            assert fn(eta_h, eta_v) == pytest.approx(fn(eta_v, eta_h), abs=1e-12)
 
 
 def test_normalized_form_bounded_by_one():
     rng = np.random.default_rng(77)
     for _ in range(200):
         n = int(rng.integers(1, 6))
-        draw = ReflectivityDraw(tuple(rng.uniform(0, 1, size=n)), tuple(rng.uniform(0, 1, size=n)))
-        assert bsm_fnorm_closed(draw) <= 1.0 + 1e-12
+        assert bsm_fnorm_closed(rng.uniform(0, 1, size=n), rng.uniform(0, 1, size=n)) <= 1.0 + 1e-12
 
 
-def simulate_bsm(draw):
-    copies = [bsm_matrix(eh, ev) for eh, ev in zip(draw.eta_h, draw.eta_v)]
+def simulate_bsm(eta_h, eta_v):
+    copies = [bsm_matrix(eh, ev) for eh, ev in zip(eta_h, eta_v)]
     net = build_averaged_network(copies)
     kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
     return fidelity(kept, _bsm_target()), norm_sq(kept)
@@ -141,13 +180,11 @@ def simulate_bsm(draw):
 def test_closed_forms_match_full_simulation(n):
     rng = np.random.default_rng(200 + n)
     for _ in range(10):
-        draw = ReflectivityDraw(
-            tuple(rng.uniform(0.1, 0.9, size=n)), tuple(rng.uniform(0.1, 0.9, size=n))
-        )
-        f_sim, p_sim = simulate_bsm(draw)
-        assert f_sim == pytest.approx(bsm_fidelity_closed(draw), abs=1e-10)
-        assert p_sim == pytest.approx(bsm_psuccess_closed(draw), abs=1e-10)
-        assert f_sim / p_sim == pytest.approx(bsm_fnorm_closed(draw), abs=1e-10)
+        draw = (rng.uniform(0.1, 0.9, size=n), rng.uniform(0.1, 0.9, size=n))
+        f_sim, p_sim = simulate_bsm(*draw)
+        assert f_sim == pytest.approx(bsm_fidelity_closed(*draw), abs=1e-10)
+        assert p_sim == pytest.approx(bsm_psuccess_closed(*draw), abs=1e-10)
+        assert f_sim / p_sim == pytest.approx(bsm_fnorm_closed(*draw), abs=1e-10)
 
 
 def test_mean_normalized_fidelity_improves_with_copies():
@@ -157,10 +194,7 @@ def test_mean_normalized_fidelity_improves_with_copies():
     for n in (1, 2, 3):
         values = []
         for _ in range(400):
-            draw = ReflectivityDraw(
-                tuple(rng.uniform(0.5 - m, 0.5 + m, size=n)),
-                tuple(rng.uniform(0.5 - m, 0.5 + m, size=n)),
-            )
-            values.append(bsm_fnorm_closed(draw))
+            eta_h, eta_v = rng.uniform(0.5 - m, 0.5 + m, size=n), rng.uniform(0.5 - m, 0.5 + m, size=n)
+            values.append(bsm_fnorm_closed(eta_h, eta_v))
         means.append(np.mean(values))
     assert means[0] < means[1] < means[2]

@@ -83,6 +83,18 @@ def test_statevec_construction_and_pruning():
         StateVec(2, {(-1, 1): 1.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)])
+def test_statevec_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match=r"non-finite amplitude .* for ket \(1, 0\)"):
+        StateVec(2, {(1, 0): bad, (0, 1): 1})
+
+
+def test_apply_transfer_rejects_non_finite_entries():
+    """A NaN in the matrix must not evolve |1,0> into the zero state."""
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        apply_transfer(TransferMatrix([[math.nan, 0], [0, 1]]), StateVec.from_ket((1, 0)))
+
+
 def test_statevec_from_ket():
     s = StateVec.from_ket((0, 2, 1))
     assert s.mode_count == 3

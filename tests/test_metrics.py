@@ -57,10 +57,22 @@ def test_fidelity_bounded_by_norm_sq():
 def test_normalized_fidelity():
     assert normalized_fidelity(0.125, 0.125) == pytest.approx(1.0)
     assert normalized_fidelity(0.0, 0.3) == 0.0
+    assert type(normalized_fidelity(0.1, 0.3)) is float
     with pytest.raises(ValueError):
         normalized_fidelity(0.5, 0.0)
     with pytest.warns(RuntimeWarning):
         assert normalized_fidelity(0.2, 0.1) == 1.0
+
+
+def test_normalized_fidelity_is_elementwise_with_one_warning_per_clamp():
+    f = np.array([0.1, 0.2, 0.3, 0.5, 0.25])
+    p = np.array([0.2, 0.1, 0.3 - 1e-12, 0.25, 0.5])
+    with pytest.warns(RuntimeWarning) as caught:
+        ratio = normalized_fidelity(f, p)
+    assert len(caught) == 2  # 0.2/0.1 and 0.5/0.25; 0.3/(0.3 - 1e-12) is within slack
+    np.testing.assert_array_equal(ratio, [0.5, 1.0, 0.3 / (0.3 - 1e-12), 1.0, 0.5])
+    with pytest.raises(ValueError):
+        normalized_fidelity(f, np.array([0.2, 0.1, 0.0, 0.25, 0.5]))
 
 
 def test_trace_distance_basics():

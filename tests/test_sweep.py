@@ -12,11 +12,14 @@ from avgfusion.detection import fusion_outcomes
 from avgfusion.fock import TransferMatrix, apply_transfer
 from avgfusion.interferometers import direct_sum, effective_average, fusion_gate
 from avgfusion.metrics import bell_state, fidelity
+from avgfusion.svgplot import render_sweep_svg
 from avgfusion.sweep import (
     METRIC_COLUMNS,
     SweepConfig,
+    SweepResult,
     _fusion_input,
     run_bsm_trial,
+    run_cell,
     run_fusion_trial,
     run_sweep,
     run_trace_trial,
@@ -71,34 +74,36 @@ def test_trial_rng_is_deterministic_and_stream_independent():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fusion_trial_balanced_point(n):
-    rec = run_fusion_trial(n, 0.0, 0, trial_rng(42, "fusion", n, 0, 0))
-    assert rec.etas == (0.5,) * (2 * n)
-    assert rec.metrics["F_HH"] == pytest.approx(0.125, abs=1e-10)
-    assert rec.metrics["P_HH"] == pytest.approx(0.125, abs=1e-10)
-    assert rec.metrics["F_HH_norm"] == pytest.approx(1.0, abs=1e-10)
-    assert rec.metrics["P_single"] == pytest.approx(0.5, abs=1e-10)
-    assert rec.metrics["trace_distance"] == pytest.approx(0.0, abs=1e-10)
+    cell = run_fusion_trial(n, 0.0, 0, trial_rng(42, "fusion", n, 0, 0))
+    assert (cell.n_copies, cell.m) == (n, 0.0)
+    np.testing.assert_array_equal(cell.etas, np.full((1, 2, n), 0.5))
+    expected = {"F_HH": 0.125, "P_HH": 0.125, "F_HH_norm": 1.0, "P_single": 0.5, "trace_distance": 0.0}
+    assert set(cell.metrics) == set(expected)
+    for key, want in expected.items():
+        assert cell.metrics[key].shape == (1,)
+        assert cell.metrics[key][0] == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_bsm_trial_balanced_point(n):
-    rec = run_bsm_trial(n, 0.0, 0, trial_rng(42, "bsm", n, 0, 0))
+    cell = run_bsm_trial(n, 0.0, 0, trial_rng(42, "bsm", n, 0, 0))
     for key in ("F", "P_success", "F_norm", "F_closed", "P_success_closed", "F_norm_closed"):
-        assert rec.metrics[key] == pytest.approx(1.0, abs=1e-10)
+        assert cell.metrics[key].shape == (1,)
+        assert cell.metrics[key][0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_trial_record_invariants_under_noise():
     for trial in range(20):
-        rec = run_fusion_trial(2, 0.4, trial, trial_rng(9, "fusion", 2, 0, trial))
-        m = rec.metrics
+        cell = run_fusion_trial(2, 0.4, trial, trial_rng(9, "fusion", 2, 0, trial))
+        m = {key: values[0] for key, values in cell.metrics.items()}
         assert 0.0 <= m["P_HH"] <= 1.0
         assert 0.0 <= m["P_single"] <= 1.0
         assert m["F_HH"] <= m["P_HH"] + 1e-12
         assert 0.0 <= m["F_HH_norm"] <= 1.0 + 1e-12
-        assert all(0.0 <= e <= 1.0 for e in rec.etas) and len(rec.etas) == 4
+        assert cell.etas.shape == (1, 2, 2) and np.all((0.1 <= cell.etas) & (cell.etas <= 0.9))
 
-        rec = run_bsm_trial(2, 0.4, trial, trial_rng(9, "bsm", 2, 0, trial))
-        m = rec.metrics
+        cell = run_bsm_trial(2, 0.4, trial, trial_rng(9, "bsm", 2, 0, trial))
+        m = {key: values[0] for key, values in cell.metrics.items()}
         assert m["F"] <= m["P_success"] + 1e-12
         assert m["F"] == pytest.approx(m["F_closed"], abs=1e-9)
         assert m["P_success"] == pytest.approx(m["P_success_closed"], abs=1e-9)
@@ -106,29 +111,28 @@ def test_trial_record_invariants_under_noise():
 
 
 def test_fusion_trial_matches_average_operator_oracle():
-    """Recompute a fusion record from its logged reflectivities via the
+    """Recompute a fusion trial from its logged reflectivities via the
     mean-of-copies operator applied as a single (non-unitary) transfer."""
     for trial in range(5):
-        rec = run_fusion_trial(2, 0.2, trial, trial_rng(11, "fusion", 2, 0, trial))
-        eta_x, eta_y = rec.etas[:2], rec.etas[2:]
+        cell = run_fusion_trial(2, 0.2, trial, trial_rng(11, "fusion", 2, 0, trial))
+        rec = {key: values[0] for key, values in cell.metrics.items()}
+        eta_x, eta_y = cell.etas[0]
         copies = [fusion_gate(ex, ey) for ex, ey in zip(eta_x, eta_y)]
         averaged = direct_sum([effective_average(copies), TransferMatrix(np.eye(4))])
         state = apply_transfer(averaged, _fusion_input())
         outcomes = fusion_outcomes(state, (0, 1, 2, 3))
-        assert outcomes["HH"].probability == pytest.approx(rec.metrics["P_HH"], abs=1e-10)
+        assert outcomes["HH"].probability == pytest.approx(rec["P_HH"], abs=1e-10)
         f_hh = fidelity(outcomes["HH"].residual, bell_state("phi+"))
-        assert f_hh == pytest.approx(rec.metrics["F_HH"], abs=1e-10)
+        assert f_hh == pytest.approx(rec["F_HH"], abs=1e-10)
         p_single = sum(o.probability for o in outcomes.values())
-        assert p_single == pytest.approx(rec.metrics["P_single"], abs=1e-10)
+        assert p_single == pytest.approx(rec["P_single"], abs=1e-10)
 
 
 def test_trace_trial_decreases_with_copies_on_average():
     means = []
     for n in (1, 3):
         values = [
-            run_trace_trial(n, 0.2, t, trial_rng(5, "trace-distance", n, 0, t)).metrics[
-                "trace_distance"
-            ]
+            run_trace_trial(n, 0.2, t, trial_rng(5, "trace-distance", n, 0, t)).metrics["trace_distance"][0]
             for t in range(60)
         ]
         means.append(np.mean(values))
@@ -165,32 +169,77 @@ def _tiny_config(out_path=None, experiment="bsm"):
 
 def test_run_sweep_shape_and_aggregates():
     result = run_sweep(_tiny_config())
-    assert len(result.trials) == 2 * 2 * 3
-    assert len(result.summaries) == 4
-    assert len(result.cell_trials(2, 0.3)) == 3
+    assert [(c.n_copies, c.m) for c in result.cells] == [(1, 0.0), (1, 0.3), (2, 0.0), (2, 0.3)]
+    for cell in result.cells:
+        assert cell.etas.shape == (3, 2, cell.n_copies)
+        assert set(cell.metrics) == set(METRIC_COLUMNS["bsm"])
+        assert all(values.shape == (3,) for values in cell.metrics.values())
 
-    perfect = next(s for s in result.summaries if s.n_copies == 1 and s.m == 0.0)
+    perfect = result.cells[0]
     assert perfect.mean["P_success"] == pytest.approx(1.0, abs=1e-10)
     assert perfect.std["P_success"] == pytest.approx(0.0, abs=1e-10)
 
-    noisy = next(s for s in result.summaries if s.n_copies == 2 and s.m == 0.3)
-    values = [t.metrics["F_norm"] for t in result.cell_trials(2, 0.3)]
+    noisy = result.cells[3]
+    values = noisy.metrics["F_norm"].tolist()
     assert noisy.mean["F_norm"] == pytest.approx(np.mean(values))
     assert noisy.std["F_norm"] == pytest.approx(np.std(values, ddof=1))
+
+
+@pytest.mark.parametrize("experiment", ["fusion", "bsm", "trace-distance"])
+def test_cell_rows_match_one_trial_cells(experiment):
+    """A cell computed in one pass equals its trials computed one at a time."""
+    etas = sample_reflectivity(np.random.default_rng(3), 0.4, (5, 2, 3))
+    cell = run_cell(experiment, 3, 0.4, etas)
+    for s in range(5):
+        single = run_cell(experiment, 3, 0.4, etas[s : s + 1])
+        for key, values in cell.metrics.items():
+            assert values[s] == single.metrics[key][0], key
+
+
+def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
+    """At N = 1 with etas (0, 1) the HH pattern never fires: P_HH = 0 and
+    F_HH_norm is undefined. It must be NaN and not bias the cell's stats."""
+    normal = [[[0.4], [0.55]], [[0.6], [0.3]], [[0.45], [0.5]]]
+    etas = np.array([normal[0], [[0.0], [1.0]], *normal[1:]])
+    cell = run_cell("fusion", 1, 0.5, etas)
+    p_hh, f_norm = cell.metrics["P_HH"], cell.metrics["F_HH_norm"]
+    assert p_hh[1] == 0.0
+    assert np.isnan(f_norm[1])
+    assert np.isnan(cell.metrics["F_HH_norm"]).sum() == 1  # the undefined-trial count
+    defined = f_norm[[0, 2, 3]]
+    assert cell.mean["F_HH_norm"] == pytest.approx(defined.mean(), abs=1e-15)
+    assert cell.std["F_HH_norm"] == pytest.approx(defined.std(ddof=1), abs=1e-15)
+    assert cell.mean["P_HH"] == pytest.approx(p_hh.mean(), abs=1e-15)  # other columns keep every trial
+    assert not any(np.isnan(v) for v in (*cell.mean.values(), *cell.std.values()))
+
+    one_defined = run_cell("fusion", 1, 0.5, etas[:2])
+    assert one_defined.std["F_HH_norm"] == 0.0
+
+    none_defined = run_cell("fusion", 1, 0.5, np.array([[[0.0], [1.0]], [[1.0], [0.0]]]))
+    assert np.isnan(none_defined.metrics["F_HH_norm"]).all()
+    assert np.isnan(none_defined.mean["F_HH_norm"]) and np.isnan(none_defined.std["F_HH_norm"])
+    assert none_defined.mean["P_HH"] == 0.0
+
+    # the plot leaves out the cell with no defined trial instead of drawing at NaN
+    cfg = SweepConfig("fusion", (1,), (0.5,), samples=2, master_seed=0)
+    svg = render_sweep_svg(SweepResult(cfg, (cell, none_defined)), "F_HH_norm")
+    assert "nan" not in svg and svg.count("<circle") == 1
 
 
 def test_run_sweep_single_sample_std_is_zero():
     cfg = SweepConfig("trace-distance", (2,), (0.2,), samples=1, master_seed=1)
     result = run_sweep(cfg)
-    assert result.summaries[0].std["trace_distance"] == 0.0
+    assert result.cells[0].std["trace_distance"] == 0.0
 
 
 def test_run_sweep_is_deterministic():
     a = run_sweep(_tiny_config())
     b = run_sweep(_tiny_config())
-    for ta, tb in zip(a.trials, b.trials):
-        assert ta.etas == tb.etas
-        assert ta.metrics == tb.metrics
+    for ca, cb in zip(a.cells, b.cells, strict=True):
+        np.testing.assert_array_equal(ca.etas, cb.etas)
+        assert ca.metrics.keys() == cb.metrics.keys()
+        for key in ca.metrics:
+            np.testing.assert_array_equal(ca.metrics[key], cb.metrics[key])
 
 
 def test_csv_layout(tmp_path):
@@ -216,10 +265,9 @@ def test_csv_layout(tmp_path):
     mean_row = rows[4]
     assert mean_row[-1] == "mean" and mean_row[3] == "" and mean_row[4] == ""
     # round-trip: parsing a serialized metric reproduces the float exactly
-    rec = result.trials[0]
-    assert float(rows[1][5]) == rec.metrics[columns[0]]
+    assert float(rows[1][5]) == result.cells[0].metrics[columns[0]][0]
     noisy_eta = rows[1 + 3 * (3 + 2)][4].split(";")
-    assert all(float(e) in rec.etas or 0.0 <= float(e) <= 1.0 for e in noisy_eta)
+    assert len(noisy_eta) == 4 and all(0.2 <= float(e) <= 0.8 for e in noisy_eta)
 
 
 def test_csv_bytes_identical_for_same_config(tmp_path):
@@ -235,11 +283,14 @@ def test_csv_round_trip_reproduces_every_trial(tmp_path, experiment):
     result = run_sweep(_tiny_config(out_path=path, experiment=experiment))
     with open(path, encoding="utf-8", newline="") as f:
         rows = [r for r in csv.DictReader(f) if r["row_kind"] == "trial"]
-    assert len(rows) == len(result.trials)
-    for row, rec in zip(rows, result.trials):
-        assert (int(row["N"]), float(row["m"]), int(row["trial"])) == (rec.n_copies, rec.m, rec.trial)
-        assert tuple(float(e) for e in row["eta"].split(";")) == rec.etas
-        assert {c: float(row[c]) for c in METRIC_COLUMNS[experiment]} == rec.metrics
+    trials = [(cell, s) for cell in result.cells for s in range(len(cell.etas))]
+    assert len(rows) == len(trials)
+    for row, (cell, s) in zip(rows, trials):
+        assert (int(row["N"]), float(row["m"]), int(row["trial"])) == (cell.n_copies, cell.m, s)
+        assert [float(e) for e in row["eta"].split(";")] == cell.etas[s].ravel().tolist()
+        assert {c: float(row[c]) for c in METRIC_COLUMNS[experiment]} == {
+            c: values[s] for c, values in cell.metrics.items()
+        }
 
 
 def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
