@@ -2,8 +2,10 @@
 
 Every flag can also be supplied through ``--config <path>``, a flat
 ``key=value`` file whose keys are the flag names without leading dashes;
-explicit command-line flags take precedence. Exit codes: 0 success, 1 for
-I/O or verification failures, 2 for flag/usage errors.
+explicit command-line flags take precedence. Flags must be spelled in full:
+an abbreviation is a usage error, so a config value can never shadow it.
+Exit codes: 0 success, 1 for I/O or verification failures, 2 for flag/usage
+errors.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
         dest = key.replace("-", "_")
         if dest in ("config", "func", "command") or not hasattr(args, dest):
             parser.error(f"unknown config key {key!r}")
-        if not _given_on_cli(key, argv):
+        if not _given_on_cli(dest.replace("_", "-"), argv):
             setattr(args, dest, value)
 
 
@@ -177,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avgfusion",
         description="Monte-Carlo sweeps and self-checks for averaged photonic fusion/Bell-analyzer networks.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -188,34 +191,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--svg", default=None, help="optional SVG line-plot output path")
         p.add_argument("--config", default=None, help="key=value file supplying defaults for any flag")
 
-    p_fusion = sub.add_parser("fusion-sweep", help="averaged fusion gate on two Bell pairs")
+    p_fusion = sub.add_parser("fusion-sweep", help="averaged fusion gate on two Bell pairs", allow_abbrev=False)
     p_fusion.set_defaults(func=cmd_fusion_sweep, n_copies="1,2,3", out="fusion_sweep.csv")
     p_fusion.add_argument("--m-grid", default="0:0.4:0.1", help="noise half-widths, start:stop:step inclusive (default %(default)s)")
     add_common(p_fusion, "200")
 
-    p_bsm = sub.add_parser("bsm-sweep", help="averaged Bell-state analyzer on a psi+ input")
+    p_bsm = sub.add_parser("bsm-sweep", help="averaged Bell-state analyzer on a psi+ input", allow_abbrev=False)
     p_bsm.set_defaults(func=cmd_bsm_sweep, n_copies="1,2,3", out="bsm_sweep.csv")
     p_bsm.add_argument("--m-grid", default="0:0.4:0.1", help="noise half-widths, start:stop:step inclusive (default %(default)s)")
     add_common(p_bsm, "200")
 
-    p_trace = sub.add_parser("trace-distance", help="matrix-level distance of the copy average to the balanced gate")
+    p_trace = sub.add_parser("trace-distance", help="matrix-level distance of the copy average to the balanced gate", allow_abbrev=False)
     p_trace.set_defaults(func=cmd_trace_distance, n_copies="1,2,3,4,5,6", out="trace_distance.csv")
     p_trace.add_argument("--m", default="0.2", help="noise half-width (default %(default)s)")
     add_common(p_trace, "50")
 
-    p_verify = sub.add_parser("verify", help="run the self-check suites")
+    p_verify = sub.add_parser("verify", help="run the self-check suites", allow_abbrev=False)
     p_verify.set_defaults(func=cmd_verify)
     p_verify.add_argument("--samples", default="20", help="draws per randomized suite (default %(default)s)")
     p_verify.add_argument("--seed", default="12345", help="RNG seed for the randomized suites (default %(default)s)")
     p_verify.add_argument("--config", default=None, help="key=value file supplying defaults for any flag")
 
-    p_table = sub.add_parser("table2", help="print the Bell-state / click-pattern support table")
+    p_table = sub.add_parser("table2", help="print the Bell-state / click-pattern support table", allow_abbrev=False)
     p_table.set_defaults(func=cmd_table2)
     p_table.add_argument("--eta-h", default="0.5", help="horizontal-analyzer reflectivity (default %(default)s)")
     p_table.add_argument("--eta-v", default="0.5", help="vertical-analyzer reflectivity (default %(default)s)")
     p_table.add_argument("--config", default=None, help="key=value file supplying defaults for any flag")
 
-    p_version = sub.add_parser("version", help="print the package version")
+    p_version = sub.add_parser("version", help="print the package version", allow_abbrev=False)
     p_version.set_defaults(func=cmd_version)
 
     return parser

@@ -3,7 +3,8 @@
 No plotting dependency: the chart is assembled as SVG text directly. One
 series per copy count N, x = noise half-width m, y = the chosen metric's
 per-cell mean, with +/- one standard deviation error bars. A cell whose
-metric is undefined in every trial (mean NaN) has no point.
+metric is undefined in every trial (mean NaN) has no point; a sweep with no
+point at all is rejected with a ``ValueError`` naming the metric.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def render_sweep_svg(result: SweepResult, metric: str | None = None) -> str:
         for n in cfg.n_copies_list
     ]
     xs = [p[0] for _, pts in series for p in pts]
+    if not xs:
+        raise ValueError(f"no cell has a defined {metric!r} mean; nothing to plot")
     lows = [p[1] - p[2] for _, pts in series for p in pts]
     highs = [p[1] + p[2] for _, pts in series for p in pts]
     x0, x1 = _padded(min(xs), max(xs))
@@ -144,5 +147,7 @@ def render_sweep_svg(result: SweepResult, metric: str | None = None) -> str:
 
 
 def write_svg(result: SweepResult, path, metric: str | None = None) -> None:
+    """Render, then write: a sweep that cannot be plotted leaves ``path`` as it was."""
+    svg = render_sweep_svg(result, metric)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(render_sweep_svg(result, metric))
+        f.write(svg)

@@ -193,6 +193,25 @@ def test_config_file_supplies_defaults_and_cli_wins(tmp_path, capsys):
     assert code == 0 and "(3 trials, 1 cells)" in stdout
 
 
+def test_abbreviated_flag_is_rejected_and_full_flag_beats_config(tmp_path, capsys):
+    """An abbreviation is not matched against the config keys, so it must not parse;
+    every full spelling of a flag wins over the config file."""
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("samples=3\n", encoding="utf-8")
+    base = ["trace-distance", "--n-copies", "1", "--out", str(tmp_path / "t.csv"), "--config", str(cfg)]
+    for argv in (base + ["--sam", "5"], ["fusion-sweep", "--m-gr", "0"], ["verify", "--samp", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    for flag in (["--samples", "5"], ["--samples=5"]):
+        code, stdout, _ = run_cli(base + flag, capsys)
+        assert code == 0 and "(5 trials, 1 cells)" in stdout
+    # a key spelled with underscores names the same flag
+    cfg.write_text("samples=3\nn_copies=3\n", encoding="utf-8")
+    code, stdout, _ = run_cli(base[:1] + ["--n-copies", "1,2"] + base[3:], capsys)
+    assert code == 0 and "(6 trials, 2 cells)" in stdout
+
+
 def test_config_file_unknown_key_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wibble=1\n", encoding="utf-8")

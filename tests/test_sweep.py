@@ -1,10 +1,13 @@
 """Tests for the Monte-Carlo sweep harness and its CSV output."""
 
 import csv
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgfusion import sweep
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
@@ -12,8 +15,9 @@ from avgfusion.detection import fusion_outcomes
 from avgfusion.fock import TransferMatrix, apply_transfer
 from avgfusion.interferometers import direct_sum, effective_average, fusion_gate
 from avgfusion.metrics import bell_state, fidelity
-from avgfusion.svgplot import render_sweep_svg
+from avgfusion.svgplot import render_sweep_svg, write_svg
 from avgfusion.sweep import (
+    EXPERIMENTS,
     METRIC_COLUMNS,
     SweepConfig,
     SweepResult,
@@ -24,6 +28,7 @@ from avgfusion.sweep import (
     run_sweep,
     run_trace_trial,
     sample_reflectivity,
+    trial_reflectivities,
     trial_rng,
     write_csv,
 )
@@ -56,6 +61,8 @@ def test_sample_reflectivity_support_and_mean():
 def test_sample_reflectivity_rejects_bad_width(m):
     with pytest.raises(ValueError):
         sample_reflectivity(np.random.default_rng(0), m)
+    with pytest.raises(ValueError):
+        trial_reflectivities(0, "fusion", [(1, 0, 0.2), (1, 1, m)], 2)
 
 
 def test_trial_rng_is_deterministic_and_stream_independent():
@@ -185,6 +192,53 @@ def test_run_sweep_shape_and_aggregates():
     assert noisy.std["F_norm"] == pytest.approx(np.std(values, ddof=1))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    cells=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=0, max_value=6),
+            st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    samples=st.one_of(st.integers(min_value=1, max_value=12), st.sampled_from([299, 300])),
+)
+def test_trial_reflectivities_equal_the_per_trial_streams(seed, experiment, cells, samples):
+    """The one-pass draw of a sweep equals every trial's own stream, bit for bit
+    (1- and 2-word seeds, N up to 8, m = 0 cells mixed with noisy ones)."""
+    got = trial_reflectivities(seed, experiment, cells, samples)
+    assert len(got) == len(cells)
+    for (n, mi, m), etas in zip(cells, got):
+        ref = np.stack([
+            sample_reflectivity(trial_rng(seed, experiment, n, mi, t), m, (2, n)) for t in range(samples)
+        ])
+        assert etas.shape == ref.shape and etas.dtype == ref.dtype
+        assert etas.tobytes() == ref.tobytes()
+
+
+# sha256 of the N,m,trial,eta columns (header and mean/std rows included) of
+# one small sweep per experiment. These columns hold only stream draws and
+# their formatting, so the digests are platform-independent.
+_DRAW_COLUMN_DIGESTS = {
+    "fusion": "9fc179c6b72207e724994f18fe5a4ad379aa1695c7ac5c7da762498b4164dca6",
+    "bsm": "9f5afcd3f3c2547e283eaebe4747db2a0517f1d9d50387c2d2fdc75f716ca385",
+    "trace-distance": "cbd4cc70b0392aa1e3e6b571ef7ea8ff68c3895b325c9fb7cdd915559f69e03d",
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_csv_draw_columns_are_pinned(tmp_path, experiment):
+    path = tmp_path / "sweep.csv"
+    run_sweep(SweepConfig(experiment, (1, 3), (0.0, 0.25, 0.5), samples=4, master_seed=2**64 - 1, out_path=str(path)))
+    with open(path, encoding="utf-8", newline="") as f:
+        text = "".join(f"{r['N']},{r['m']},{r['trial']},{r['eta']}\n" for r in csv.DictReader(f))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DRAW_COLUMN_DIGESTS[experiment]
+
+
 @pytest.mark.parametrize("experiment", ["fusion", "bsm", "trace-distance"])
 def test_cell_rows_match_one_trial_cells(experiment):
     """A cell computed in one pass equals its trials computed one at a time."""
@@ -224,6 +278,25 @@ def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
     cfg = SweepConfig("fusion", (1,), (0.5,), samples=2, master_seed=0)
     svg = render_sweep_svg(SweepResult(cfg, (cell, none_defined)), "F_HH_norm")
     assert "nan" not in svg and svg.count("<circle") == 1
+
+
+def _undefined_fusion_result() -> SweepResult:
+    """A fusion sweep whose only cell has F_HH_norm undefined in every trial."""
+    cfg = SweepConfig("fusion", (1,), (0.5,), samples=1, master_seed=0)
+    return SweepResult(cfg, (run_cell("fusion", 1, 0.5, np.array([[[0.0], [1.0]]])),))
+
+
+def test_svg_without_a_defined_mean_names_the_metric():
+    with pytest.raises(ValueError, match="F_HH_norm"):
+        render_sweep_svg(_undefined_fusion_result(), "F_HH_norm")
+
+
+def test_failed_svg_render_keeps_previous_file(tmp_path):
+    path = tmp_path / "plot.svg"
+    path.write_text("previous", encoding="utf-8")
+    with pytest.raises(ValueError):
+        write_svg(_undefined_fusion_result(), path, "F_HH_norm")
+    assert path.read_text(encoding="utf-8") == "previous"
 
 
 def test_run_sweep_single_sample_std_is_zero():
