@@ -13,7 +13,7 @@ script (demo_*.csv / demo_*.svg).
 
 import pathlib
 
-from avgfusion import SweepConfig, run_sweep, write_svg
+from avgfusion import SweepConfig, run_sweep, write_csv, write_svg
 
 print(__doc__)
 
@@ -27,7 +27,6 @@ configs = {
         m_grid=(0.0, 0.1, 0.2, 0.3, 0.4),
         samples=samples,
         master_seed=42,
-        out_path=str(here / "demo_fusion.csv"),
     ),
     "bsm": SweepConfig(
         experiment="bsm",
@@ -35,7 +34,6 @@ configs = {
         m_grid=(0.0, 0.1, 0.2, 0.3, 0.4),
         samples=samples,
         master_seed=42,
-        out_path=str(here / "demo_bsm.csv"),
     ),
     "trace-distance": SweepConfig(
         experiment="trace-distance",
@@ -43,7 +41,6 @@ configs = {
         m_grid=(0.2,),
         samples=samples,
         master_seed=7,
-        out_path=str(here / "demo_trace.csv"),
     ),
 }
 
@@ -53,9 +50,17 @@ headline = {
     "trace-distance": "trace_distance",
 }
 
+csv_names = {
+    "fusion": "demo_fusion.csv",
+    "bsm": "demo_bsm.csv",
+    "trace-distance": "demo_trace.csv",
+}
+
 for name, cfg in configs.items():
     result = run_sweep(cfg)
+    csv_path = here / csv_names[name]
     svg_path = here / f"demo_{name.replace('-', '_')}.svg"
+    write_csv(result, csv_path)
     write_svg(result, svg_path)
     print(f"--- {name}: mean {headline[name]} per (N, m) cell ---")
     for cell in result.cells:
@@ -63,7 +68,7 @@ for name, cfg in configs.items():
             f"  N={cell.n_copies} m={cell.m:.1f}:"
             f" {cell.mean[headline[name]]:.4f} +/- {cell.std[headline[name]]:.4f}"
         )
-    print(f"  wrote {cfg.out_path} and {svg_path}")
+    print(f"  wrote {csv_path} and {svg_path}")
     print()
 
 print("Open the SVG files in a browser: one line per copy count N, error bars")

@@ -55,7 +55,7 @@ def beamsplitter_layers(eta_x, eta_y) -> np.ndarray:
 def fusion_gates(eta_x, eta_y) -> np.ndarray:
     """Broadcasting form of :func:`fusion_gate`: array of shape (..., 4, 4)."""
     b = beamsplitter_layers(eta_x, eta_y)
-    return b @ swap_matrix().entries @ b
+    return b[..., _SWAP] @ b  # b @ SWAP: the columns of b, permuted
 
 
 def bsm_matrices(eta_h, eta_v) -> np.ndarray:
@@ -74,9 +74,12 @@ def beamsplitter_layer(eta_x: float, eta_y: float) -> TransferMatrix:
     return TransferMatrix(beamsplitter_layers(eta_x, eta_y))
 
 
+_SWAP = [0, 3, 2, 1]
+
+
 def swap_matrix() -> TransferMatrix:
     """Exchange of the two V rails (modes 1 and 3); self-inverse."""
-    return permutation_matrix((0, 3, 2, 1))
+    return permutation_matrix(_SWAP)
 
 
 def fusion_gate(eta_x: float, eta_y: float) -> TransferMatrix:

@@ -82,7 +82,6 @@ class SweepConfig:
     m_grid: tuple[float, ...]
     samples: int
     master_seed: int
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -91,6 +90,8 @@ class SweepConfig:
             raise ValueError(f"n_copies_list must be non-empty positive integers, got {self.n_copies_list}")
         if not self.m_grid or any(not 0.0 <= m <= 0.5 for m in self.m_grid):
             raise ValueError(f"m values must lie in [0, 0.5], got {self.m_grid}")
+        if len(set(self.n_copies_list)) < len(self.n_copies_list) or len(set(self.m_grid)) < len(self.m_grid):
+            raise ValueError(f"copy counts and m values must not repeat, got {self.n_copies_list} and {self.m_grid}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.master_seed < 2**64:
@@ -420,7 +421,7 @@ def run_trace_trial(n_copies: int, m: float, trial: int, rng: np.random.Generato
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Run every (N, m) cell, optionally write CSV.
+    """Run every (N, m) cell; :func:`write_csv` writes the result.
 
     The reflectivities of every trial come from their own streams, all drawn
     in one pass; each cell then computes all of its trials in one pass.
@@ -428,11 +429,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     keys = [(n, mi, m) for n in cfg.n_copies_list for mi, m in enumerate(cfg.m_grid)]
     etas = trial_reflectivities(cfg.master_seed, cfg.experiment, keys, cfg.samples)
     cells = tuple(run_cell(cfg.experiment, n, m, e) for (n, _, m), e in zip(keys, etas))
-
-    result = SweepResult(cfg, cells)
-    if cfg.out_path is not None:
-        write_csv(result, cfg.out_path)
-    return result
+    return SweepResult(cfg, cells)
 
 
 _FLOAT = "%.17g"

@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
-import argparse
 import csv
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from avgfusion import __version__
-from avgfusion.cli import _parse_m_grid, main
+from avgfusion.cli import build_parser, m_grid, main, parse_args
 from avgfusion.sweep import METRIC_COLUMNS
 
 
@@ -41,6 +44,8 @@ def test_version(capsys):
         ["fusion-sweep", "--n-copies", ","],
         ["table2", "--eta-h", "1.5"],
         ["verify", "--samples", "0"],
+        ["fusion-sweep", "--n-copies", "1,1"],
+        ["bsm-sweep", "--m-grid", "0.1", "--config", "no-such-file.cfg"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -79,10 +84,29 @@ def test_fusion_sweep_writes_csv(tmp_path, capsys):
 
 
 def test_m_grid_points_are_exact_decimals():
-    parser = argparse.ArgumentParser()
-    assert _parse_m_grid("0:0.4:0.1", parser) == (0.0, 0.1, 0.2, 0.3, 0.4)
-    assert _parse_m_grid("0.05:0.25:0.05", parser) == (0.05, 0.1, 0.15, 0.2, 0.25)
-    assert _parse_m_grid("1e-1:3e-1:1e-1", parser) == (0.1, 0.2, 0.3)
+    assert m_grid("0:0.4:0.1") == (0.0, 0.1, 0.2, 0.3, 0.4)
+    assert m_grid("0.05:0.25:0.05") == (0.05, 0.1, 0.15, 0.2, 0.25)
+    assert m_grid("1e-1:3e-1:1e-1") == (0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        ("0:0.4:0.15", "step must divide stop - start"),
+        ("0:0.5:0.3", "step must divide stop - start"),
+        ("0.4:0:0.1", "stop must not be below start"),
+        ("0:x:0.1", "expected start:stop:step or a single number"),
+        ("0:nan:0.1", "expected start:stop:step or a single number"),
+        ("nan", "expected start:stop:step or a single number"),
+    ],
+    ids=["step-overshoots-stop", "step-overshoots-range", "stop-below-start", "non-numeric", "nan-part", "nan"],
+)
+def test_m_grid_that_names_no_exact_grid_is_a_usage_error(grid, reason, capsys):
+    """A step that does not divide the range is rejected, not rounded onto a grid the flag does not name."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion-sweep", "--m-grid", grid])
+    assert exc.value.code == 2
+    assert f"argument --m-grid: {reason}, got {grid!r}" in capsys.readouterr().err
 
 
 def test_m_grid_csv_column_holds_the_grid_decimals(tmp_path, capsys):
@@ -218,6 +242,66 @@ def test_config_file_unknown_key_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fusion-sweep", "--config", str(cfg)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["wibble", "config", "help", "m-gr", "m"])
+def test_config_key_that_is_no_flag_of_the_command_errors(tmp_path, key, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# header\nsamples=2\n{key}=1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion-sweep", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:3: unknown config key {key!r}" in capsys.readouterr().err
+
+
+#: A value, not the default, for every value flag of every subcommand.
+FLAG_VALUES = {
+    "fusion-sweep": {"m-grid": "0:0.2:0.1", "n-copies": "1,4", "samples": "3", "seed": "7", "out": "x.csv", "svg": "x.svg"},
+    "bsm-sweep": {"m-grid": "0.1", "n-copies": "2", "samples": "3", "seed": "7", "out": "x.csv", "svg": "x.svg"},
+    "trace-distance": {"m": "0.3", "n-copies": "2,3", "samples": "3", "seed": "7", "out": "x.csv", "svg": "x.svg"},
+    "verify": {"samples": "3", "seed": "7"},
+    "table2": {"eta-h": "0.3", "eta-v": "0.7"},
+}
+
+
+def test_flag_values_cover_every_value_flag():
+    parser = build_parser()
+    for command, flags in FLAG_VALUES.items():
+        default = vars(parse_args(parser, [command]))
+        changed = set()
+        for flag, value in flags.items():
+            parsed = vars(parse_args(parser, [command, f"--{flag}", value]))
+            changed |= {dest for dest in parsed if parsed[dest] != default[dest]}
+        assert changed == set(default) - {"command", "func", "experiment", "config"}, command
+
+
+@pytest.mark.parametrize("spell", [str, lambda flag: flag.replace("-", "_")], ids=["dashes", "underscores"])
+@pytest.mark.parametrize(
+    "command, flag, value", [(c, f, v) for c, flags in FLAG_VALUES.items() for f, v in flags.items()]
+)
+def test_config_key_parses_like_its_flag(tmp_path, spell, command, flag, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{spell(flag)} = {value}\n", encoding="utf-8")
+    parser = build_parser()
+    from_flag = vars(parse_args(parser, [command, f"--{flag}", value]))
+    from_config = vars(parse_args(parser, [command, "--config", str(cfg)]))
+    assert from_config == {**from_flag, "config": str(cfg)}
+
+
+def test_module_entry_point_runs_a_configured_sweep(tmp_path, capsys):
+    """``python -m avgfusion.cli`` reads sys.argv and writes the bytes an in-process run writes."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_copies = 1,2\nm-grid = 0:0.2:0.1\nsamples = 3\nseed = 11\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "avgfusion.cli", "fusion-sweep", "--config", str(cfg), "--out", "sub.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "wrote sub.csv (18 trials, 6 cells)\n"
+    code, _, _ = run_cli(["fusion-sweep", "--config", str(cfg), "--out", str(tmp_path / "in.csv")], capsys)
+    assert code == 0
+    assert (tmp_path / "sub.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
 
 
 def test_metric_columns_cover_every_experiment():

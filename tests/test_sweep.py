@@ -155,6 +155,8 @@ def test_sweep_config_validation():
         {**good, "n_copies_list": (0,)},
         {**good, "m_grid": (0.6,)},
         {**good, "m_grid": ()},
+        {**good, "n_copies_list": (1, 2, 1)},
+        {**good, "m_grid": (0.1, 0.2, 0.1)},
         {**good, "samples": 0},
         {**good, "master_seed": -1},
         {**good, "master_seed": 2**64},
@@ -163,14 +165,13 @@ def test_sweep_config_validation():
             SweepConfig(**bad)
 
 
-def _tiny_config(out_path=None, experiment="bsm"):
+def _tiny_config(experiment="bsm"):
     return SweepConfig(
         experiment=experiment,
         n_copies_list=(1, 2),
         m_grid=(0.0, 0.3),
         samples=3,
         master_seed=42,
-        out_path=str(out_path) if out_path is not None else None,
     )
 
 
@@ -233,7 +234,7 @@ _DRAW_COLUMN_DIGESTS = {
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_csv_draw_columns_are_pinned(tmp_path, experiment):
     path = tmp_path / "sweep.csv"
-    run_sweep(SweepConfig(experiment, (1, 3), (0.0, 0.25, 0.5), samples=4, master_seed=2**64 - 1, out_path=str(path)))
+    write_csv(run_sweep(SweepConfig(experiment, (1, 3), (0.0, 0.25, 0.5), samples=4, master_seed=2**64 - 1)), path)
     with open(path, encoding="utf-8", newline="") as f:
         text = "".join(f"{r['N']},{r['m']},{r['trial']},{r['eta']}\n" for r in csv.DictReader(f))
     assert hashlib.sha256(text.encode()).hexdigest() == _DRAW_COLUMN_DIGESTS[experiment]
@@ -317,7 +318,8 @@ def test_run_sweep_is_deterministic():
 
 def test_csv_layout(tmp_path):
     path = tmp_path / "sweep.csv"
-    result = run_sweep(_tiny_config(out_path=path))
+    result = run_sweep(_tiny_config())
+    write_csv(result, path)
     raw = path.read_bytes()
     assert b"\r" not in raw
 
@@ -345,15 +347,16 @@ def test_csv_layout(tmp_path):
 
 def test_csv_bytes_identical_for_same_config(tmp_path):
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    run_sweep(_tiny_config(out_path=first))
-    run_sweep(_tiny_config(out_path=second))
+    write_csv(run_sweep(_tiny_config()), first)
+    write_csv(run_sweep(_tiny_config()), second)
     assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("experiment", ["fusion", "bsm", "trace-distance"])
 def test_csv_round_trip_reproduces_every_trial(tmp_path, experiment):
     path = tmp_path / "sweep.csv"
-    result = run_sweep(_tiny_config(out_path=path, experiment=experiment))
+    result = run_sweep(_tiny_config(experiment=experiment))
+    write_csv(result, path)
     with open(path, encoding="utf-8", newline="") as f:
         rows = [r for r in csv.DictReader(f) if r["row_kind"] == "trial"]
     trials = [(cell, s) for cell in result.cells for s in range(len(cell.etas))]
@@ -368,7 +371,8 @@ def test_csv_round_trip_reproduces_every_trial(tmp_path, experiment):
 
 def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
-    result = run_sweep(_tiny_config(out_path=path))
+    result = run_sweep(_tiny_config())
+    write_csv(result, path)
     before = path.read_bytes()
     calls = []
 
