@@ -14,6 +14,7 @@ script (demo_*.csv / demo_*.svg).
 import pathlib
 
 from avgfusion import SweepConfig, run_sweep, write_csv, write_svg
+from avgfusion.sweep import DEFAULT_PLOT_METRIC
 
 print(__doc__)
 
@@ -44,12 +45,6 @@ configs = {
     ),
 }
 
-headline = {
-    "fusion": "F_HH_norm",
-    "bsm": "F_norm",
-    "trace-distance": "trace_distance",
-}
-
 csv_names = {
     "fusion": "demo_fusion.csv",
     "bsm": "demo_bsm.csv",
@@ -62,12 +57,10 @@ for name, cfg in configs.items():
     svg_path = here / f"demo_{name.replace('-', '_')}.svg"
     write_csv(result, csv_path)
     write_svg(result, svg_path)
-    print(f"--- {name}: mean {headline[name]} per (N, m) cell ---")
+    metric = DEFAULT_PLOT_METRIC[name]  # the metric the SVG plots
+    print(f"--- {name}: mean {metric} per (N, m) cell ---")
     for cell in result.cells:
-        print(
-            f"  N={cell.n_copies} m={cell.m:.1f}:"
-            f" {cell.mean[headline[name]]:.4f} +/- {cell.std[headline[name]]:.4f}"
-        )
+        print(f"  N={cell.n_copies} m={cell.m:.1f}: {cell.mean[metric]:.4f} +/- {cell.std[metric]:.4f}")
     print(f"  wrote {csv_path} and {svg_path}")
     print()
 

@@ -6,7 +6,8 @@ Every flag can also be supplied through ``--config <path>``, a flat
 ``--key=value``, and config flags are read before the command line, so a
 flag given on the command line wins. Flags must be spelled in full: an
 abbreviation is a usage error. ``--m-grid start:stop:step`` needs a step
-that divides ``stop - start``.
+that divides ``stop - start`` into at most ``MAX_M_GRID_POINTS`` points, and
+``--seed`` an integer in [0, 2**64).
 Exit codes: 0 success, 1 for I/O or verification failures, 2 for flag/usage
 errors.
 """
@@ -35,6 +36,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
 def reflectivity(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -54,13 +62,20 @@ def half_width(text: str) -> tuple[float, ...]:
     return (float(text),)
 
 
+# Every point of an ``--m-grid`` is built before any check of the sweep, so a
+# tiny step (``0:0.5:1e-40``) would exhaust memory; no sweep a plot or a CSV
+# can show needs more points than this.
+MAX_M_GRID_POINTS = 10_000
+
+
 def m_grid(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step`` (inclusive of both ends) or a single value.
 
     The points ``start + k*step`` are computed in decimal arithmetic, so
     ``0:0.4:0.1`` gives 0.3 rather than 0.30000000000000004. The step must
     divide ``stop - start`` exactly; anything else is rejected rather than
-    rounded to a grid the flag does not name.
+    rounded to a grid the flag does not name, and so is a grid of more than
+    ``MAX_M_GRID_POINTS`` points.
     """
     try:
         parts = [decimal.Decimal(p) for p in text.split(":")]
@@ -71,7 +86,12 @@ def m_grid(text: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(f"stop must not be below start, got {text!r}")
         if stop > start and step <= 0:
             raise argparse.ArgumentTypeError(f"step must be positive, got {text!r}")
-        count = int((stop - start) / step) if stop > start else 0
+        intervals = (stop - start) / step if stop > start else 0
+        if intervals >= MAX_M_GRID_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"grid has more than {MAX_M_GRID_POINTS} points (about {intervals + 1:.2e}), got {text!r}"
+            )
+        count = int(intervals)
         if start + count * step != stop:
             raise argparse.ArgumentTypeError(f"step must divide stop - start, got {text!r}")
         return tuple(float(start + k * step) for k in range(count + 1))
@@ -176,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(grid_flag, **grid)
         p.add_argument("--n-copies", type=int_list, default=n_copies, help="comma-separated copy counts (default %(default)s)")
         p.add_argument("--samples", type=positive_int, default=samples, help="trials per (N, m) cell (default %(default)s)")
-        p.add_argument("--seed", type=int, default="42", help="master seed for the per-trial RNG streams (default %(default)s)")
+        p.add_argument("--seed", type=seed, default="42", help="master seed for the per-trial RNG streams (default %(default)s)")
         p.add_argument("--out", default=out, help="CSV output path (default %(default)s)")
         p.add_argument("--svg", help="optional SVG line-plot output path")
         p.add_argument("--config", help=_CONFIG_HELP)
@@ -184,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-check suites", allow_abbrev=False)
     p.set_defaults(func=cmd_verify)
     p.add_argument("--samples", type=positive_int, default="20", help="draws per randomized suite (default %(default)s)")
-    p.add_argument("--seed", type=int, default="12345", help="RNG seed for the randomized suites (default %(default)s)")
+    p.add_argument("--seed", type=seed, default="12345", help="RNG seed for the randomized suites (default %(default)s)")
     p.add_argument("--config", help=_CONFIG_HELP)
 
     p = sub.add_parser("table2", help="print the Bell-state / click-pattern support table", allow_abbrev=False)

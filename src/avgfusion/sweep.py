@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -440,35 +439,47 @@ def _fmt(x: float) -> str:
     return _FLOAT % x
 
 
+def write_text_atomic(path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` (UTF-8, no newline translation).
+
+    The text goes to a temporary file in the target directory, which is then
+    renamed over ``path``, so a failed write leaves any previous file as it
+    was and no temporary file behind.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(result: SweepResult, path) -> None:
     """Write per-trial rows plus mean/std rows per cell (UTF-8, LF endings).
 
     An undefined metric of a trial is written as ``nan``. Aggregate rows leave
     the trial and eta columns empty and set row_kind to ``mean`` or ``std``;
     trial rows set it to ``trial``. No field needs CSV quoting: names, numbers
-    and ``;``-joined reflectivities hold no comma, quote or newline. The file
-    is written under a temporary name in the target directory and then
-    renamed over ``path``, so a failed write leaves any previous file as it
-    was.
+    and ``;``-joined reflectivities hold no comma, quote or newline. The rows
+    go through :func:`write_text_atomic`, so a failed write leaves any
+    previous file as it was.
     """
+    write_text_atomic(path, _csv_chunks(result))
+
+
+def _csv_chunks(result: SweepResult):
     cfg = result.config
     columns = METRIC_COLUMNS[cfg.experiment]
-    header = ["experiment", "N", "m", "trial", "eta", *columns, "row_kind"]
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
-    try:
-        with open(tmp, "x", encoding="utf-8", newline="") as f:
-            f.write(",".join(header) + "\n")
-            for cell in result.cells:
-                key = f"{cfg.experiment},{cell.n_copies},{_fmt(cell.m)}"
-                eta_fmt = ";".join([_FLOAT] * cell.etas[0].size)
-                row_fmt = f"{key},%d,{eta_fmt}," + ",".join([_FLOAT] * len(columns)) + ",trial\n"
-                draws = cell.etas.reshape(len(cell.etas), -1).tolist()
-                values = zip(*(cell.metrics[c].tolist() for c in columns))
-                f.write("".join(row_fmt % (t, *d, *v) for t, (d, v) in enumerate(zip(draws, values))))
-                for kind, stats in (("mean", cell.mean), ("std", cell.std)):
-                    f.write(f"{key},,," + ",".join(_fmt(stats[c]) for c in columns) + f",{kind}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    yield ",".join(["experiment", "N", "m", "trial", "eta", *columns, "row_kind"]) + "\n"
+    for cell in result.cells:
+        key = f"{cfg.experiment},{cell.n_copies},{_fmt(cell.m)}"
+        eta_fmt = ";".join([_FLOAT] * cell.etas[0].size)
+        row_fmt = f"{key},%d,{eta_fmt}," + ",".join([_FLOAT] * len(columns)) + ",trial\n"
+        draws = cell.etas.reshape(len(cell.etas), -1).tolist()
+        values = zip(*(cell.metrics[c].tolist() for c in columns))
+        yield "".join(row_fmt % (t, *d, *v) for t, (d, v) in enumerate(zip(draws, values)))
+        for kind, stats in (("mean", cell.mean), ("std", cell.std)):
+            yield f"{key},,," + ",".join(_fmt(stats[c]) for c in columns) + f",{kind}\n"

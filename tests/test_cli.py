@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import os
 import pathlib
@@ -10,7 +11,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from avgfusion import __version__
-from avgfusion.cli import build_parser, m_grid, main, parse_args
+from avgfusion.cli import MAX_M_GRID_POINTS, build_parser, m_grid, main, parse_args
 from avgfusion.sweep import METRIC_COLUMNS
 
 
@@ -46,12 +47,29 @@ def test_version(capsys):
         ["verify", "--samples", "0"],
         ["fusion-sweep", "--n-copies", "1,1"],
         ["bsm-sweep", "--m-grid", "0.1", "--config", "no-such-file.cfg"],
+        ["verify", "--seed", "-1"],
+        ["fusion-sweep", "--seed", "18446744073709551616"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["verify", "--seed", "-1"], "-1"),
+        (["fusion-sweep", "--seed", "18446744073709551616"], "18446744073709551616"),
+        (["trace-distance", "--seed", "-5"], "-5"),
+    ],
+)
+def test_seed_out_of_range_names_the_flag(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --seed: must lie in [0, 2**64), got {value}" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
@@ -107,6 +125,19 @@ def test_m_grid_that_names_no_exact_grid_is_a_usage_error(grid, reason, capsys):
         main(["fusion-sweep", "--m-grid", grid])
     assert exc.value.code == 2
     assert f"argument --m-grid: {reason}, got {grid!r}" in capsys.readouterr().err
+
+
+def test_m_grid_with_too_many_points_is_a_usage_error(capsys):
+    """The point count is checked before any point is built: ``0:0.5:1e-40`` would ask for 5e39."""
+    with pytest.raises(argparse.ArgumentTypeError, match=f"more than {MAX_M_GRID_POINTS} points"):
+        m_grid("0:0.5:1e-40")
+    with pytest.raises(argparse.ArgumentTypeError, match=r"about 1\.00e\+4"):
+        m_grid("0:0.5:0.00005")
+    assert len(m_grid("0:0.49995:0.00005")) == MAX_M_GRID_POINTS
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion-sweep", "--m-grid", "0:0.5:1e-40"])
+    assert exc.value.code == 2
+    assert f"argument --m-grid: grid has more than {MAX_M_GRID_POINTS} points" in capsys.readouterr().err
 
 
 def test_m_grid_csv_column_holds_the_grid_decimals(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
 
     # the plot leaves out the cell with no defined trial instead of drawing at NaN
     cfg = SweepConfig("fusion", (1,), (0.5,), samples=2, master_seed=0)
-    svg = render_sweep_svg(SweepResult(cfg, (cell, none_defined)), "F_HH_norm")
+    svg = render_sweep_svg(SweepResult(cfg, (cell, none_defined)))
     assert "nan" not in svg and svg.count("<circle") == 1
 
 
@@ -289,15 +290,98 @@ def _undefined_fusion_result() -> SweepResult:
 
 def test_svg_without_a_defined_mean_names_the_metric():
     with pytest.raises(ValueError, match="F_HH_norm"):
-        render_sweep_svg(_undefined_fusion_result(), "F_HH_norm")
+        render_sweep_svg(_undefined_fusion_result())
 
 
 def test_failed_svg_render_keeps_previous_file(tmp_path):
     path = tmp_path / "plot.svg"
     path.write_text("previous", encoding="utf-8")
     with pytest.raises(ValueError):
-        write_svg(_undefined_fusion_result(), path, "F_HH_norm")
+        write_svg(_undefined_fusion_result(), path)
     assert path.read_text(encoding="utf-8") == "previous"
+
+
+#: Scripted plot metric per copy count N, one list of trial values per m.
+#: The values are dyadic, so each cell's mean and std do not depend on the
+#: order numpy sums in; each experiment has a NaN-mean cell, a zero-std
+#: point and a one-point series; trace-distance has one m, as the CLI runs it.
+_SVG_SERIES = {
+    "fusion": {
+        1: [[1.0, 1.0], [0.875, 0.75], [0.5, 0.625]],
+        2: [[1.0, math.nan], [math.nan, math.nan], [0.75, 0.6875]],
+        4: [[math.nan, math.nan], [0.9375, 0.8125], [math.nan, math.nan]],
+    },
+    "bsm": {
+        1: [[1.0, 1.0], [0.96875, 0.90625], [0.8125, 0.875]],
+        3: [[math.nan, math.nan], [0.984375, 0.953125], [0.9375, 0.9375]],
+        6: [[1.0, 1.0], [math.nan, math.nan], [math.nan, math.nan]],
+    },
+    "trace-distance": {
+        1: [[0.25, 0.125]],
+        2: [[math.nan, math.nan]],
+        3: [[0.0625, 0.0625]],
+        6: [[0.03125, math.nan]],
+    },
+}
+
+_SVG_DIGESTS = {
+    "fusion": "25e6edf853d783b9df43da656b7104b264a79365c1f22ac3cf16891b8069bb8c",
+    "bsm": "8b24fa96c6ee6e9d7d7cf965ff6096ead59f5265962d91623f6b9e871df40e3f",
+    "trace-distance": "a8917eb372cf3e5be6ef71947bc820d4d20a2e76f57155b93acf651f7caee92c",
+}
+
+
+def _scripted_result(experiment: str) -> SweepResult:
+    series = _SVG_SERIES[experiment]
+    m_grid = (0.2,) if experiment == "trace-distance" else (0.0, 0.25, 0.5)
+    cfg = SweepConfig(experiment, tuple(series), m_grid, samples=2, master_seed=0)
+    metric = sweep.DEFAULT_PLOT_METRIC[experiment]
+    cells = tuple(
+        sweep.Cell(n, m, np.full((2, 2, n), 0.5), {metric: np.array(values)})
+        for n, rows in series.items()
+        for m, values in zip(m_grid, rows, strict=True)
+    )
+    return SweepResult(cfg, cells)
+
+
+@pytest.mark.parametrize("experiment", ["fusion", "bsm", "trace-distance"])
+def test_svg_bytes_are_pinned(tmp_path, experiment):
+    path = tmp_path / "plot.svg"
+    write_svg(_scripted_result(experiment), path)
+    raw = path.read_bytes()
+    assert raw.decode("utf-8") == render_sweep_svg(_scripted_result(experiment))
+    assert hashlib.sha256(raw).hexdigest() == _SVG_DIGESTS[experiment]
+
+
+def test_failed_svg_write_keeps_previous_file(tmp_path, monkeypatch):
+    """A write that fails part-way through the document leaves the old plot and no temporary file."""
+    path = tmp_path / "plot.svg"
+    path.write_text("previous", encoding="utf-8")
+    written = []
+    real_open = open
+
+    class FailingFile:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def writelines(self, chunks):
+            for chunk in chunks:
+                self.f.write(chunk[: len(chunk) // 2])
+                written.append(chunk)
+                raise OSError("disk full")
+
+    monkeypatch.setattr(sweep, "open", lambda *a, **k: FailingFile(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_svg(_scripted_result("fusion"), path)
+    assert written and written[0].startswith("<?xml")  # the document reached the temporary file
+    assert path.read_text(encoding="utf-8") == "previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["plot.svg"]
 
 
 def test_run_sweep_single_sample_std_is_zero():
