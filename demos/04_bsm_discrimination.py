@@ -19,8 +19,7 @@ from avgfusion import (
     BELL_LABELS,
     BSM_PATTERNS,
     bell_state,
-    bsm_fnorm_closed,
-    bsm_psuccess_closed,
+    bsm_closed_forms,
     bsm_matrix,
     build_averaged_network,
     fidelity,
@@ -53,10 +52,8 @@ for n in (1, 2, 3):
     kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
     p_sim = norm_sq(kept)
     f_norm_sim = fidelity(kept, _bsm_target()) / p_sim
-    print(
-        f"{n:3d} {p_sim:12.6f} {bsm_psuccess_closed(eta_h, eta_v):12.6f}"
-        f" {f_norm_sim:12.6f} {bsm_fnorm_closed(eta_h, eta_v):14.6f}"
-    )
+    _, p_closed, f_norm_closed = bsm_closed_forms(eta_h, eta_v)
+    print(f"{n:3d} {p_sim:12.6f} {p_closed:12.6f} {f_norm_sim:12.6f} {f_norm_closed:14.6f}")
 
 print()
 print("Simulation and the sum-of-roots closed forms agree to machine precision;")

@@ -13,11 +13,7 @@ from .averaging import (
     postselect_vacuum_ancilla,
     run_averaged,
 )
-from .closed_form import (
-    bsm_fidelity_closed,
-    bsm_fnorm_closed,
-    bsm_psuccess_closed,
-)
+from .closed_form import bsm_closed_forms
 from .detection import (
     BSM_PATTERNS,
     FUSION_PATTERNS,
@@ -40,14 +36,11 @@ from .fock import (
 )
 from .interferometers import (
     beamsplitter_layer,
-    beamsplitter_layers,
-    bsm_matrices,
     bsm_matrix,
     dft_matrix,
     direct_sum,
     effective_average,
     fusion_gate,
-    fusion_gates,
     permutation_matrix,
     swap_matrix,
 )
@@ -95,13 +88,9 @@ __all__ = [
     "TransferMatrix",
     "apply_transfer",
     "beamsplitter_layer",
-    "beamsplitter_layers",
     "bell_state",
-    "bsm_fidelity_closed",
-    "bsm_fnorm_closed",
-    "bsm_matrices",
+    "bsm_closed_forms",
     "bsm_matrix",
-    "bsm_psuccess_closed",
     "build_averaged_network",
     "dft_matrix",
     "direct_sum",
@@ -109,7 +98,6 @@ __all__ = [
     "fidelity",
     "fock_dimension",
     "fusion_gate",
-    "fusion_gates",
     "fusion_outcomes",
     "inner_product",
     "norm_sq",

@@ -8,9 +8,10 @@ with the ideal analyzer's output depends only on the four sums
     sv = sum_k sqrt(eta^V_k)      svc = sum_k sqrt(1 - eta^V_k)
 
 These expressions reproduce the full Fock-space simulation to machine
-precision and make wide parameter sweeps cheap. Every function takes the
+precision and make wide parameter sweeps cheap. :func:`bsm_closed_forms`
+computes the four sums once and returns all three metrics. It takes the
 copies on the last axis of ``eta_h`` and ``eta_v`` and broadcasts over any
-leading axes, so a stack of S draws of shape (S, N) gives S values.
+leading axes, so a stack of S draws of shape (S, N) gives S values of each.
 """
 
 from __future__ import annotations
@@ -30,31 +31,19 @@ def _root_sums(eta_h, eta_v):
     return (*sums, eta_h.shape[-1])
 
 
-def bsm_fidelity_closed(eta_h, eta_v):
-    """Unnormalized overlap |<target|out>|^2 of the averaged analyzer.
+def bsm_closed_forms(eta_h, eta_v):
+    """``(F, P_success, F_norm)`` of the averaged analyzer from one pass of root sums.
 
-    Equals 4*eta*(1-eta) for a single copy with eta_h = eta_v = eta, and 1 at
-    the balanced point eta = 1/2.
+    - ``F``: unnormalized overlap |<target|out>|^2. Equals 4*eta*(1-eta) for
+      a single copy with eta_h = eta_v = eta, and 1 at the balanced point
+      eta = 1/2.
+    - ``P_success``: probability that both photons survive ancilla
+      post-selection. Identically 1 for a single copy, whatever the
+      reflectivities.
+    - ``F_norm``: the overlap renormalized by the success probability.
+      Bounded by 1 (Cauchy-Schwarz on the root sums).
     """
     sh, shc, sv, svc, n = _root_sums(eta_h, eta_v)
-    return (sh * svc + shc * sv) ** 2 / n**4
-
-
-def bsm_psuccess_closed(eta_h, eta_v):
-    """Probability that both photons survive ancilla post-selection.
-
-    Identically 1 for a single copy, whatever the reflectivities.
-    """
-    sh, shc, sv, svc, n = _root_sums(eta_h, eta_v)
-    return (sh**2 + shc**2) * (sv**2 + svc**2) / n**4
-
-
-def bsm_fnorm_closed(eta_h, eta_v):
-    """Conditional fidelity: overlap renormalized by the success probability.
-
-    Bounded by 1 (Cauchy-Schwarz on the root sums).
-    """
-    sh, shc, sv, svc, _ = _root_sums(eta_h, eta_v)
     num = (sh * svc + shc * sv) ** 2
     den = (sh**2 + shc**2) * (sv**2 + svc**2)
-    return num / den
+    return num / n**4, den / n**4, num / den

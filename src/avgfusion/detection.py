@@ -124,16 +124,15 @@ def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[s
     }
 
 
-def pattern_support(
-    bell_label: str,
-    eta_h: float = 0.5,
-    eta_v: float = 0.5,
-    threshold: float = 1e-12,
-) -> set[str]:
+#: Click probability above which a pattern counts as possible.
+SUPPORT_THRESHOLD = 1e-12
+
+
+def pattern_support(bell_label: str, eta_h: float = 0.5, eta_v: float = 0.5) -> set[str]:
     """Which analyzer click patterns a Bell state can produce.
 
     The labels from :data:`BSM_PATTERNS` whose click probability, by
-    :func:`pattern_probabilities`, exceeds ``threshold``.
+    :func:`pattern_probabilities`, exceeds :data:`SUPPORT_THRESHOLD`.
     """
     probs = pattern_probabilities(bell_label, eta_h, eta_v)
-    return {label for label, prob in probs.items() if prob > threshold}
+    return {label for label, prob in probs.items() if prob > SUPPORT_THRESHOLD}

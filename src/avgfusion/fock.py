@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from types import MappingProxyType
 
 import numpy as np
 
@@ -76,11 +75,6 @@ class StateVec:
         """Single-ket state |occupations> with the given amplitude."""
         occupations = tuple(occupations)
         return cls(len(occupations), {occupations: amplitude})
-
-    @property
-    def amplitudes(self):
-        """Read-only view of the ket -> amplitude map."""
-        return MappingProxyType(self._amp)
 
     def amplitude(self, ket) -> complex:
         return self._amp.get(tuple(ket), 0j)

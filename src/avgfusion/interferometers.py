@@ -5,10 +5,12 @@ rails of the two qubits the gate touches. Sign conventions follow the printed
 beam-splitter block [[sqrt(eta), sqrt(1-eta)], [-sqrt(1-eta), sqrt(eta)]];
 state-level comparisons elsewhere allow one global phase.
 
-The gate algebra lives in the broadcasting constructors (``fusion_gates``,
-``bsm_matrices``, ``beamsplitter_layers``), which take reflectivity arrays
-and return stacks of 4x4 matrices; the scalar constructors wrap one matrix
-of them in a :class:`TransferMatrix`.
+The gate algebra lives in the package-private broadcasting builders
+(``_fusion_gates``, ``_bsm_matrices``, ``_beamsplitter_layers``), which take
+reflectivity arrays and return stacks of 4x4 matrices. They check nothing;
+``sweep.run_cell`` checks the sweep engine's reflectivities once. The public
+scalar constructors check theirs and wrap one builder matrix in a
+:class:`TransferMatrix`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .fock import TransferMatrix
 
 def _check_reflectivity(name: str, eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
-    if not np.all((eta >= 0.0) & (eta <= 1.0)):
-        raise ValueError(f"{name} must lie in [0, 1], got {eta}")
+    outside = eta[~((eta >= 0.0) & (eta <= 1.0))]
+    if outside.size:
+        raise ValueError(f"{name} must lie in [0, 1], got {outside[0]}")
     return eta
 
 
@@ -41,28 +44,24 @@ def _bs_blocks(eta: np.ndarray) -> np.ndarray:
     return block
 
 
-def beamsplitter_layers(eta_x, eta_y) -> np.ndarray:
-    """Broadcasting form of :func:`beamsplitter_layer`: array of shape (..., 4, 4)."""
-    eta_x, eta_y = np.broadcast_arrays(
-        _check_reflectivity("eta_x", eta_x), _check_reflectivity("eta_y", eta_y)
-    )
+def _beamsplitter_layers(eta_x, eta_y) -> np.ndarray:
+    """Broadcasting form of :func:`beamsplitter_layer`, unchecked: shape (..., 4, 4)."""
+    eta_x, eta_y = np.broadcast_arrays(eta_x, eta_y)
     b = np.zeros(eta_x.shape + (4, 4), dtype=complex)
     b[..., :2, :2] = _bs_blocks(eta_x)
     b[..., 2:, 2:] = _bs_blocks(eta_y)
     return b
 
 
-def fusion_gates(eta_x, eta_y) -> np.ndarray:
-    """Broadcasting form of :func:`fusion_gate`: array of shape (..., 4, 4)."""
-    b = beamsplitter_layers(eta_x, eta_y)
+def _fusion_gates(eta_x, eta_y) -> np.ndarray:
+    """Broadcasting form of :func:`fusion_gate`, unchecked: shape (..., 4, 4)."""
+    b = _beamsplitter_layers(eta_x, eta_y)
     return b[..., _SWAP] @ b  # b @ SWAP: the columns of b, permuted
 
 
-def bsm_matrices(eta_h, eta_v) -> np.ndarray:
-    """Broadcasting form of :func:`bsm_matrix`: array of shape (..., 4, 4)."""
-    eta_h, eta_v = np.broadcast_arrays(
-        _check_reflectivity("eta_h", eta_h), _check_reflectivity("eta_v", eta_v)
-    )
+def _bsm_matrices(eta_h, eta_v) -> np.ndarray:
+    """Broadcasting form of :func:`bsm_matrix`, unchecked: shape (..., 4, 4)."""
+    eta_h, eta_v = np.broadcast_arrays(eta_h, eta_v)
     t = np.zeros(eta_h.shape + (4, 4), dtype=complex)
     t[..., 0::2, 0::2] = _bs_blocks(eta_h)  # (H1, H2)
     t[..., 1::2, 1::2] = _bs_blocks(eta_v)  # (V1, V2)
@@ -71,7 +70,8 @@ def bsm_matrices(eta_h, eta_v) -> np.ndarray:
 
 def beamsplitter_layer(eta_x: float, eta_y: float) -> TransferMatrix:
     """One layer of the fusion gate: a beam splitter on each qubit's rail pair."""
-    return TransferMatrix(beamsplitter_layers(eta_x, eta_y))
+    eta_x, eta_y = _check_reflectivity("eta_x", eta_x), _check_reflectivity("eta_y", eta_y)
+    return TransferMatrix(_beamsplitter_layers(eta_x, eta_y))
 
 
 _SWAP = [0, 3, 2, 1]
@@ -87,7 +87,8 @@ def fusion_gate(eta_x: float, eta_y: float) -> TransferMatrix:
 
     (1/2, 1/2) is the perfect gate; (1, 1) degenerates to the bare SWAP.
     """
-    return TransferMatrix(fusion_gates(eta_x, eta_y))
+    eta_x, eta_y = _check_reflectivity("eta_x", eta_x), _check_reflectivity("eta_y", eta_y)
+    return TransferMatrix(_fusion_gates(eta_x, eta_y))
 
 
 def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
@@ -97,7 +98,8 @@ def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
     detection pattern; the psi- state is left invariant for any common
     reflectivity.
     """
-    return TransferMatrix(bsm_matrices(eta_h, eta_v))
+    eta_h, eta_v = _check_reflectivity("eta_h", eta_h), _check_reflectivity("eta_v", eta_v)
+    return TransferMatrix(_bsm_matrices(eta_h, eta_v))
 
 
 def permutation_matrix(perm) -> TransferMatrix:

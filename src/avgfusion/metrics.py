@@ -49,10 +49,11 @@ def normalized_fidelity(f, p):
 
     Values beyond 1 + 1e-9 indicate a numerical anomaly and are clamped to 1,
     with one warning per clamped value; tiny float excursions above 1 are
-    returned as-is. Scalars give a float.
+    returned as-is. Scalars give a float. A success probability that is not
+    positive (zero, negative or NaN) raises ``ValueError``.
     """
     f, p = np.asarray(f, dtype=float), np.asarray(p, dtype=float)
-    if np.any(p <= 0.0):
+    if not np.all(p > 0.0):
         raise ValueError(f"success probability must be positive, got {np.min(p)}")
     ratio = f / p
     clamped = ratio > 1.0 + 1e-9

@@ -29,8 +29,11 @@ gate modes, one photon per input mode. So each click-pattern amplitude is a
 One (N, m) cell runs in three stages: *draw* the reflectivities of every
 trial from its own stream, build the *copies* as one (S, N, 4, 4) array and
 average them to M_N of shape (S, 4, 4), and compute the *metrics* for all S
-trials at once. The cell, with its trial axis intact, is what a sweep
-returns (:class:`Cell`) and what the CSV and the plots read. The full
+trials at once. :func:`run_cell` is the engine's boundary: it takes the
+(S, 2, N) reflectivities of one cell, reads N from them, and checks their
+shape and range once; the gate builders and metrics below it check nothing
+again. The cell, with its trial axis intact, is what a sweep returns
+(:class:`Cell`) and what the CSV and the plots read. The full
 Fock-space network (:mod:`averaging`,
 :func:`fock.apply_transfer`) stays the oracle that ``verify`` and the tests
 check this engine against.
@@ -45,14 +48,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .closed_form import (
-    bsm_fidelity_closed,
-    bsm_fnorm_closed,
-    bsm_psuccess_closed,
-)
+from .closed_form import bsm_closed_forms
 from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
 from .fock import StateVec, tensor
-from .interferometers import bsm_matrices, fusion_gates
+from .interferometers import _bsm_matrices, _check_reflectivity, _fusion_gates
 from .metrics import bell_state, fidelity, normalized_fidelity, trace_distance
 
 EXPERIMENTS = ("fusion", "bsm", "trace-distance")
@@ -307,7 +306,7 @@ _PATTERNS = tuple(BSM_PATTERNS.values())
 _PATTERN_MODES = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in _PATTERNS]).T
 _BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], 1.0 / math.sqrt(2.0), 1.0)
 
-_BALANCED_FUSION = fusion_gates(0.5, 0.5)
+_BALANCED_FUSION = _fusion_gates(0.5, 0.5)
 
 
 def _pair_amplitudes(mean: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -346,7 +345,7 @@ def _copy_mean(gates, etas: np.ndarray) -> np.ndarray:
 
 def _fusion_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
     """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of ``etas``."""
-    mean = _copy_mean(fusion_gates, etas)
+    mean = _copy_mean(_fusion_gates, etas)
     out, spectators = _evolve_pairs(mean, _fusion_input())
     prob = np.sum(np.abs(out) ** 2, axis=-1)
     hh = _PATTERNS.index(FUSION_PATTERNS["HH"])
@@ -367,25 +366,25 @@ def _fusion_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
 
 def _bsm_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
     """Bell-state analyzer on a psi+ input, one trial per row of ``etas``."""
-    mean = _copy_mean(bsm_matrices, etas)
+    mean = _copy_mean(_bsm_matrices, etas)
     out = _evolve_pairs(mean, bell_state("psi+"))[0][..., 0]
     target = np.array([_bsm_target().amplitude(p) for p in _PATTERNS])
     f = fidelity(out, target)
     p_success = np.sum(np.abs(out) ** 2, axis=-1)
-    eta_h, eta_v = etas[:, 0], etas[:, 1]
+    f_closed, p_closed, f_norm_closed = bsm_closed_forms(etas[:, 0], etas[:, 1])
     return {
         "F": f,
         "P_success": p_success,
         "F_norm": normalized_fidelity(f, p_success),
-        "F_closed": bsm_fidelity_closed(eta_h, eta_v),
-        "P_success_closed": bsm_psuccess_closed(eta_h, eta_v),
-        "F_norm_closed": bsm_fnorm_closed(eta_h, eta_v),
+        "F_closed": f_closed,
+        "P_success_closed": p_closed,
+        "F_norm_closed": f_norm_closed,
     }
 
 
 def _trace_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
     """Matrix level: distance of the copy average to the balanced gate."""
-    return {"trace_distance": trace_distance(_copy_mean(fusion_gates, etas), _BALANCED_FUSION)}
+    return {"trace_distance": trace_distance(_copy_mean(_fusion_gates, etas), _BALANCED_FUSION)}
 
 
 _METRICS = {
@@ -395,9 +394,16 @@ _METRICS = {
 }
 
 
-def run_cell(experiment: str, n_copies: int, m: float, etas: np.ndarray) -> Cell:
-    """Every trial of one (N, m) cell from its reflectivities, shape (S, 2, N)."""
-    return Cell(n_copies, m, etas, _METRICS[experiment](etas))
+def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
+    """Every trial of one (N, m) cell from its reflectivities ``etas``.
+
+    ``etas`` must be a float array of shape (S >= 1, 2, N >= 1) with values in
+    [0, 1]; N is read from its last axis. Nothing below this check re-checks.
+    """
+    etas = _check_reflectivity("etas", etas)
+    if etas.ndim != 3 or etas.shape[1] != 2 or 0 in etas.shape:
+        raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape}")
+    return Cell(etas.shape[2], m, etas, _METRICS[experiment](etas))
 
 
 # The single-trial runners draw from ``rng`` as one trial of a sweep cell
@@ -406,17 +412,17 @@ def run_cell(experiment: str, n_copies: int, m: float, etas: np.ndarray) -> Cell
 
 def run_fusion_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:
     """One averaged-fusion trial on Bell⊗Bell with 4 passthrough modes, as a one-trial cell."""
-    return run_cell("fusion", n_copies, m, sample_reflectivity(rng, m, (1, 2, n_copies)))
+    return run_cell("fusion", m, sample_reflectivity(rng, m, (1, 2, n_copies)))
 
 
 def run_bsm_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:
     """One averaged Bell-state-analyzer trial on a psi+ input, as a one-trial cell."""
-    return run_cell("bsm", n_copies, m, sample_reflectivity(rng, m, (1, 2, n_copies)))
+    return run_cell("bsm", m, sample_reflectivity(rng, m, (1, 2, n_copies)))
 
 
 def run_trace_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:
     """One matrix-level trial, as a one-trial cell: copy average vs balanced gate."""
-    return run_cell("trace-distance", n_copies, m, sample_reflectivity(rng, m, (1, 2, n_copies)))
+    return run_cell("trace-distance", m, sample_reflectivity(rng, m, (1, 2, n_copies)))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -427,7 +433,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """
     keys = [(n, mi, m) for n in cfg.n_copies_list for mi, m in enumerate(cfg.m_grid)]
     etas = trial_reflectivities(cfg.master_seed, cfg.experiment, keys, cfg.samples)
-    cells = tuple(run_cell(cfg.experiment, n, m, e) for (n, _, m), e in zip(keys, etas))
+    cells = tuple(run_cell(cfg.experiment, m, e) for (_, _, m), e in zip(keys, etas))
     return SweepResult(cfg, cells)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
-from .detection import BSM_MAP_TARGETS, fusion_outcomes, pattern_probabilities
+from .detection import BSM_MAP_TARGETS, SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
 from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import bsm_matrix, effective_average, fusion_gate
 from .metrics import BELL_LABELS, bell_state, fidelity
@@ -22,6 +22,7 @@ from .sweep import _fusion_input, run_bsm_trial, run_cell, run_fusion_trial, sam
 
 DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 12345
+FUSION_TABLE_GRID = 5  # points per reflectivity axis that check_fusion_table scans
 
 #: Analyzer click patterns each Bell state can produce at the balanced point...
 TABLE2_TICKS: dict[str, frozenset[str]] = {
@@ -91,13 +92,12 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> TransferMatrix:
     return TransferMatrix(q * (d / np.abs(d)))
 
 
-def check_averaging_equivalence(samples: int = DEFAULT_SAMPLES, rng=None) -> SuiteResult:
+def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Post-selected N-copy network == evolution under the plain copy average.
 
     Exercised on Haar-random 4-mode unitaries and on fusion gates at random
     reflectivities, with one- and two-photon inputs.
     """
-    rng = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
     inputs = [
         bell_state("psi+"),
         bell_state("phi-"),
@@ -120,18 +120,17 @@ def check_averaging_equivalence(samples: int = DEFAULT_SAMPLES, rng=None) -> Sui
     return SuiteResult("M_N-equivalence", dev < 1e-10, dev, 1e-10)
 
 
-def check_closed_form(samples: int = DEFAULT_SAMPLES, rng=None) -> SuiteResult:
+def check_closed_form(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Sweep-engine analyzer metrics vs their closed forms, random draws."""
-    rng = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
     dev = 0.0
     for n_copies in (1, 2, 3):
-        cell = run_cell("bsm", n_copies, 0.3, sample_reflectivity(rng, 0.3, (samples, 2, n_copies)))
+        cell = run_cell("bsm", 0.3, sample_reflectivity(rng, 0.3, (samples, 2, n_copies)))
         for sim in ("F", "P_success", "F_norm"):
             dev = max(dev, float(np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))))
     return SuiteResult("closed-form-vs-simulator", dev < 1e-10, dev, 1e-10)
 
 
-def check_fusion_table(grid: int = 5) -> SuiteResult:
+def check_fusion_table() -> SuiteResult:
     """Balanced-gate pattern table and the constant parity sum.
 
     At the balanced point each success pattern fires with probability 1/8,
@@ -147,8 +146,8 @@ def check_fusion_table(grid: int = 5) -> SuiteResult:
         dev = max(dev, abs(outcome.probability - 0.125))
         conditional = fidelity(outcome.residual, bell_state(bell)) / outcome.probability
         dev = max(dev, abs(1.0 - conditional))
-    for ex in np.linspace(0.05, 0.95, grid):
-        for ey in np.linspace(0.05, 0.95, grid):
+    for ex in np.linspace(0.05, 0.95, FUSION_TABLE_GRID):
+        for ey in np.linspace(0.05, 0.95, FUSION_TABLE_GRID):
             out = _fusion_patterns_at(float(ex), float(ey))
             p = {lbl: o.probability for lbl, o in out.items()}
             dev = max(dev, abs(sum(p.values()) - 0.5))
@@ -162,9 +161,8 @@ def _fusion_patterns_at(eta_x: float, eta_y: float):
     return fusion_outcomes(kept, (0, 1, 2, 3))
 
 
-def check_bsm_maps(samples: int = DEFAULT_SAMPLES, rng=None) -> SuiteResult:
+def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Balanced-analyzer Bell-state images, plus psi- invariance off balance."""
-    rng = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
     dev = 0.0
     for label in BELL_LABELS:
         out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state(label))
@@ -187,7 +185,7 @@ def check_table2() -> SuiteResult:
     for label in BELL_LABELS:
         for eta, expected in ((0.5, TABLE2_TICKS[label]), (0.3, TABLE2_TICKS[label] | TABLE2_CROSSES[label])):
             probs = pattern_probabilities(label, eta, eta)
-            support = {pat for pat, prob in probs.items() if prob > 1e-12}
+            support = {pat for pat, prob in probs.items() if prob > SUPPORT_THRESHOLD}
             dev = max(dev, max(prob for pat, prob in probs.items() if pat not in expected))
             if support != expected:
                 mismatches.append(f"{label}@{eta}: {sorted(support)} != {sorted(expected)}")

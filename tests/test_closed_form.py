@@ -10,11 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from avgfusion.closed_form import (
-    bsm_fidelity_closed,
-    bsm_fnorm_closed,
-    bsm_psuccess_closed,
-)
+from avgfusion.closed_form import bsm_closed_forms
 
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
 from avgfusion.fock import norm_sq
@@ -64,7 +60,12 @@ EXPANDED_FORMS = {
 }
 
 
-CLOSED_FORMS = (bsm_fidelity_closed, bsm_psuccess_closed, bsm_fnorm_closed)
+def _position(k):
+    """Position k of the ``(F, P_success, F_norm)`` tuple, as a function of the draw."""
+    return lambda eta_h, eta_v: bsm_closed_forms(eta_h, eta_v)[k]
+
+
+CLOSED_FORMS = f_closed, p_closed, f_norm_closed = tuple(_position(k) for k in range(3))
 
 
 def test_reflectivity_draw_validation():
@@ -131,14 +132,14 @@ def test_single_copy_success_probability_is_always_one():
     rng = np.random.default_rng(31)
     for _ in range(50):
         eta_h, eta_v = (float(rng.uniform()),), (float(rng.uniform()),)
-        assert bsm_psuccess_closed(eta_h, eta_v) == pytest.approx(1.0, abs=1e-12)
+        assert p_closed(eta_h, eta_v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_copy_fidelity_equal_reflectivities():
     for eta in (0.1, 0.35, 0.5, 0.72, 0.9):
         expected = 4 * eta * (1 - eta)
-        assert bsm_fidelity_closed((eta,), (eta,)) == pytest.approx(expected, abs=1e-12)
-        assert bsm_fnorm_closed((eta,), (eta,)) == pytest.approx(expected, abs=1e-12)
+        assert f_closed((eta,), (eta,)) == pytest.approx(expected, abs=1e-12)
+        assert f_norm_closed((eta,), (eta,)) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -148,7 +149,7 @@ def test_general_form_matches_expanded_forms(n):
     for _ in range(1000):
         eta_h = tuple(rng.uniform(0, 1, size=n))
         eta_v = tuple(rng.uniform(0, 1, size=n))
-        assert bsm_psuccess_closed(eta_h, eta_v) == pytest.approx(expanded(eta_h, eta_v), abs=1e-12)
+        assert p_closed(eta_h, eta_v) == pytest.approx(expanded(eta_h, eta_v), abs=1e-12)
 
 
 def test_symmetry_under_copy_permutation_and_layer_swap():
@@ -166,7 +167,7 @@ def test_normalized_form_bounded_by_one():
     rng = np.random.default_rng(77)
     for _ in range(200):
         n = int(rng.integers(1, 6))
-        assert bsm_fnorm_closed(rng.uniform(0, 1, size=n), rng.uniform(0, 1, size=n)) <= 1.0 + 1e-12
+        assert f_norm_closed(rng.uniform(0, 1, size=n), rng.uniform(0, 1, size=n)) <= 1.0 + 1e-12
 
 
 def simulate_bsm(eta_h, eta_v):
@@ -182,9 +183,9 @@ def test_closed_forms_match_full_simulation(n):
     for _ in range(10):
         draw = (rng.uniform(0.1, 0.9, size=n), rng.uniform(0.1, 0.9, size=n))
         f_sim, p_sim = simulate_bsm(*draw)
-        assert f_sim == pytest.approx(bsm_fidelity_closed(*draw), abs=1e-10)
-        assert p_sim == pytest.approx(bsm_psuccess_closed(*draw), abs=1e-10)
-        assert f_sim / p_sim == pytest.approx(bsm_fnorm_closed(*draw), abs=1e-10)
+        assert f_sim == pytest.approx(f_closed(*draw), abs=1e-10)
+        assert p_sim == pytest.approx(p_closed(*draw), abs=1e-10)
+        assert f_sim / p_sim == pytest.approx(f_norm_closed(*draw), abs=1e-10)
 
 
 def test_mean_normalized_fidelity_improves_with_copies():
@@ -195,6 +196,6 @@ def test_mean_normalized_fidelity_improves_with_copies():
         values = []
         for _ in range(400):
             eta_h, eta_v = rng.uniform(0.5 - m, 0.5 + m, size=n), rng.uniform(0.5 - m, 0.5 + m, size=n)
-            values.append(bsm_fnorm_closed(eta_h, eta_v))
+            values.append(f_norm_closed(eta_h, eta_v))
         means.append(np.mean(values))
     assert means[0] < means[1] < means[2]

@@ -56,10 +56,10 @@ def test_beamsplitter_layer_entries():
 
 
 def test_beamsplitter_layer_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        beamsplitter_layer(1.2, 0.5)
-    with pytest.raises(ValueError):
-        beamsplitter_layer(0.5, -0.01)
+    for constructor in (beamsplitter_layer, fusion_gate, bsm_matrix):
+        for eta_1, eta_2 in ((1.2, 0.5), (0.5, -0.01), (float("nan"), 0.5)):
+            with pytest.raises(ValueError):
+                constructor(eta_1, eta_2)
 
 
 def test_swap_matrix():

@@ -58,8 +58,9 @@ def test_normalized_fidelity():
     assert normalized_fidelity(0.125, 0.125) == pytest.approx(1.0)
     assert normalized_fidelity(0.0, 0.3) == 0.0
     assert type(normalized_fidelity(0.1, 0.3)) is float
-    with pytest.raises(ValueError):
-        normalized_fidelity(0.5, 0.0)
+    for p in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            normalized_fidelity(0.5, p)
     with pytest.warns(RuntimeWarning):
         assert normalized_fidelity(0.2, 0.1) == 1.0
 

@@ -245,11 +245,45 @@ def test_csv_draw_columns_are_pinned(tmp_path, experiment):
 def test_cell_rows_match_one_trial_cells(experiment):
     """A cell computed in one pass equals its trials computed one at a time."""
     etas = sample_reflectivity(np.random.default_rng(3), 0.4, (5, 2, 3))
-    cell = run_cell(experiment, 3, 0.4, etas)
+    cell = run_cell(experiment, 0.4, etas)
     for s in range(5):
-        single = run_cell(experiment, 3, 0.4, etas[s : s + 1])
+        single = run_cell(experiment, 0.4, etas[s : s + 1])
         for key, values in cell.metrics.items():
             assert values[s] == single.metrics[key][0], key
+
+
+_VALID_ETAS = np.full((2, 2, 3), 0.4)
+
+
+def _one_bad_eta(value):
+    etas = _VALID_ETAS.copy()
+    etas[1, 0, 2] = value
+    return etas
+
+
+@pytest.mark.parametrize(
+    "etas, message",
+    [
+        pytest.param(np.full((2, 3), 0.4), "shape", id="2-D"),
+        pytest.param(np.full((2, 3, 2), 0.4), "shape", id="3 layers"),
+        pytest.param(np.full((0, 2, 2), 0.4), "shape", id="S=0"),
+        pytest.param(np.full((2, 2, 0), 0.4), "shape", id="N=0"),
+        pytest.param(_one_bad_eta(np.nan), "got nan", id="NaN"),
+        pytest.param(_one_bad_eta(1.2), "got 1.2", id="1.2"),
+        pytest.param(_one_bad_eta(-0.01), "got -0.01", id="-0.01"),
+    ],
+)
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_cell_rejects_bad_etas(experiment, etas, message):
+    with pytest.raises(ValueError, match=message):
+        run_cell(experiment, 0.1, etas)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_cell_reads_copy_count_from_etas(experiment):
+    cell = run_cell(experiment, 0.1, _VALID_ETAS)
+    assert cell.n_copies == _VALID_ETAS.shape[2]
+    assert all(values.shape == (2,) for values in cell.metrics.values())
 
 
 def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
@@ -257,7 +291,7 @@ def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
     F_HH_norm is undefined. It must be NaN and not bias the cell's stats."""
     normal = [[[0.4], [0.55]], [[0.6], [0.3]], [[0.45], [0.5]]]
     etas = np.array([normal[0], [[0.0], [1.0]], *normal[1:]])
-    cell = run_cell("fusion", 1, 0.5, etas)
+    cell = run_cell("fusion", 0.5, etas)
     p_hh, f_norm = cell.metrics["P_HH"], cell.metrics["F_HH_norm"]
     assert p_hh[1] == 0.0
     assert np.isnan(f_norm[1])
@@ -268,10 +302,10 @@ def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
     assert cell.mean["P_HH"] == pytest.approx(p_hh.mean(), abs=1e-15)  # other columns keep every trial
     assert not any(np.isnan(v) for v in (*cell.mean.values(), *cell.std.values()))
 
-    one_defined = run_cell("fusion", 1, 0.5, etas[:2])
+    one_defined = run_cell("fusion", 0.5, etas[:2])
     assert one_defined.std["F_HH_norm"] == 0.0
 
-    none_defined = run_cell("fusion", 1, 0.5, np.array([[[0.0], [1.0]], [[1.0], [0.0]]]))
+    none_defined = run_cell("fusion", 0.5, np.array([[[0.0], [1.0]], [[1.0], [0.0]]]))
     assert np.isnan(none_defined.metrics["F_HH_norm"]).all()
     assert np.isnan(none_defined.mean["F_HH_norm"]) and np.isnan(none_defined.std["F_HH_norm"])
     assert none_defined.mean["P_HH"] == 0.0
@@ -285,7 +319,7 @@ def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
 def _undefined_fusion_result() -> SweepResult:
     """A fusion sweep whose only cell has F_HH_norm undefined in every trial."""
     cfg = SweepConfig("fusion", (1,), (0.5,), samples=1, master_seed=0)
-    return SweepResult(cfg, (run_cell("fusion", 1, 0.5, np.array([[[0.0], [1.0]]])),))
+    return SweepResult(cfg, (run_cell("fusion", 0.5, np.array([[[0.0], [1.0]]])),))
 
 
 def test_svg_without_a_defined_mean_names_the_metric():
