@@ -26,15 +26,16 @@ post-selected network acts on the gate modes as M_N = (1/N) sum_r U_r
 (see :mod:`averaging`), and every input here puts exactly two photons on the
 gate modes, one photon per input mode. So each click-pattern amplitude is a
 2x2 permanent of M_N, divided by sqrt(2) for a doubly occupied output mode.
-One (N, m) cell runs in three stages: *draw* the reflectivities of every
-trial from its own stream, build the *copies* as one (S, N, 4, 4) array and
-average them to M_N of shape (S, 4, 4), and compute the *metrics* for all S
-trials at once. :func:`run_cell` is the engine's boundary: it takes the
-(S, 2, N) reflectivities of one cell, reads N from them, and checks their
-shape and range once; the gate builders and metrics below it check nothing
-again. The cell, with its trial axis intact, is what a sweep returns
-(:class:`Cell`) and what the CSV and the plots read. The full
-Fock-space network (:mod:`averaging`,
+A sweep *draws* every trial's reflectivities in one pass, then makes one
+engine call per copy count N: the (S, 2, N) draws of its C cells (one per m)
+are stacked to C * S trials, the *copies* built as (C * S, N, 4, 4) and
+averaged to M_N, and the *metrics* computed for all trials at once and split
+back into C cells. Each metric is computed trial by trial, so a stacked cell
+equals a one-cell run bit for bit. :func:`run_cell` is the engine's boundary
+and its one-cell case: it reads N from the (S, 2, N) reflectivities and
+checks them, m and the experiment once; nothing below re-checks. The cell,
+with its trial axis intact, is what a sweep returns (:class:`Cell`) and what
+the CSV and the plots read. The full Fock-space network (:mod:`averaging`,
 :func:`fock.apply_transfer`) stays the oracle that ``verify`` and the tests
 check this engine against.
 """
@@ -123,7 +124,12 @@ class Cell:
 
     @cached_property
     def _stats(self) -> dict[str, tuple[float, float]]:
-        return {col: _mean_std(values) for col, values in self.metrics.items()}
+        # numpy reduces each contiguous row of the (columns, S) table with
+        # the pairwise sums of a 1-D column: the bits are those of _mean_std
+        table = np.stack(list(self.metrics.values()))
+        if table.shape[1] < 2 or np.isnan(table).any():
+            return {col: _mean_std(values) for col, values in self.metrics.items()}
+        return dict(zip(self.metrics, zip(table.mean(axis=1).tolist(), table.std(axis=1, ddof=1).tolist())))
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -398,12 +404,26 @@ def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
     """Every trial of one (N, m) cell from its reflectivities ``etas``.
 
     ``etas`` must be a float array of shape (S >= 1, 2, N >= 1) with values in
-    [0, 1]; N is read from its last axis. Nothing below this check re-checks.
+    [0, 1]; N is read from its last axis. ``m`` must lie in [0, 0.5] and
+    ``experiment`` in :data:`EXPERIMENTS`. Nothing below this check re-checks.
     """
+    return _run_cells(experiment, (m,), np.asarray(etas, dtype=float)[None])[0]
+
+
+def _run_cells(experiment: str, ms, etas: np.ndarray) -> list[Cell]:
+    """One engine call for the cells of one copy count: cell i has m ``ms[i]``
+    and the reflectivities ``etas[i]`` of the (C, S, 2, N) stack."""
+    if experiment not in _METRICS:
+        raise ValueError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
+    for m in ms:
+        if not 0.0 <= m <= 0.5:
+            raise ValueError(f"noise half-width m must lie in [0, 0.5], got {m}")
     etas = _check_reflectivity("etas", etas)
-    if etas.ndim != 3 or etas.shape[1] != 2 or 0 in etas.shape:
-        raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape}")
-    return Cell(etas.shape[2], m, etas, _METRICS[experiment](etas))
+    if etas.ndim != 4 or etas.shape[2] != 2 or 0 in etas.shape:
+        raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape[1:]}")
+    c, s, _, n = etas.shape
+    metrics = {col: v.reshape(c, s) for col, v in _METRICS[experiment](etas.reshape(c * s, 2, n)).items()}
+    return [Cell(n, m, etas[i], {col: v[i] for col, v in metrics.items()}) for i, m in enumerate(ms)]
 
 
 # The single-trial runners draw from ``rng`` as one trial of a sweep cell
@@ -429,12 +449,13 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every (N, m) cell; :func:`write_csv` writes the result.
 
     The reflectivities of every trial come from their own streams, all drawn
-    in one pass; each cell then computes all of its trials in one pass.
+    in one pass; the cells of each copy count N then run in one engine call.
+    Cells come out N-major, then in ``m_grid`` order.
     """
     keys = [(n, mi, m) for n in cfg.n_copies_list for mi, m in enumerate(cfg.m_grid)]
-    etas = trial_reflectivities(cfg.master_seed, cfg.experiment, keys, cfg.samples)
-    cells = tuple(run_cell(cfg.experiment, m, e) for (_, _, m), e in zip(keys, etas))
-    return SweepResult(cfg, cells)
+    etas = iter(trial_reflectivities(cfg.master_seed, cfg.experiment, keys, cfg.samples))
+    stacks = [np.stack([next(etas) for _ in cfg.m_grid]) for _ in cfg.n_copies_list]
+    return SweepResult(cfg, tuple(cell for e in stacks for cell in _run_cells(cfg.experiment, cfg.m_grid, e)))
 
 
 _FLOAT = "%.17g"

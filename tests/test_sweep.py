@@ -286,6 +286,98 @@ def test_run_cell_reads_copy_count_from_etas(experiment):
     assert all(values.shape == (2,) for values in cell.metrics.values())
 
 
+@pytest.mark.parametrize("m, message", [(0.7, "got 0.7"), (-0.1, "got -0.1"), (math.nan, "got nan")])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_cell_rejects_bad_m(experiment, m, message):
+    with pytest.raises(ValueError, match=message):
+        run_cell(experiment, m, _VALID_ETAS)
+
+
+def test_run_cell_rejects_unknown_experiment():
+    with pytest.raises(ValueError, match="unknown experiment 'nope'"):
+        run_cell("nope", 0.1, _VALID_ETAS)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _assert_cells_identical(got, want):
+    assert (got.n_copies, got.m) == (want.n_copies, want.m)
+    assert got.etas.shape == want.etas.shape and _same_bits(got.etas, want.etas)
+    assert got.metrics.keys() == want.metrics.keys()
+    for col in want.metrics:
+        assert got.metrics[col].shape == want.metrics[col].shape, col
+        assert _same_bits(got.metrics[col], want.metrics[col]), col
+        assert _same_bits(got.mean[col], want.mean[col]), col
+        assert _same_bits(got.std[col], want.std[col]), col
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    n_copies=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3, unique=True),
+    m_grid=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5)),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    ),
+    samples=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_sweep_cells_equal_one_cell_runs(experiment, n_copies, m_grid, samples, seed):
+    """The cells of one copy count run in one engine call; each must equal
+    run_cell on its own etas, bit for bit (m = 0 cells, S = 1, N up to 8)."""
+    result = run_sweep(SweepConfig(experiment, tuple(n_copies), tuple(m_grid), samples, seed))
+    assert [(c.n_copies, c.m) for c in result.cells] == [(n, m) for n in n_copies for m in m_grid]
+    for cell in result.cells:
+        _assert_cells_identical(cell, run_cell(experiment, cell.m, cell.etas.copy()))
+
+
+def test_stacked_cells_with_an_undefined_trial_equal_one_cell_runs():
+    """A stack holding a fusion trial with P_HH = 0 (N = 1, etas (0, 1)) keeps
+    its NaN F_HH_norm in its own cell and leaves the other cell's bits alone."""
+    etas = np.array([[[[0.4], [0.55]], [[0.0], [1.0]]], [[[0.6], [0.3]], [[0.45], [0.5]]]])
+    cells = sweep._run_cells("fusion", (0.5, 0.2), etas)
+    assert np.isnan(cells[0].metrics["F_HH_norm"][1]) and not np.isnan(cells[1].metrics["F_HH_norm"]).any()
+    for cell, m, cell_etas in zip(cells, (0.5, 0.2), etas, strict=True):
+        _assert_cells_identical(cell, run_cell("fusion", m, cell_etas.copy()))
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_sweep_makes_one_engine_call_per_copy_count(monkeypatch, experiment):
+    calls = []
+    metrics = sweep._METRICS[experiment]
+
+    def counted(etas):
+        calls.append(etas.shape)
+        return metrics(etas)
+
+    monkeypatch.setitem(sweep._METRICS, experiment, counted)
+    cfg = SweepConfig(experiment, (1, 3, 2), (0.0, 0.1, 0.2, 0.4), samples=5, master_seed=7)
+    result = run_sweep(cfg)
+    assert len(calls) == len(cfg.n_copies_list)
+    assert calls == [(len(cfg.m_grid) * cfg.samples, 2, n) for n in cfg.n_copies_list]
+    assert len(result.cells) == len(cfg.n_copies_list) * len(cfg.m_grid)
+
+
+@pytest.mark.parametrize("undefined", [False, True], ids=["defined", "one-nan"])
+@pytest.mark.parametrize("samples", [1, 2, 7, 8, 9, 127, 128, 129, 200])
+def test_cell_stats_equal_per_column_mean_std(samples, undefined):
+    """The stacked stats pass gives _mean_std's bits for every column, also
+    when one column holds an undefined (NaN) trial and the others do not."""
+    rng = np.random.default_rng(samples)
+    columns = {f"c{k}": rng.uniform(0.0, 1.0, samples) * 10.0 ** (k - 2) for k in range(5)}
+    if undefined:
+        columns["c2"][samples // 2] = math.nan
+    cell = sweep.Cell(1, 0.1, np.full((samples, 2, 1), 0.5), columns)
+    for col, values in columns.items():
+        mean, std = sweep._mean_std(values)
+        assert _same_bits(cell.mean[col], mean) and _same_bits(cell.std[col], std), col
+    assert math.isnan(cell.mean["c2"]) == (undefined and samples == 1)
+
+
 def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
     """At N = 1 with etas (0, 1) the HH pattern never fires: P_HH = 0 and
     F_HH_norm is undefined. It must be NaN and not bias the cell's stats."""
