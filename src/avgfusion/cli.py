@@ -22,7 +22,7 @@ from .detection import BSM_PATTERNS, pattern_support
 from .metrics import BELL_LABELS
 from .svgplot import write_svg
 from .sweep import SweepConfig, run_sweep, write_csv
-from .verify import run_all
+from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_all
 
 
 # Flag converters. argparse names the converter in its error message
@@ -203,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-check suites", allow_abbrev=False)
     p.set_defaults(func=cmd_verify)
-    p.add_argument("--samples", type=positive_int, default="20", help="draws per randomized suite (default %(default)s)")
-    p.add_argument("--seed", type=seed, default="12345", help="RNG seed for the randomized suites (default %(default)s)")
+    p.add_argument("--samples", type=positive_int, default=DEFAULT_SAMPLES, help="draws per randomized suite (default %(default)s)")
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED, help="RNG seed for the randomized suites (default %(default)s)")
     p.add_argument("--config", help=_CONFIG_HELP)
 
     p = sub.add_parser("table2", help="print the Bell-state / click-pattern support table", allow_abbrev=False)

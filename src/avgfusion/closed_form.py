@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .interferometers import _check_reflectivity
+
 
 def _root_sums(eta_h, eta_v):
-    eta_h, eta_v = np.asarray(eta_h, dtype=float), np.asarray(eta_v, dtype=float)
+    eta_h, eta_v = _check_reflectivity("eta_h", eta_h), _check_reflectivity("eta_v", eta_v)
     if eta_h.ndim == 0 or eta_v.ndim == 0 or eta_h.shape[-1] != eta_v.shape[-1] or not eta_h.shape[-1]:
         raise ValueError("eta_h and eta_v need equal, non-empty copy axes (the last axis)")
-    for eta in (eta_h, eta_v):
-        outside = eta[~((eta >= 0.0) & (eta <= 1.0))]
-        if outside.size:
-            raise ValueError(f"reflectivity {outside[0]} outside [0, 1]")
     sums = [np.sqrt(x).sum(axis=-1) for x in (eta_h, 1.0 - eta_h, eta_v, 1.0 - eta_v)]
     return (*sums, eta_h.shape[-1])
 

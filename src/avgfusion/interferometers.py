@@ -8,7 +8,7 @@ state-level comparisons elsewhere allow one global phase.
 The gate algebra lives in the package-private broadcasting builders
 (``_fusion_gates``, ``_bsm_matrices``, ``_beamsplitter_layers``), which take
 reflectivity arrays and return stacks of 4x4 matrices. They check nothing;
-``sweep.run_cell`` checks the sweep engine's reflectivities once. The public
+``sweep.run_cell`` checks the sweep engine's reflectivities. The public
 scalar constructors check theirs and wrap one builder matrix in a
 :class:`TransferMatrix`.
 """

@@ -33,7 +33,9 @@ averaged to M_N, and the *metrics* computed for all trials at once and split
 back into C cells. Each metric is computed trial by trial, so a stacked cell
 equals a one-cell run bit for bit. :func:`run_cell` is the engine's boundary
 and its one-cell case: it reads N from the (S, 2, N) reflectivities and
-checks them, m and the experiment once; nothing below re-checks. The cell,
+checks them, m and the experiment. Below it, only the public
+:func:`closed_form.bsm_closed_forms`, which the bsm metrics call, checks the
+reflectivities again. The cell,
 with its trial axis intact, is what a sweep returns (:class:`Cell`) and what
 the CSV and the plots read. The full Fock-space network (:mod:`averaging`,
 :func:`fock.apply_transfer`) stays the oracle that ``verify`` and the tests
@@ -59,6 +61,14 @@ EXPERIMENTS = ("fusion", "bsm", "trace-distance")
 
 _EXPERIMENT_IDS = {"fusion": 0, "bsm": 1, "trace-distance": 2}
 
+
+def _experiment_id(experiment: str) -> int:
+    """The stream id of ``experiment``, which must be one of :data:`EXPERIMENTS`."""
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
+    return _EXPERIMENT_IDS[experiment]
+
+
 METRIC_COLUMNS: dict[str, tuple[str, ...]] = {
     "fusion": ("F_HH", "P_HH", "F_HH_norm", "P_single", "trace_distance"),
     "bsm": ("F", "P_success", "F_norm", "F_closed", "P_success_closed", "F_norm_closed"),
@@ -83,8 +93,7 @@ class SweepConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        _experiment_id(self.experiment)
         if not self.n_copies_list or any(n < 1 for n in self.n_copies_list):
             raise ValueError(f"n_copies_list must be non-empty positive integers, got {self.n_copies_list}")
         if not self.m_grid or any(not 0.0 <= m <= 0.5 for m in self.m_grid):
@@ -149,15 +158,12 @@ def sample_reflectivity(rng: np.random.Generator, m: float, size=None):
     """Draw reflectivities uniform on [0.5 - m, 0.5 + m].
 
     Returns one float, or with ``size`` an array of that shape holding the
-    values (in C order) that as many scalar draws would give.
+    values (in C order) that as many scalar draws would give. m = 0 draws like
+    any other m and gives exactly 0.5.
     """
     if not 0.0 <= m <= 0.5:
         raise ValueError(f"noise half-width m must lie in [0, 0.5], got {m}")
-    if size is not None:
-        return np.full(size, 0.5) if m == 0.0 else rng.uniform(0.5 - m, 0.5 + m, size)
-    if m == 0.0:
-        return 0.5
-    return float(rng.uniform(0.5 - m, 0.5 + m))
+    return rng.uniform(0.5 - m, 0.5 + m, size)
 
 
 def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, trial: int) -> np.random.Generator:
@@ -167,9 +173,7 @@ def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, tr
     sequentially, so any subset of trials can run in any order and still
     draw identical values.
     """
-    seq = np.random.SeedSequence(
-        (master_seed, _EXPERIMENT_IDS[experiment], n_copies, m_index, trial)
-    )
+    seq = np.random.SeedSequence((master_seed, _experiment_id(experiment), n_copies, m_index, trial))
     return np.random.default_rng(seq)
 
 
@@ -268,11 +272,15 @@ def trial_reflectivities(
     All streams of cells with m > 0 are computed in one pass, 2 * max(N)
     draws each; cells with m = 0 draw nothing.
     """
+    exp_id = _experiment_id(experiment)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if any(n < 1 for n, _, _ in cells):
+        raise ValueError(f"copy counts N must be >= 1, got {[n for n, _, _ in cells]}")
     if any(not 0.0 <= m <= 0.5 for _, _, m in cells):
         raise ValueError(f"noise half-widths m must lie in [0, 0.5], got {[m for _, _, m in cells]}")
     noisy = [(n, mi) for n, mi, m in cells if m != 0.0]
     if noisy:
-        exp_id = _EXPERIMENT_IDS[experiment]
         draws = 2 * max(n for n, _ in noisy)
         doubles = iter(_stream_doubles([(master_seed, exp_id, n, mi) for n, mi in noisy], samples, draws))
     out = []
@@ -349,7 +357,7 @@ def _copy_mean(gates, etas: np.ndarray) -> np.ndarray:
     return gates(etas[:, 0], etas[:, 1]).mean(axis=1)
 
 
-def _fusion_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
+def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of ``etas``."""
     mean = _copy_mean(_fusion_gates, etas)
     out, spectators = _evolve_pairs(mean, _fusion_input())
@@ -361,38 +369,26 @@ def _fusion_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
     heralded = p_hh > 0
     f_hh_norm = np.full(len(p_hh), math.nan)
     f_hh_norm[heralded] = normalized_fidelity(f_hh[heralded], p_hh[heralded])
-    return {
-        "F_HH": f_hh,
-        "P_HH": p_hh,
-        "F_HH_norm": f_hh_norm,
-        "P_single": sum(prob[:, _PATTERNS.index(p)] for p in FUSION_PATTERNS.values()),
-        "trace_distance": trace_distance(mean, _BALANCED_FUSION),
-    }
+    p_single = sum(prob[:, _PATTERNS.index(p)] for p in FUSION_PATTERNS.values())
+    return f_hh, p_hh, f_hh_norm, p_single, trace_distance(mean, _BALANCED_FUSION)
 
 
-def _bsm_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
+def _bsm_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Bell-state analyzer on a psi+ input, one trial per row of ``etas``."""
     mean = _copy_mean(_bsm_matrices, etas)
     out = _evolve_pairs(mean, bell_state("psi+"))[0][..., 0]
     target = np.array([_bsm_target().amplitude(p) for p in _PATTERNS])
     f = fidelity(out, target)
     p_success = np.sum(np.abs(out) ** 2, axis=-1)
-    f_closed, p_closed, f_norm_closed = bsm_closed_forms(etas[:, 0], etas[:, 1])
-    return {
-        "F": f,
-        "P_success": p_success,
-        "F_norm": normalized_fidelity(f, p_success),
-        "F_closed": f_closed,
-        "P_success_closed": p_closed,
-        "F_norm_closed": f_norm_closed,
-    }
+    return f, p_success, normalized_fidelity(f, p_success), *bsm_closed_forms(etas[:, 0], etas[:, 1])
 
 
-def _trace_metrics(etas: np.ndarray) -> dict[str, np.ndarray]:
+def _trace_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Matrix level: distance of the copy average to the balanced gate."""
-    return {"trace_distance": trace_distance(_copy_mean(_fusion_gates, etas), _BALANCED_FUSION)}
+    return (trace_distance(_copy_mean(_fusion_gates, etas), _BALANCED_FUSION),)
 
 
+#: Each metric function returns its (S,) columns in ``METRIC_COLUMNS`` order.
 _METRICS = {
     "fusion": _fusion_metrics,
     "bsm": _bsm_metrics,
@@ -405,7 +401,8 @@ def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
 
     ``etas`` must be a float array of shape (S >= 1, 2, N >= 1) with values in
     [0, 1]; N is read from its last axis. ``m`` must lie in [0, 0.5] and
-    ``experiment`` in :data:`EXPERIMENTS`. Nothing below this check re-checks.
+    ``experiment`` in :data:`EXPERIMENTS`. Below this check only the bsm
+    closed forms check the reflectivities again.
     """
     return _run_cells(experiment, (m,), np.asarray(etas, dtype=float)[None])[0]
 
@@ -413,8 +410,7 @@ def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
 def _run_cells(experiment: str, ms, etas: np.ndarray) -> list[Cell]:
     """One engine call for the cells of one copy count: cell i has m ``ms[i]``
     and the reflectivities ``etas[i]`` of the (C, S, 2, N) stack."""
-    if experiment not in _METRICS:
-        raise ValueError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
+    _experiment_id(experiment)
     for m in ms:
         if not 0.0 <= m <= 0.5:
             raise ValueError(f"noise half-width m must lie in [0, 0.5], got {m}")
@@ -422,7 +418,8 @@ def _run_cells(experiment: str, ms, etas: np.ndarray) -> list[Cell]:
     if etas.ndim != 4 or etas.shape[2] != 2 or 0 in etas.shape:
         raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape[1:]}")
     c, s, _, n = etas.shape
-    metrics = {col: v.reshape(c, s) for col, v in _METRICS[experiment](etas.reshape(c * s, 2, n)).items()}
+    values = _METRICS[experiment](etas.reshape(c * s, 2, n))
+    metrics = {col: v.reshape(c, s) for col, v in zip(METRIC_COLUMNS[experiment], values, strict=True)}
     return [Cell(n, m, etas[i], {col: v[i] for col, v in metrics.items()}) for i, m in enumerate(ms)]
 
 

@@ -103,7 +103,7 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
         bell_state("phi-"),
         StateVec(4, {(2, 0, 0, 0): _SQRT_HALF, (0, 1, 0, 1): -0.5j, (0, 0, 1, 1): 0.5}),
     ]
-    sets = max(1, samples // 5)
+    sets = max(2, samples // 5)
     dev = 0.0
     for n_copies in (2, 3):
         for k in range(sets):

@@ -8,9 +8,10 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from avgfusion import __version__
+from avgfusion import __version__, verify
 from avgfusion.cli import MAX_M_GRID_POINTS, build_parser, m_grid, main, parse_args
 from avgfusion.sweep import METRIC_COLUMNS
 
@@ -233,6 +234,23 @@ def test_verify_passes_and_is_reproducible(capsys):
 
     code2, out2, _ = run_cli(["verify", "--samples", "2", "--seed", "3"], capsys)
     assert (code2, out2) == (code, out)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 9])
+def test_averaging_equivalence_checks_fusion_gates_at_any_sample_count(monkeypatch, samples):
+    """The M_N-equivalence suite alternates Haar-random and fusion-gate copy
+    sets; even a small sample count reaches a fusion-gate set at N = 2 and 3."""
+    calls = []
+    fusion_gate = verify.fusion_gate
+
+    def counted(eta_x, eta_y):
+        calls.append((eta_x, eta_y))
+        return fusion_gate(eta_x, eta_y)
+
+    monkeypatch.setattr(verify, "fusion_gate", counted)
+    result = verify.check_averaging_equivalence(samples, np.random.default_rng(3))
+    assert result.passed
+    assert len(calls) >= 2 + 3
 
 
 def test_config_file_supplies_defaults_and_cli_wins(tmp_path, capsys):

@@ -298,6 +298,35 @@ def test_run_cell_rejects_unknown_experiment():
         run_cell("nope", 0.1, _VALID_ETAS)
 
 
+@pytest.mark.parametrize("change", [lambda v: v[:-1], lambda v: (*v, v[0])], ids=["one-too-few", "one-too-many"])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_cell_rejects_a_metric_function_of_the_wrong_width(monkeypatch, experiment, change):
+    """The engine pairs a metric function's values with METRIC_COLUMNS; a
+    column too few or too many is an error, not a silently short CSV."""
+    metrics = sweep._METRICS[experiment]
+    monkeypatch.setitem(sweep._METRICS, experiment, lambda etas: change(tuple(metrics(etas))))
+    with pytest.raises(ValueError):
+        run_cell(experiment, 0.1, _VALID_ETAS)
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda: trial_reflectivities(0, "nope", [(2, 0, 0.0)], 3), "unknown experiment 'nope'"),
+        (lambda: trial_reflectivities(0, "nope", [(2, 0, 0.1)], 3), "unknown experiment 'nope'"),
+        (lambda: trial_rng(0, "nope", 1, 0, 0), "unknown experiment 'nope'"),
+        (lambda: trial_reflectivities(0, "fusion", [(0, 0, 0.1)], 3), r"N must be >= 1, got \[0\]"),
+        (lambda: trial_reflectivities(0, "fusion", [(-1, 0, 0.0)], 3), r"N must be >= 1, got \[-1\]"),
+        (lambda: trial_reflectivities(0, "fusion", [(2, 0, 0.1)], 0), "samples must be >= 1, got 0"),
+        (lambda: trial_reflectivities(0, "bsm", [(2, 0, 0.0)], -1), "samples must be >= 1, got -1"),
+    ],
+    ids=["experiment-m0", "experiment-m0.1", "experiment-trial-rng", "n0", "n-1-m0", "samples0", "samples-1-m0"],
+)
+def test_stream_draws_reject_bad_input(draw, message):
+    with pytest.raises(ValueError, match=message):
+        draw()
+
+
 def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
