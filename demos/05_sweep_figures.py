@@ -2,9 +2,9 @@
 
 The sweep harness evaluates an experiment over a grid of copy counts N and
 noise half-widths m, drawing every splitter reflectivity uniformly from
-[0.5 - m, 0.5 + m]. Each trial has its own RNG stream keyed by
-(seed, experiment, N, m-index, trial), so results are byte-reproducible
-regardless of execution order.
+[0.5 - m, 0.5 + m]. Each (N, m) cell has its own RNG stream keyed by
+(seed, experiment, N, m-index), and trial t reads the next 2N draws of it, so
+results are byte-reproducible regardless of execution order.
 
 This demo runs a compact version of each of the three experiments, prints the
 headline numbers, and writes the CSV tables plus SVG line plots next to this

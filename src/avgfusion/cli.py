@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(grid_flag, **grid)
         p.add_argument("--n-copies", type=int_list, default=n_copies, help="comma-separated copy counts (default %(default)s)")
         p.add_argument("--samples", type=positive_int, default=samples, help="trials per (N, m) cell (default %(default)s)")
-        p.add_argument("--seed", type=seed, default="42", help="master seed for the per-trial RNG streams (default %(default)s)")
+        p.add_argument("--seed", type=seed, default="42", help="master seed for the per-cell RNG streams (default %(default)s)")
         p.add_argument("--out", default=out, help="CSV output path (default %(default)s)")
         p.add_argument("--svg", help="optional SVG line-plot output path")
         p.add_argument("--config", help=_CONFIG_HELP)

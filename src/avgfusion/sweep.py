@@ -15,18 +15,20 @@ Three experiments share one harness:
     Matrix-level only: trace distance between the mean of the sampled gate
     copies and the balanced fusion gate.
 
-Every trial draws its reflectivities from an independent, deterministically
-derived RNG stream keyed by (master seed, experiment, N, m index, trial), so
-results do not depend on execution order. :func:`trial_rng` defines each
-stream; a sweep computes the draws of all of its streams in one vectorized
-pass (:func:`trial_reflectivities`) that gives the same values bit for bit.
+Every (N, m) cell draws its reflectivities from one independent,
+deterministically derived numpy stream keyed by (master seed, experiment, N,
+m index), so results do not depend on execution order. Trial t reads draws
+t * 2N to t * 2N + 2N - 1 of its cell's stream, so a run with more samples
+extends each cell and keeps the earlier trials. :func:`trial_rng` gives the
+stream positioned at any one trial; a sweep draws each cell in one call
+(:func:`trial_reflectivities`).
 
 Sweeps compute from the mean matrix, not from the N-copy network. The
 post-selected network acts on the gate modes as M_N = (1/N) sum_r U_r
 (see :mod:`averaging`), and every input here puts exactly two photons on the
 gate modes, one photon per input mode. So each click-pattern amplitude is a
 2x2 permanent of M_N, divided by sqrt(2) for a doubly occupied output mode.
-A sweep *draws* every trial's reflectivities in one pass, then makes one
+A sweep *draws* each cell's reflectivities in one call, then makes one
 engine call per copy count N: the (S, 2, N) draws of its C cells (one per m)
 are stacked to C * S trials, the *copies* built as (C * S, N, 4, 4) and
 averaged to M_N, and the *metrics* computed for all trials at once and split
@@ -45,6 +47,7 @@ check this engine against.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -167,99 +170,19 @@ def sample_reflectivity(rng: np.random.Generator, m: float, size=None):
 
 
 def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, trial: int) -> np.random.Generator:
-    """Independent RNG stream for one trial, stable under reordering.
+    """The RNG of one trial: its (N, m) cell's stream, advanced to the trial.
 
-    The stream is keyed by the cell coordinates rather than spawned
-    sequentially, so any subset of trials can run in any order and still
-    draw identical values.
+    The stream is keyed by (master seed, experiment, N, m index) rather than
+    spawned sequentially, and trial t reads its 2 * N draws from position
+    t * 2 * N, so any subset of trials can run in any order and still draw
+    identical values. ``trial`` must be a non-negative integer.
     """
-    seq = np.random.SeedSequence((master_seed, _experiment_id(experiment), n_copies, m_index, trial))
-    return np.random.default_rng(seq)
-
-
-# What ``trial_rng`` hands to ``Generator.uniform``, redone in numpy arrays
-# across all streams of a sweep. The constants are numpy's: SeedSequence
-# hashing (numpy/random/bit_generator.pyx) and the PCG64 multiplier
-# (numpy/random/src/pcg64/pcg64.h); NEP 19 keeps both streams stable. Every
-# operand is an array or a scalar typed explicitly as np.uint32/np.uint64, so
-# the arithmetic wraps silently and promotes alike under numpy 1.x and 2.x.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_MASK32 = 2**32 - 1
-_LO32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
-
-
-def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash constants before and after each of ``count`` multiplier steps."""
-    before, after = [], []
-    for _ in range(count):
-        before.append(init)
-        init = init * mult & _MASK32
-        after.append(init)
-    return np.array(before, dtype=np.uint32), np.array(after, dtype=np.uint32)
-
-
-def _xorshift16(v: np.ndarray) -> np.ndarray:
-    return v ^ (v >> np.uint32(16))
-
-
-def _mul128(ah, al, bh, bl):
-    """(a * b) mod 2**128 on (high, low) uint64 halves."""
-    a0, a1, b0, b1 = al & _LO32, al >> _SHIFT32, bl & _LO32, bl >> _SHIFT32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
-    carry = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    return ah * bl + al * bh + carry, al * bl
-
-
-def _add128(ah, al, bh, bl):
-    """(a + b) mod 2**128 on (high, low) uint64 halves."""
-    lo = al + bl
-    return ah + bh + (lo < al).astype(np.uint64), lo
-
-
-def _uint32_words(x: int) -> int:
-    return max(1, -(-x.bit_length() // 32))
-
-
-def _stream_doubles(prefixes: list[tuple[int, ...]], trials: int, draws: int) -> np.ndarray:
-    """First ``draws`` doubles of ``default_rng(SeedSequence((*prefix, t)))``.
-
-    Shape (len(prefixes), trials, draws). Every prefix holds at least four
-    words and the trial index is one 32-bit word.
-    """
-    if trials > 2**32:
-        raise ValueError(f"trial indices must fit one 32-bit word, got {trials} trials")
-    # SeedSequence mixes its entropy words into a 4-word pool in order, so the
-    # pool after the prefix comes from numpy; the trial word is mixed in last,
-    # once per pool word, with hash constants that follow the 16 + 4 (L - 4)
-    # steps the L prefix words took.
-    pools = np.array([np.random.SeedSequence(p).pool for p in prefixes], dtype=np.uint32)
-    steps = [16 + 4 * (sum(map(_uint32_words, p)) - 4) for p in prefixes]
-    hx, hm = zip(*(_hash_consts(_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32, _MULT_A, 4) for k in steps))
-    t = np.arange(trials, dtype=np.uint32)[None, :, None]
-    hashed = _xorshift16((t ^ np.array(hx)[:, None]) * np.array(hm)[:, None])
-    pool = _xorshift16(_MIX_MULT_L * pools[:, None] - _MIX_MULT_R * hashed)
-    # generate_state(4, uint64): 8 words cycled from the pool, paired low word first
-    bx, bm = _hash_consts(_INIT_B, _MULT_B, 8)
-    words = _xorshift16((pool[..., [0, 1, 2, 3, 0, 1, 2, 3]] ^ bx) * bm).astype(np.uint64)
-    seed = words[..., 0::2] | (words[..., 1::2] << _SHIFT32)  # initstate (hi, lo), initseq (hi, lo)
-    inc_hi = (seed[..., 2] << np.uint64(1)) | (seed[..., 3] >> np.uint64(63))
-    inc_lo = (seed[..., 3] << np.uint64(1)) | np.uint64(1)
-
-    def step(hi, lo):
-        return _add128(*_mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
-
-    # PCG64 seeding: one step from state 0 gives inc; add initstate; step again
-    hi, lo = step(*_add128(seed[..., 0], seed[..., 1], inc_hi, inc_lo))
-    out = np.empty(hi.shape + (draws,), dtype=np.uint64)
-    for k in range(draws):
-        hi, lo = step(hi, lo)
-        rot, folded = hi >> np.uint64(58), hi ^ lo  # XSL-RR output
-        out[..., k] = (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (out >> np.uint64(11)) * (1.0 / 9007199254740992.0)  # top 53 bits, on [0, 1)
+    trial = operator.index(trial)
+    if trial < 0:
+        raise ValueError(f"trial must be >= 0, got {trial}")
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, _experiment_id(experiment), n_copies, m_index)))
+    rng.bit_generator.advance(trial * 2 * operator.index(n_copies))
+    return rng
 
 
 def trial_reflectivities(
@@ -267,30 +190,16 @@ def trial_reflectivities(
 ) -> list[np.ndarray]:
     """The reflectivities of every trial of every (N, m index, m) cell.
 
-    Entry c has shape (samples, 2, N), trial t in row t: bit for bit
+    Entry c has shape (samples, 2, N), trial t in row t: the first
+    samples * 2 * N draws of the cell's stream, so row t is bit for bit
     ``sample_reflectivity(trial_rng(master_seed, experiment, N, mi, t), m, (2, N))``.
-    All streams of cells with m > 0 are computed in one pass, 2 * max(N)
-    draws each; cells with m = 0 draw nothing.
     """
-    exp_id = _experiment_id(experiment)
+    _experiment_id(experiment)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if any(n < 1 for n, _, _ in cells):
         raise ValueError(f"copy counts N must be >= 1, got {[n for n, _, _ in cells]}")
-    if any(not 0.0 <= m <= 0.5 for _, _, m in cells):
-        raise ValueError(f"noise half-widths m must lie in [0, 0.5], got {[m for _, _, m in cells]}")
-    noisy = [(n, mi) for n, mi, m in cells if m != 0.0]
-    if noisy:
-        draws = 2 * max(n for n, _ in noisy)
-        doubles = iter(_stream_doubles([(master_seed, exp_id, n, mi) for n, mi in noisy], samples, draws))
-    out = []
-    for n, mi, m in cells:
-        if m == 0.0:
-            out.append(np.full((samples, 2, n), 0.5))
-            continue
-        low, high = 0.5 - m, 0.5 + m
-        out.append(low + (high - low) * next(doubles)[:, : 2 * n].reshape(samples, 2, n))
-    return out
+    return [sample_reflectivity(trial_rng(master_seed, experiment, n, mi, 0), m, (samples, 2, n)) for n, mi, m in cells]
 
 
 @cache
@@ -445,8 +354,8 @@ def run_trace_trial(n_copies: int, m: float, trial: int, rng: np.random.Generato
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every (N, m) cell; :func:`write_csv` writes the result.
 
-    The reflectivities of every trial come from their own streams, all drawn
-    in one pass; the cells of each copy count N then run in one engine call.
+    The reflectivities of each cell come from its own stream in one draw; the
+    cells of each copy count N then run in one engine call.
     Cells come out N-major, then in ``m_grid`` order.
     """
     keys = [(n, mi, m) for n in cfg.n_copies_list for mi, m in enumerate(cfg.m_grid)]

@@ -19,7 +19,7 @@ HEADLINES = {
     "02_fusion_parity.py": "  heralded success probability: 0.5000",
     "03_averaging_filter.py": "  8               0.0866              0.9530",
     "04_bsm_discrimination.py": "  2     0.964743     0.964743     0.999919       0.999919",
-    "05_sweep_figures.py": "  N=6 m=0.2: 0.0972 +/- 0.0389",
+    "05_sweep_figures.py": "  N=6 m=0.2: 0.0964 +/- 0.0404",
 }
 
 

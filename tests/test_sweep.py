@@ -209,9 +209,10 @@ def test_run_sweep_shape_and_aggregates():
     ),
     samples=st.one_of(st.integers(min_value=1, max_value=12), st.sampled_from([299, 300])),
 )
-def test_trial_reflectivities_equal_the_per_trial_streams(seed, experiment, cells, samples):
-    """The one-pass draw of a sweep equals every trial's own stream, bit for bit
-    (1- and 2-word seeds, N up to 8, m = 0 cells mixed with noisy ones)."""
+def test_every_trial_row_equals_its_own_trial_rng(seed, experiment, cells, samples):
+    """Row t of a cell's draw equals the stream ``trial_rng`` gives trial t,
+    bit for bit, and does not depend on the order of the cells (1- and 2-word
+    seeds, N up to 8, m = 0 cells mixed with noisy ones)."""
     got = trial_reflectivities(seed, experiment, cells, samples)
     assert len(got) == len(cells)
     for (n, mi, m), etas in zip(cells, got):
@@ -220,15 +221,37 @@ def test_trial_reflectivities_equal_the_per_trial_streams(seed, experiment, cell
         ])
         assert etas.shape == ref.shape and etas.dtype == ref.dtype
         assert etas.tobytes() == ref.tobytes()
+    reversed_draw = trial_reflectivities(seed, experiment, cells[::-1], samples)[::-1]
+    assert [etas.tobytes() for etas in reversed_draw] == [etas.tobytes() for etas in got]
+
+
+def test_trial_rng_accepts_numpy_integers():
+    for t in (0, 1, 4):
+        want = trial_rng(7, "bsm", 3, 1, t).uniform(size=6)
+        got = trial_rng(np.uint64(7), "bsm", np.int64(3), np.int64(1), np.int64(t)).uniform(size=6)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_more_samples_keep_the_earlier_trials(experiment):
+    """A cell's trial t is the same at any sample count above t."""
+    small, large = (
+        run_sweep(SweepConfig(experiment, (1, 3), (0.0, 0.25, 0.5), samples=s, master_seed=11)) for s in (3, 7)
+    )
+    for a, b in zip(small.cells, large.cells, strict=True):
+        assert (a.n_copies, a.m) == (b.n_copies, b.m)
+        assert a.etas.tobytes() == b.etas[:3].tobytes()
+        for col in METRIC_COLUMNS[experiment]:
+            assert a.metrics[col].tobytes() == b.metrics[col][:3].tobytes(), col
 
 
 # sha256 of the N,m,trial,eta columns (header and mean/std rows included) of
 # one small sweep per experiment. These columns hold only stream draws and
 # their formatting, so the digests are platform-independent.
 _DRAW_COLUMN_DIGESTS = {
-    "fusion": "9fc179c6b72207e724994f18fe5a4ad379aa1695c7ac5c7da762498b4164dca6",
-    "bsm": "9f5afcd3f3c2547e283eaebe4747db2a0517f1d9d50387c2d2fdc75f716ca385",
-    "trace-distance": "cbd4cc70b0392aa1e3e6b571ef7ea8ff68c3895b325c9fb7cdd915559f69e03d",
+    "fusion": "d0e882c1b887388fec94953a904fe5dfbb26a303eba56155cde2006783cbe029",
+    "bsm": "f59581ad0cae84ddf3f21bebeef18b524f4984e2bc7ea286e480d9c7ff740b63",
+    "trace-distance": "d00f7e902bffdf50faf3cbeaca7274f59c9dce870358cd463cf34d2056a50a88",
 }
 
 
@@ -315,12 +338,13 @@ def test_run_cell_rejects_a_metric_function_of_the_wrong_width(monkeypatch, expe
         (lambda: trial_reflectivities(0, "nope", [(2, 0, 0.0)], 3), "unknown experiment 'nope'"),
         (lambda: trial_reflectivities(0, "nope", [(2, 0, 0.1)], 3), "unknown experiment 'nope'"),
         (lambda: trial_rng(0, "nope", 1, 0, 0), "unknown experiment 'nope'"),
+        (lambda: trial_rng(0, "fusion", 1, 0, -1), "trial must be >= 0, got -1"),
         (lambda: trial_reflectivities(0, "fusion", [(0, 0, 0.1)], 3), r"N must be >= 1, got \[0\]"),
         (lambda: trial_reflectivities(0, "fusion", [(-1, 0, 0.0)], 3), r"N must be >= 1, got \[-1\]"),
         (lambda: trial_reflectivities(0, "fusion", [(2, 0, 0.1)], 0), "samples must be >= 1, got 0"),
         (lambda: trial_reflectivities(0, "bsm", [(2, 0, 0.0)], -1), "samples must be >= 1, got -1"),
     ],
-    ids=["experiment-m0", "experiment-m0.1", "experiment-trial-rng", "n0", "n-1-m0", "samples0", "samples-1-m0"],
+    ids=["experiment-m0", "experiment-m0.1", "experiment-trial-rng", "trial-1", "n0", "n-1-m0", "samples0", "samples-1-m0"],
 )
 def test_stream_draws_reject_bad_input(draw, message):
     with pytest.raises(ValueError, match=message):
