@@ -37,10 +37,12 @@ def fidelity(state, target):
     """|<state|target>|^2 for a normalized target; state may be unnormalized.
 
     Takes two StateVecs, or two amplitude arrays over one ket basis (last
-    axis); a stack of amplitude arrays gives an array of fidelities.
+    axis, of one length); a stack of amplitude arrays gives an array of fidelities.
     """
     if isinstance(state, StateVec):
         return float(abs(inner_product(state, target)) ** 2)
+    if np.shape(state)[-1:] != np.shape(target)[-1:]:
+        raise ValueError(f"amplitude arrays over different ket bases: {np.shape(state)} vs {np.shape(target)}")
     return np.abs(np.sum(np.conj(state) * target, axis=-1)) ** 2
 
 
@@ -66,12 +68,12 @@ def normalized_fidelity(f, p):
 def trace_distance(a, b):
     """Half the nuclear norm of (a - b): 0.5 * sum of singular values.
 
-    Takes TransferMatrix objects or arrays; arrays of shape (..., d, d) are
-    stacks of matrices and give an array of distances of shape (...).
+    Takes TransferMatrix objects or arrays, which must be (..., d, d) with one
+    d; stacks of matrices broadcast and give an array of distances of shape (...).
     """
     a = a.entries if isinstance(a, TransferMatrix) else np.asarray(a)
     b = b.entries if isinstance(b, TransferMatrix) else np.asarray(b)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-2:] != b.shape[-2:]:
+        raise ValueError(f"operands must be (..., d, d) with one d, got {a.shape} and {b.shape}")
     d = 0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False), axis=-1)
     return float(d) if d.ndim == 0 else d

@@ -26,8 +26,12 @@ stream positioned at any one trial; a sweep draws each cell in one call
 Sweeps compute from the mean matrix, not from the N-copy network. The
 post-selected network acts on the gate modes as M_N = (1/N) sum_r U_r
 (see :mod:`averaging`), and every input here puts exactly two photons on the
-gate modes, one photon per input mode. So each click-pattern amplitude is a
-2x2 permanent of M_N, divided by sqrt(2) for a doubly occupied output mode.
+gate modes, one photon per input mode. So the click amplitudes A[p, i, j]
+of photons entering modes i and j are 2x2 permanents of M_N (over sqrt(2) for
+a doubly occupied output mode), and each experiment reads an index slice of
+them: fusion the 2x2 Kraus block of each pattern p, which maps the phi+ (x)
+phi+ spectator rails to the heralded pair; bsm the psi+ amplitudes
+(A[p, 0, 3] + A[p, 1, 2]) / sqrt(2).
 A sweep *draws* each cell's reflectivities in one call, then makes one
 engine call per copy count N: the (S, 2, N) draws of its C cells (one per m)
 are stacked to C * S trials, the *copies* built as (C * S, N, 4, 4) and
@@ -37,9 +41,8 @@ equals a one-cell run bit for bit. :func:`run_cell` is the engine's boundary
 and its one-cell case: it reads N from the (S, 2, N) reflectivities and
 checks them, m and the experiment. Below it, only the public
 :func:`closed_form.bsm_closed_forms`, which the bsm metrics call, checks the
-reflectivities again. The cell,
-with its trial axis intact, is what a sweep returns (:class:`Cell`) and what
-the CSV and the plots read. The full Fock-space network (:mod:`averaging`,
+reflectivities again. The cell, with its trial axis intact, is what a sweep
+returns (:class:`Cell`) and what the CSV and the plots read. The full Fock-space network (:mod:`averaging`,
 :func:`fock.apply_transfer`) stays the oracle that ``verify`` and the tests
 check this engine against.
 """
@@ -55,7 +58,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .closed_form import bsm_closed_forms
-from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
+from .detection import _SQRT_HALF, BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
 from .fock import StateVec, tensor
 from .interferometers import _bsm_matrices, _check_reflectivity, _fusion_gates
 from .metrics import bell_state, fidelity, normalized_fidelity, trace_distance
@@ -227,38 +230,27 @@ def _bsm_target() -> StateVec:
 #: each one fills (the same mode twice for a double click).
 _PATTERNS = tuple(BSM_PATTERNS.values())
 _PATTERN_MODES = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in _PATTERNS]).T
-_BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], 1.0 / math.sqrt(2.0), 1.0)
+_BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], _SQRT_HALF, 1.0)
 
 _BALANCED_FUSION = _fusion_gates(0.5, 0.5)
 
+#: phi+ on a fusion Kraus block's diagonal (HH, VV); the analyzer's psi+ image per pattern.
+_PHI_PLUS_DIAGONAL = np.full(2, _SQRT_HALF)
+_BSM_TARGET = np.array([BSM_MAP_TARGETS["psi+"].get(p, 0.0) for p in _PATTERNS])
 
-def _pair_amplitudes(mean: np.ndarray, i: int, j: int) -> np.ndarray:
+
+def _pair_amplitudes(mean: np.ndarray, i, j) -> np.ndarray:
     """Click amplitudes of one photon entering mode i and one entering mode j.
 
-    ``mean`` has shape (..., 4, 4); the result has shape (..., 10), one entry
-    per pattern of ``_PATTERNS``: the permanent M[k,i]M[l,j] + M[l,i]M[k,j]
-    of the pattern's modes (k, l), divided by sqrt(2) when k = l.
+    ``mean`` has shape (S, 4, 4) and the mode indices broadcast to a shape B.
+    Entry (s, p, *b) is the permanent M[k,i]M[l,j] + M[l,i]M[k,j] of trial s
+    for the modes (k, l) of pattern p of ``_PATTERNS``, over sqrt(2) if k = l.
     """
-    k, l = _PATTERN_MODES
-    amp = mean[..., k, i] * mean[..., l, j] + mean[..., l, i] * mean[..., k, j]
-    return amp * _BUNCHING
-
-
-def _evolve_pairs(mean: np.ndarray, state: StateVec) -> tuple[np.ndarray, list]:
-    """Evolve ``state`` under ``mean`` on its first four modes; pass the rest through.
-
-    Every ket of ``state`` must hold one photon in each of two gate modes.
-    Returns the amplitudes, shape (..., 10, K), by click pattern and by
-    spectator ket, and the K spectator kets (the unmeasured modes).
-    """
-    spectators = sorted({ket[4:] for ket in state.kets()})
-    out = np.zeros(mean.shape[:-2] + (len(_PATTERNS), len(spectators)), dtype=complex)
-    for ket, a in state.items():
-        if sorted(ket[:4]) != [0, 0, 1, 1]:
-            raise ValueError(f"ket {ket} needs one photon in each of two gate modes")
-        i, j = (mode for mode in range(4) if ket[mode])
-        out[..., spectators.index(ket[4:])] += a * _pair_amplitudes(mean, i, j)
-    return out, spectators
+    shape = (-1,) + (1,) * np.broadcast(i, j).ndim
+    k, l = _PATTERN_MODES.reshape(2, *shape)
+    m = mean.transpose(1, 2, 0).copy()  # trials last: each product runs along contiguous trials
+    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * _BUNCHING.reshape(*shape, 1)
+    return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
 
 
 def _copy_mean(gates, etas: np.ndarray) -> np.ndarray:
@@ -267,13 +259,17 @@ def _copy_mean(gates, etas: np.ndarray) -> np.ndarray:
 
 
 def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of ``etas``."""
+    """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of ``etas``.
+
+    Each phi+ (x) phi+ ket has amplitude 1/sqrt(2) * 1/sqrt(2), so pattern p heralds
+    the spectators in the Kraus block ``kraus[:, p]``, rows (V1, H1) and columns
+    (V4, H4): the sorted spectator-ket order, which fixes how P_HH and P_single sum.
+    """
     mean = _copy_mean(_fusion_gates, etas)
-    out, spectators = _evolve_pairs(mean, _fusion_input())
-    prob = np.sum(np.abs(out) ** 2, axis=-1)
+    kraus = _SQRT_HALF * _SQRT_HALF * _pair_amplitudes(mean, [[1], [0]], [[3, 2]])
+    prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
     hh = _PATTERNS.index(FUSION_PATTERNS["HH"])
-    phi_plus = bell_state("phi+")
-    f_hh = fidelity(out[:, hh], np.array([phi_plus.amplitude(k) for k in spectators]))
+    f_hh = fidelity(np.diagonal(kraus[:, hh], axis1=-2, axis2=-1), _PHI_PLUS_DIAGONAL)
     p_hh = prob[:, hh]
     heralded = p_hh > 0
     f_hh_norm = np.full(len(p_hh), math.nan)
@@ -285,9 +281,9 @@ def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
 def _bsm_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Bell-state analyzer on a psi+ input, one trial per row of ``etas``."""
     mean = _copy_mean(_bsm_matrices, etas)
-    out = _evolve_pairs(mean, bell_state("psi+"))[0][..., 0]
-    target = np.array([_bsm_target().amplitude(p) for p in _PATTERNS])
-    f = fidelity(out, target)
+    amp = _SQRT_HALF * _pair_amplitudes(mean, [0, 1], [3, 2])
+    out = amp[..., 0] + amp[..., 1]
+    f = fidelity(out, _BSM_TARGET)
     p_success = np.sum(np.abs(out) ** 2, axis=-1)
     return f, p_success, normalized_fidelity(f, p_success), *bsm_closed_forms(etas[:, 0], etas[:, 1])
 

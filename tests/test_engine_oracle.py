@@ -6,6 +6,8 @@ network (build_averaged_network -> run_averaged -> postselect_vacuum_ancilla)
 for N from 1 to 6 and reflectivities anywhere on [0, 1], endpoints included.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,13 @@ from hypothesis import strategies as st
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
 from avgfusion.detection import fusion_outcomes
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
-from avgfusion.interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
+from avgfusion.interferometers import bsm_matrix, effective_average, fusion_gate
 from avgfusion.metrics import bell_state, fidelity, trace_distance
 from avgfusion.sweep import (
     _PATTERNS,
     _bsm_target,
-    _evolve_pairs,
     _fusion_input,
+    _pair_amplitudes,
     run_bsm_trial,
     run_fusion_trial,
 )
@@ -51,26 +53,23 @@ def reflectivity_draws(draw):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_pair_amplitudes_match_apply_transfer(seed):
     """Every click pattern, doubles included, for all six input mode pairs on
-    a random non-unitary matrix, with spectator kets shared between terms."""
+    a stack of random non-unitary matrices, in both index shapes the engine
+    uses: a (2, 1) x (1, 2) block and a (2,) x (2,) list of pairs."""
     rng = np.random.default_rng(seed)
-    mean = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    gate_kets = [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)]
-    spectator_kets = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    state = StateVec(7, {g + spectator_kets[t % 3]: a for t, (g, a) in enumerate(zip(gate_kets, amps))})
-
-    out, spectators = _evolve_pairs(mean, state)
-    expected = apply_transfer(direct_sum([TransferMatrix(mean), TransferMatrix(np.eye(3))]), state)
-    assert sorted(spectators) == sorted(spectator_kets)
-    for p, pattern in enumerate(_PATTERNS):
-        for s, spectator in enumerate(spectators):
-            assert out[p, s] == pytest.approx(expected.amplitude(pattern + spectator), abs=TOL)
-    assert np.sum(np.abs(out) ** 2) == pytest.approx(norm_sq(expected), rel=1e-12)
-
-
-def test_pair_amplitudes_reject_bunched_input():
-    with pytest.raises(ValueError, match="one photon in each"):
-        _evolve_pairs(np.eye(4), StateVec(4, {(2, 0, 0, 0): 1.0}))
+    mean = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    pairs = set()
+    for i, j in (([[0], [1]], [[2, 3]]), ([0, 2], [1, 3])):
+        out = _pair_amplitudes(mean, i, j)
+        i, j = np.broadcast_arrays(i, j)
+        assert out.shape == (3, len(_PATTERNS), *i.shape)
+        for s, b in itertools.product(range(3), np.ndindex(i.shape)):
+            pairs.add((i[b], j[b]))
+            ket = tuple(int(mode in (i[b], j[b])) for mode in range(4))
+            expected = apply_transfer(TransferMatrix(mean[s]), StateVec.from_ket(ket))
+            for p, pattern in enumerate(_PATTERNS):
+                assert out[(s, p, *b)] == pytest.approx(expected.amplitude(pattern), abs=TOL)
+            assert np.sum(np.abs(out[(s, slice(None), *b)]) ** 2) == pytest.approx(norm_sq(expected), rel=1e-12)
+    assert pairs == set(itertools.combinations(range(4), 2))
 
 
 def _compare(cell, oracle: dict) -> None:

@@ -54,6 +54,15 @@ def test_fidelity_bounded_by_norm_sq():
         assert fidelity(s, bell_state(label)) <= norm_sq(s) + 1e-12
 
 
+def test_fidelity_of_amplitude_arrays_needs_one_ket_basis():
+    assert fidelity(np.full((3, 4), 0.5), np.full(4, 0.5)).tolist() == [1.0] * 3
+    for state, target in ((np.ones(1), np.ones(4)), (np.ones((3, 10)), np.ones(4))):
+        with pytest.raises(ValueError, match="different ket bases"):
+            fidelity(state, target)
+        with pytest.raises(ValueError, match="different ket bases"):
+            fidelity(target, state)
+
+
 def test_normalized_fidelity():
     assert normalized_fidelity(0.125, 0.125) == pytest.approx(1.0)
     assert normalized_fidelity(0.0, 0.3) == 0.0
@@ -84,6 +93,28 @@ def test_trace_distance_basics():
     assert trace_distance(a, b) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         trace_distance(a, TransferMatrix(np.eye(3)))
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        (np.ones((1, 4)), np.eye(4), None),
+        (np.ones(4), np.eye(4), None),
+        (
+            np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])[:, None],
+            np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), -np.eye(4)]),
+            [[0.0, 1.0, 4.0], [1.0, 0.0, 3.0]],
+        ),
+    ],
+    ids=["row-vs-square", "vector-vs-square", "stacks-broadcast"],
+)
+def test_trace_distance_needs_square_operands_of_one_size(a, b, want):
+    if want is None:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=r"\(\.\.\., d, d\)"):
+                trace_distance(x, y)
+    else:
+        np.testing.assert_allclose(trace_distance(a, b), want, atol=1e-12)
 
 
 def test_trace_distance_metric_properties():
