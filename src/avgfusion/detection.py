@@ -7,12 +7,11 @@ state on the unmeasured modes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .fock import StateVec, apply_transfer
 from .interferometers import bsm_matrix
-from .metrics import bell_state
+from .metrics import _SQRT_HALF, bell_state
 
 #: Two-photon click patterns on the four analyzer modes (a, b, c, d) of a
 #: Bell-state analyzer: the four doubles and the six coincidences.
@@ -28,8 +27,6 @@ BSM_PATTERNS: dict[str, tuple[int, int, int, int]] = {
     "bd": (0, 1, 0, 1),
     "cd": (0, 0, 1, 1),
 }
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 #: Balanced-analyzer image of each Bell state, up to one global phase.
 BSM_MAP_TARGETS: dict[str, dict[tuple[int, ...], complex]] = {

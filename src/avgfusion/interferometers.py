@@ -5,12 +5,20 @@ rails of the two qubits the gate touches. Sign conventions follow the printed
 beam-splitter block [[sqrt(eta), sqrt(1-eta)], [-sqrt(1-eta), sqrt(eta)]];
 state-level comparisons elsewhere allow one global phase.
 
-The gate algebra lives in the package-private broadcasting builders
-(``_fusion_gates``, ``_bsm_matrices``, ``_beamsplitter_layers``), which take
-reflectivity arrays and return stacks of 4x4 matrices. They check nothing;
-``sweep.run_cell`` checks the sweep engine's reflectivities. The public
-scalar constructors check theirs and wrap one builder matrix in a
-:class:`TransferMatrix`.
+Every gate here is real and linear in its per-copy features
+f = (sqrt(eta_1), sqrt(1 - eta_1), sqrt(eta_2), sqrt(1 - eta_2)). The block
+above is sqrt(eta) * I + sqrt(1 - eta) * J with J = [[0, 1], [-1, 0]], so a
+beam-splitter layer B and the analyzer are sums f_a * L_a, and the fusion
+gate B * SWAP * B is the sum of f_a f_b * (L_a SWAP L_b), over constant 4x4
+matrices L_a built below. The mean of N copies, M_N = (1/N) sum_r U_r, is
+then the same map of the copy means of f_a (analyzer) or f_a f_b (fusion).
+
+The package-private builders ``_fusion_gates`` and ``_bsm_matrices`` take the
+copies' reflectivities on the last axis and return M_N directly, real
+float64 of shape (..., 4, 4); no per-copy matrix is built. They check
+nothing; ``sweep.run_cell`` checks the sweep engine's reflectivities. The
+public scalar constructors are the N = 1 case: they check their
+reflectivities and wrap the one matrix in a :class:`TransferMatrix`.
 """
 
 from __future__ import annotations
@@ -37,44 +45,44 @@ def dft_matrix(n: int) -> TransferMatrix:
     return TransferMatrix(w / np.sqrt(n))
 
 
-def _bs_blocks(eta: np.ndarray) -> np.ndarray:
-    c, s = np.sqrt(eta), np.sqrt(1.0 - eta)
-    block = np.empty(eta.shape + (2, 2), dtype=complex)
-    block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1] = c, s, -s, c
-    return block
+_SWAP = [0, 3, 2, 1]
+
+#: A beam-splitter block is c * I + s * J; a fusion layer puts one on each
+#: qubit's pair (H1, V1), (H2, V2), the analyzer on (H1, H2), (V1, V2).
+_BLOCKS = (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+_PAIRS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+_LAYER = np.array([np.kron(p, b) for p in _PAIRS for b in _BLOCKS])  # L_a, shape (4, 4, 4)
+_ANALYZER = np.array([np.kron(b, p) for p in _PAIRS for b in _BLOCKS])
+_FUSION = (_LAYER[:, None, :, _SWAP] @ _LAYER).reshape(16, 4, 4)  # L_a SWAP L_b at 4a + b
 
 
-def _beamsplitter_layers(eta_x, eta_y) -> np.ndarray:
-    """Broadcasting form of :func:`beamsplitter_layer`, unchecked: shape (..., 4, 4)."""
-    eta_x, eta_y = np.broadcast_arrays(eta_x, eta_y)
-    b = np.zeros(eta_x.shape + (4, 4), dtype=complex)
-    b[..., :2, :2] = _bs_blocks(eta_x)
-    b[..., 2:, 2:] = _bs_blocks(eta_y)
-    return b
+def _features(eta_1, eta_2) -> np.ndarray:
+    """(sqrt(eta_1), sqrt(1 - eta_1), sqrt(eta_2), sqrt(1 - eta_2)) on a new last axis."""
+    eta_1, eta_2 = np.broadcast_arrays(eta_1, eta_2)
+    return np.sqrt(np.stack([eta_1, 1.0 - eta_1, eta_2, 1.0 - eta_2], axis=-1))
+
+
+def _linear(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[..., k] * basis[k], shape (..., 4, 4)."""
+    return (coefficients @ basis.reshape(len(basis), 16)).reshape(coefficients.shape[:-1] + (4, 4))
 
 
 def _fusion_gates(eta_x, eta_y) -> np.ndarray:
-    """Broadcasting form of :func:`fusion_gate`, unchecked: shape (..., 4, 4)."""
-    b = _beamsplitter_layers(eta_x, eta_y)
-    return b[..., _SWAP] @ b  # b @ SWAP: the columns of b, permuted
+    """M_N of :func:`fusion_gate`, the copies on the last axis, unchecked: real, (..., 4, 4)."""
+    f = _features(eta_x, eta_y)
+    products = np.swapaxes(f, -1, -2) @ f / f.shape[-2]  # copy mean of f_a f_b
+    return _linear(products.reshape(products.shape[:-2] + (16,)), _FUSION)
 
 
 def _bsm_matrices(eta_h, eta_v) -> np.ndarray:
-    """Broadcasting form of :func:`bsm_matrix`, unchecked: shape (..., 4, 4)."""
-    eta_h, eta_v = np.broadcast_arrays(eta_h, eta_v)
-    t = np.zeros(eta_h.shape + (4, 4), dtype=complex)
-    t[..., 0::2, 0::2] = _bs_blocks(eta_h)  # (H1, H2)
-    t[..., 1::2, 1::2] = _bs_blocks(eta_v)  # (V1, V2)
-    return t
+    """M_N of :func:`bsm_matrix`, the copies on the last axis, unchecked: real, (..., 4, 4)."""
+    return _linear(_features(eta_h, eta_v).mean(axis=-2), _ANALYZER)
 
 
 def beamsplitter_layer(eta_x: float, eta_y: float) -> TransferMatrix:
     """One layer of the fusion gate: a beam splitter on each qubit's rail pair."""
     eta_x, eta_y = _check_reflectivity("eta_x", eta_x), _check_reflectivity("eta_y", eta_y)
-    return TransferMatrix(_beamsplitter_layers(eta_x, eta_y))
-
-
-_SWAP = [0, 3, 2, 1]
+    return TransferMatrix(_linear(_features(eta_x, eta_y), _LAYER))
 
 
 def swap_matrix() -> TransferMatrix:
@@ -88,7 +96,7 @@ def fusion_gate(eta_x: float, eta_y: float) -> TransferMatrix:
     (1/2, 1/2) is the perfect gate; (1, 1) degenerates to the bare SWAP.
     """
     eta_x, eta_y = _check_reflectivity("eta_x", eta_x), _check_reflectivity("eta_y", eta_y)
-    return TransferMatrix(_fusion_gates(eta_x, eta_y))
+    return TransferMatrix(_fusion_gates(eta_x[..., None], eta_y[..., None]))
 
 
 def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
@@ -99,7 +107,7 @@ def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
     reflectivity.
     """
     eta_h, eta_v = _check_reflectivity("eta_h", eta_h), _check_reflectivity("eta_v", eta_v)
-    return TransferMatrix(_bsm_matrices(eta_h, eta_v))
+    return TransferMatrix(_bsm_matrices(eta_h[..., None], eta_v[..., None]))
 
 
 def permutation_matrix(perm) -> TransferMatrix:

@@ -11,13 +11,13 @@ from .fock import StateVec, TransferMatrix, inner_product
 
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _BELL_KETS = {
-    "psi+": (((1, 0, 0, 1), _INV_SQRT2), ((0, 1, 1, 0), _INV_SQRT2)),
-    "psi-": (((1, 0, 0, 1), _INV_SQRT2), ((0, 1, 1, 0), -_INV_SQRT2)),
-    "phi+": (((1, 0, 1, 0), _INV_SQRT2), ((0, 1, 0, 1), _INV_SQRT2)),
-    "phi-": (((1, 0, 1, 0), _INV_SQRT2), ((0, 1, 0, 1), -_INV_SQRT2)),
+    "psi+": (((1, 0, 0, 1), _SQRT_HALF), ((0, 1, 1, 0), _SQRT_HALF)),
+    "psi-": (((1, 0, 0, 1), _SQRT_HALF), ((0, 1, 1, 0), -_SQRT_HALF)),
+    "phi+": (((1, 0, 1, 0), _SQRT_HALF), ((0, 1, 0, 1), _SQRT_HALF)),
+    "phi-": (((1, 0, 1, 0), _SQRT_HALF), ((0, 1, 0, 1), -_SQRT_HALF)),
 }
 
 

@@ -20,8 +20,8 @@ deterministically derived numpy stream keyed by (master seed, experiment, N,
 m index), so results do not depend on execution order. Trial t reads draws
 t * 2N to t * 2N + 2N - 1 of its cell's stream, so a run with more samples
 extends each cell and keeps the earlier trials. :func:`trial_rng` gives the
-stream positioned at any one trial; a sweep draws each cell in one call
-(:func:`trial_reflectivities`).
+stream positioned at any one trial; a sweep draws each cell in one call from
+the stream at trial 0.
 
 Sweeps compute from the mean matrix, not from the N-copy network. The
 post-selected network acts on the gate modes as M_N = (1/N) sum_r U_r
@@ -34,15 +34,17 @@ phi+ spectator rails to the heralded pair; bsm the psi+ amplitudes
 (A[p, 0, 3] + A[p, 1, 2]) / sqrt(2).
 A sweep *draws* each cell's reflectivities in one call, then makes one
 engine call per copy count N: the (S, 2, N) draws of its C cells (one per m)
-are stacked to C * S trials, the *copies* built as (C * S, N, 4, 4) and
-averaged to M_N, and the *metrics* computed for all trials at once and split
-back into C cells. Each metric is computed trial by trial, so a stacked cell
-equals a one-cell run bit for bit. :func:`run_cell` is the engine's boundary
-and its one-cell case: it reads N from the (S, 2, N) reflectivities and
-checks them, m and the experiment. Below it, only the public
-:func:`closed_form.bsm_closed_forms`, which the bsm metrics call, checks the
-reflectivities again. The cell, with its trial axis intact, is what a sweep
-returns (:class:`Cell`) and what the CSV and the plots read. The full Fock-space network (:mod:`averaging`,
+are stacked to C * S trials, M_N is built for every trial straight from
+its copies' reflectivities (:mod:`interferometers` averages per-copy
+features, never copy matrices), and the *metrics* are computed for all
+trials at once and split back into C cells. Each metric is computed trial by
+trial, so a stacked cell equals a one-cell run bit for bit.
+:func:`run_cell` is the engine's boundary and its one-cell case: it reads N
+from the (S, 2, N) reflectivities and checks them, m and the experiment.
+Below it, only the public :func:`closed_form.bsm_closed_forms`, which the bsm
+metrics call, checks the reflectivities again. The cell, with its trial axis
+intact, is what a sweep returns (:class:`Cell`) and what the CSV and the
+plots read. The full Fock-space network (:mod:`averaging`,
 :func:`fock.apply_transfer`) stays the oracle that ``verify`` and the tests
 check this engine against.
 """
@@ -58,10 +60,10 @@ from functools import cache, cached_property
 import numpy as np
 
 from .closed_form import bsm_closed_forms
-from .detection import _SQRT_HALF, BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
+from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
 from .fock import StateVec, tensor
 from .interferometers import _bsm_matrices, _check_reflectivity, _fusion_gates
-from .metrics import bell_state, fidelity, normalized_fidelity, trace_distance
+from .metrics import _SQRT_HALF, bell_state, fidelity, normalized_fidelity, trace_distance
 
 EXPERIMENTS = ("fusion", "bsm", "trace-distance")
 
@@ -188,23 +190,6 @@ def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, tr
     return rng
 
 
-def trial_reflectivities(
-    master_seed: int, experiment: str, cells: list[tuple[int, int, float]], samples: int
-) -> list[np.ndarray]:
-    """The reflectivities of every trial of every (N, m index, m) cell.
-
-    Entry c has shape (samples, 2, N), trial t in row t: the first
-    samples * 2 * N draws of the cell's stream, so row t is bit for bit
-    ``sample_reflectivity(trial_rng(master_seed, experiment, N, mi, t), m, (2, N))``.
-    """
-    _experiment_id(experiment)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if any(n < 1 for n, _, _ in cells):
-        raise ValueError(f"copy counts N must be >= 1, got {[n for n, _, _ in cells]}")
-    return [sample_reflectivity(trial_rng(master_seed, experiment, n, mi, 0), m, (samples, 2, n)) for n, mi, m in cells]
-
-
 @cache
 def _fusion_input() -> StateVec:
     """Two dual-rail phi+ pairs, reordered to (fused rails, spectator rails).
@@ -232,7 +217,7 @@ _PATTERNS = tuple(BSM_PATTERNS.values())
 _PATTERN_MODES = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in _PATTERNS]).T
 _BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], _SQRT_HALF, 1.0)
 
-_BALANCED_FUSION = _fusion_gates(0.5, 0.5)
+_BALANCED_FUSION = _fusion_gates([0.5], [0.5])
 
 #: phi+ on a fusion Kraus block's diagonal (HH, VV); the analyzer's psi+ image per pattern.
 _PHI_PLUS_DIAGONAL = np.full(2, _SQRT_HALF)
@@ -253,11 +238,6 @@ def _pair_amplitudes(mean: np.ndarray, i, j) -> np.ndarray:
     return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
 
 
-def _copy_mean(gates, etas: np.ndarray) -> np.ndarray:
-    """M_N of every trial: the copies, shape (S, N, 4, 4), averaged to (S, 4, 4)."""
-    return gates(etas[:, 0], etas[:, 1]).mean(axis=1)
-
-
 def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of ``etas``.
 
@@ -265,7 +245,7 @@ def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     the spectators in the Kraus block ``kraus[:, p]``, rows (V1, H1) and columns
     (V4, H4): the sorted spectator-ket order, which fixes how P_HH and P_single sum.
     """
-    mean = _copy_mean(_fusion_gates, etas)
+    mean = _fusion_gates(etas[:, 0], etas[:, 1])
     kraus = _SQRT_HALF * _SQRT_HALF * _pair_amplitudes(mean, [[1], [0]], [[3, 2]])
     prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
     hh = _PATTERNS.index(FUSION_PATTERNS["HH"])
@@ -280,7 +260,7 @@ def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _bsm_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Bell-state analyzer on a psi+ input, one trial per row of ``etas``."""
-    mean = _copy_mean(_bsm_matrices, etas)
+    mean = _bsm_matrices(etas[:, 0], etas[:, 1])
     amp = _SQRT_HALF * _pair_amplitudes(mean, [0, 1], [3, 2])
     out = amp[..., 0] + amp[..., 1]
     f = fidelity(out, _BSM_TARGET)
@@ -290,7 +270,7 @@ def _bsm_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _trace_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Matrix level: distance of the copy average to the balanced gate."""
-    return (trace_distance(_copy_mean(_fusion_gates, etas), _BALANCED_FUSION),)
+    return (trace_distance(_fusion_gates(etas[:, 0], etas[:, 1]), _BALANCED_FUSION),)
 
 
 #: Each metric function returns its (S,) columns in ``METRIC_COLUMNS`` order.
@@ -354,10 +334,14 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     cells of each copy count N then run in one engine call.
     Cells come out N-major, then in ``m_grid`` order.
     """
-    keys = [(n, mi, m) for n in cfg.n_copies_list for mi, m in enumerate(cfg.m_grid)]
-    etas = iter(trial_reflectivities(cfg.master_seed, cfg.experiment, keys, cfg.samples))
-    stacks = [np.stack([next(etas) for _ in cfg.m_grid]) for _ in cfg.n_copies_list]
-    return SweepResult(cfg, tuple(cell for e in stacks for cell in _run_cells(cfg.experiment, cfg.m_grid, e)))
+    cells = []
+    for n in cfg.n_copies_list:
+        etas = np.stack([
+            sample_reflectivity(trial_rng(cfg.master_seed, cfg.experiment, n, mi, 0), m, (cfg.samples, 2, n))
+            for mi, m in enumerate(cfg.m_grid)
+        ])
+        cells += _run_cells(cfg.experiment, cfg.m_grid, etas)
+    return SweepResult(cfg, tuple(cells))
 
 
 _FLOAT = "%.17g"

@@ -17,7 +17,7 @@ from .averaging import build_averaged_network, postselect_vacuum_ancilla, run_av
 from .detection import BSM_MAP_TARGETS, SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
 from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import bsm_matrix, effective_average, fusion_gate
-from .metrics import BELL_LABELS, bell_state, fidelity
+from .metrics import _SQRT_HALF, BELL_LABELS, bell_state, fidelity
 from .sweep import _fusion_input, run_bsm_trial, run_cell, run_fusion_trial, sample_reflectivity
 
 DEFAULT_SAMPLES = 20
@@ -39,8 +39,6 @@ TABLE2_CROSSES: dict[str, frozenset[str]] = {
     "phi+": frozenset({"ac", "bd"}),
     "phi-": frozenset({"ac", "bd"}),
 }
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

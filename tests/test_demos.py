@@ -2,8 +2,13 @@
 
 Each demo is copied into a temporary directory and run there, so demo 05
 writes its CSV and SVG files next to the copy, not into the source tree.
+Those CSVs must match the committed ``demos/demo_*.csv``: key and eta
+columns exactly, metric columns to 1e-12 (their last digits depend on the
+BLAS and LAPACK numpy links).
 """
 
+import csv
+import math
 import os
 import pathlib
 import shutil
@@ -38,3 +43,20 @@ def test_demo_runs_and_prints_its_headline(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert HEADLINES[demo] in proc.stdout.splitlines()
+    if demo == "05_sweep_figures.py":
+        committed = sorted((REPO / "demos").glob("demo_*.csv"))
+        assert [p.name for p in committed] == sorted(p.name for p in tmp_path.glob("demo_*.csv"))
+        assert committed
+        for path in committed:
+            _assert_same_table(path, tmp_path / path.name)
+
+
+def _assert_same_table(committed, written):
+    want, got = (list(csv.reader(p.read_text().splitlines())) for p in (committed, written))
+    assert got[0] == want[0] and len(got) == len(want), committed.name
+    metrics = slice(want[0].index("eta") + 1, want[0].index("row_kind"))
+    for w, g in zip(want[1:], got[1:]):
+        assert g[: metrics.start] + g[metrics.stop :] == w[: metrics.start] + w[metrics.stop :], (committed.name, w)
+        for a, b in zip(w[metrics], g[metrics]):
+            a, b = float(a), float(b)
+            assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12, (committed.name, w[:5])

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgfusion.fock import StateVec, apply_transfer
 from avgfusion.interferometers import (
+    _bsm_matrices,
+    _fusion_gates,
     beamsplitter_layer,
     bsm_matrix,
     dft_matrix,
@@ -77,6 +81,43 @@ def test_fusion_gate_structure():
     b = beamsplitter_layer(0.37, 0.62)
     expected = (b @ swap_matrix() @ b).entries
     np.testing.assert_allclose(fusion_gate(0.37, 0.62).entries, expected, atol=1e-15)
+
+
+def _printed_block(eta):
+    c, s = math.sqrt(eta), math.sqrt(1.0 - eta)
+    return np.array([[c, s], [-s, c]])
+
+
+def _literal_fusion(eta_x, eta_y):
+    """B * SWAP * B, B a printed block on (H1, V1) and one on (H2, V2)."""
+    b = np.zeros((4, 4))
+    b[:2, :2], b[2:, 2:] = _printed_block(eta_x), _printed_block(eta_y)
+    swap = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
+    return b @ swap @ b
+
+
+def _literal_bsm(eta_h, eta_v):
+    """Printed blocks on the interleaved pairs (H1, H2) and (V1, V2)."""
+    t = np.zeros((4, 4))
+    t[0::2, 0::2], t[1::2, 1::2] = _printed_block(eta_h), _printed_block(eta_v)
+    return t
+
+
+_ETA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(copies=st.lists(st.tuples(_ETA, _ETA), min_size=1, max_size=8))
+def test_builders_equal_the_mean_of_literal_copies(copies):
+    """M_N from the feature map equals the mean of the N copies written out
+    from the printed block; a leading axis (here the copies and their
+    reversal) broadcasts."""
+    eta_1, eta_2 = np.array(copies).T
+    for builder, literal in ((_fusion_gates, _literal_fusion), (_bsm_matrices, _literal_bsm)):
+        want = np.mean([literal(a, b) for a, b in copies], axis=0)
+        got = builder(np.stack([eta_1, eta_1[::-1]]), np.stack([eta_2, eta_2[::-1]]))
+        assert got.dtype == np.float64 and got.shape == (2, 4, 4)
+        np.testing.assert_allclose(got, np.stack([want, want]), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 20))

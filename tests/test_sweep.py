@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo sweep harness and its CSV output."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -29,7 +30,6 @@ from avgfusion.sweep import (
     run_sweep,
     run_trace_trial,
     sample_reflectivity,
-    trial_reflectivities,
     trial_rng,
     write_csv,
 )
@@ -62,8 +62,6 @@ def test_sample_reflectivity_support_and_mean():
 def test_sample_reflectivity_rejects_bad_width(m):
     with pytest.raises(ValueError):
         sample_reflectivity(np.random.default_rng(0), m)
-    with pytest.raises(ValueError):
-        trial_reflectivities(0, "fusion", [(1, 0, 0.2), (1, 1, m)], 2)
 
 
 def test_trial_rng_is_deterministic_and_stream_independent():
@@ -198,31 +196,33 @@ def test_run_sweep_shape_and_aggregates():
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     experiment=st.sampled_from(EXPERIMENTS),
-    cells=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=8),
-            st.integers(min_value=0, max_value=6),
-            st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5)),
-        ),
+    n_copies=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3, unique=True),
+    m_grid=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5)),
         min_size=1,
-        max_size=4,
+        max_size=3,
+        unique=True,
     ),
     samples=st.one_of(st.integers(min_value=1, max_value=12), st.sampled_from([299, 300])),
 )
-def test_every_trial_row_equals_its_own_trial_rng(seed, experiment, cells, samples):
-    """Row t of a cell's draw equals the stream ``trial_rng`` gives trial t,
-    bit for bit, and does not depend on the order of the cells (1- and 2-word
-    seeds, N up to 8, m = 0 cells mixed with noisy ones)."""
-    got = trial_reflectivities(seed, experiment, cells, samples)
-    assert len(got) == len(cells)
-    for (n, mi, m), etas in zip(cells, got):
+def test_every_trial_row_equals_its_own_trial_rng(seed, experiment, n_copies, m_grid, samples):
+    """Row t of a sweep cell's draw equals the stream ``trial_rng`` gives trial t,
+    bit for bit, and a reversed ``n_copies_list`` gives the same cells (1- and
+    2-word seeds, N up to 8, m = 0 cells mixed with noisy ones)."""
+    cfg = SweepConfig(experiment, tuple(n_copies), tuple(m_grid), samples, seed)
+    cells = run_sweep(cfg).cells
+    assert [(c.n_copies, c.m) for c in cells] == [(n, m) for n in n_copies for m in m_grid]
+    for i, cell in enumerate(cells):
+        n, mi = cell.n_copies, i % len(m_grid)
         ref = np.stack([
-            sample_reflectivity(trial_rng(seed, experiment, n, mi, t), m, (2, n)) for t in range(samples)
+            sample_reflectivity(trial_rng(seed, experiment, n, mi, t), m_grid[mi], (2, n)) for t in range(samples)
         ])
-        assert etas.shape == ref.shape and etas.dtype == ref.dtype
-        assert etas.tobytes() == ref.tobytes()
-    reversed_draw = trial_reflectivities(seed, experiment, cells[::-1], samples)[::-1]
-    assert [etas.tobytes() for etas in reversed_draw] == [etas.tobytes() for etas in got]
+        assert cell.etas.shape == ref.shape and cell.etas.dtype == ref.dtype
+        assert cell.etas.tobytes() == ref.tobytes()
+    reversed_cells = run_sweep(dataclasses.replace(cfg, n_copies_list=cfg.n_copies_list[::-1])).cells
+    by_key = {(c.n_copies, c.m): c for c in reversed_cells}
+    for cell in cells:
+        _assert_cells_identical(by_key[cell.n_copies, cell.m], cell)
 
 
 def test_trial_rng_accepts_numpy_integers():
@@ -335,16 +335,10 @@ def test_run_cell_rejects_a_metric_function_of_the_wrong_width(monkeypatch, expe
 @pytest.mark.parametrize(
     "draw, message",
     [
-        (lambda: trial_reflectivities(0, "nope", [(2, 0, 0.0)], 3), "unknown experiment 'nope'"),
-        (lambda: trial_reflectivities(0, "nope", [(2, 0, 0.1)], 3), "unknown experiment 'nope'"),
         (lambda: trial_rng(0, "nope", 1, 0, 0), "unknown experiment 'nope'"),
         (lambda: trial_rng(0, "fusion", 1, 0, -1), "trial must be >= 0, got -1"),
-        (lambda: trial_reflectivities(0, "fusion", [(0, 0, 0.1)], 3), r"N must be >= 1, got \[0\]"),
-        (lambda: trial_reflectivities(0, "fusion", [(-1, 0, 0.0)], 3), r"N must be >= 1, got \[-1\]"),
-        (lambda: trial_reflectivities(0, "fusion", [(2, 0, 0.1)], 0), "samples must be >= 1, got 0"),
-        (lambda: trial_reflectivities(0, "bsm", [(2, 0, 0.0)], -1), "samples must be >= 1, got -1"),
     ],
-    ids=["experiment-m0", "experiment-m0.1", "experiment-trial-rng", "trial-1", "n0", "n-1-m0", "samples0", "samples-1-m0"],
+    ids=["experiment-trial-rng", "trial-1"],
 )
 def test_stream_draws_reject_bad_input(draw, message):
     with pytest.raises(ValueError, match=message):
