@@ -8,8 +8,9 @@ state on the unmeasured modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .fock import StateVec, apply_transfer
+from .fock import StateVec, _int_tuple, apply_transfer
 from .interferometers import bsm_matrix
 from .metrics import _SQRT_HALF, bell_state
 
@@ -48,12 +49,18 @@ FUSION_PATTERNS: dict[str, tuple[int, int, int, int]] = {
 
 @dataclass(frozen=True)
 class DetectionPattern:
-    """Fixed photon counts on a chosen subset of modes."""
+    """Fixed photon counts on a chosen subset of modes.
+
+    ``modes`` and ``counts`` are stored as tuples of ints; any integral values
+    are accepted, and a non-integral one raises ``ValueError``.
+    """
 
     modes: tuple[int, ...]
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "modes", _int_tuple(self.modes, "modes"))
+        object.__setattr__(self, "counts", _int_tuple(self.counts, "counts"))
         if len(self.modes) != len(self.counts):
             raise ValueError("modes and counts must have equal length")
         if len(set(self.modes)) != len(self.modes):
@@ -83,15 +90,22 @@ def project_pattern(state: StateVec, pattern: DetectionPattern) -> tuple[StateVe
     """
     if any(m >= state.mode_count for m in pattern.modes):
         raise ValueError(f"pattern {pattern} references modes beyond {state.mode_count}")
-    measured = dict(zip(pattern.modes, pattern.counts))
-    keep = [i for i in range(state.mode_count) if i not in measured]
+    keep = [i for i in range(state.mode_count) if i not in pattern.modes]
+    measured, residual = _picker(pattern.modes), _picker(keep)
     amp = {}
     prob = 0.0
     for ket, a in state.items():
-        if all(ket[m] == c for m, c in measured.items()):
-            amp[tuple(ket[i] for i in keep)] = a
+        if measured(ket) == pattern.counts:
+            amp[residual(ket)] = a
             prob += abs(a) ** 2
-    return StateVec(len(keep), amp), prob
+    return StateVec._built(len(keep), amp), prob
+
+
+def _picker(indices):
+    """ket -> tuple(ket[i] for i in indices), for any number of indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda ket: tuple(ket[i] for i in indices)
 
 
 def fusion_outcomes(state: StateVec, rails: tuple[int, int, int, int]) -> dict[str, FusionOutcome]:

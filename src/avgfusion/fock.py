@@ -6,12 +6,27 @@ amplitudes. Evolution substitutes creation operators through a single-particle
 transfer matrix, a_j^dag -> sum_l T[l, j] a_l^dag, and re-expands the operator
 polynomial with exact bosonic sqrt(n!) factors. This stays cheap because every
 state handled here carries at most a handful of photons over a few dozen modes.
+
+Inside `apply_transfer` a term is keyed by the sorted tuple of its photons'
+modes, not by its m-long occupation tuple: (0, 2, 2) is |1, 0, 2>. The two
+keys are in bijection, so the expansion visits terms in the same order and does
+the same float operations; each output term becomes an occupation tuple once,
+and sqrt(prod n!) is read from a bounded memo keyed by the photon modes.
+
+Kets are validated once, where they enter from outside: `StateVec(...)` checks
+each ket's length, sign and integrality. States this module and `detection`
+build from kets they derived themselves skip that check, but still drop
+amplitudes at or below `PRUNE_TOL` and still reject a non-finite amplitude.
+`TransferMatrix.unitary` is computed on first read, so intermediate products
+never pay for a T^dag T they are not asked about.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -37,13 +52,32 @@ def fock_dimension(n_modes: int, n_photons: int) -> int:
     return math.comb(n_modes + n_photons - 1, n_photons)
 
 
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints; ValueError naming them if one is not integral."""
+    values = tuple(values)
+    try:
+        ints = tuple(int(v) for v in values)
+    except (ValueError, OverflowError):  # NaN, inf
+        ints = None
+    if ints != values:
+        raise ValueError(f"non-integral value in {what} {values}")
+    return ints
+
+
 def _check_ket(ket, mode_count: int) -> FockKet:
-    ket = tuple(int(n) for n in ket)
+    ket = _int_tuple(ket, "ket")
     if len(ket) != mode_count:
         raise ValueError(f"ket {ket} has {len(ket)} modes, expected {mode_count}")
     if any(n < 0 for n in ket):
         raise ValueError(f"negative occupation in ket {ket}")
     return ket
+
+
+def _kept(ket, a: complex) -> bool:
+    """Whether amplitude `a` survives the prune; ValueError if it is not finite."""
+    if not cmath.isfinite(a):
+        raise ValueError(f"non-finite amplitude {a} for ket {tuple(ket)}")
+    return abs(a) > PRUNE_TOL
 
 
 class StateVec:
@@ -64,11 +98,18 @@ class StateVec:
         if amplitudes:
             for ket, a in amplitudes.items():
                 a = complex(a)
-                if not cmath.isfinite(a):
-                    raise ValueError(f"non-finite amplitude {a} for ket {tuple(ket)}")
-                if abs(a) > PRUNE_TOL:
+                if _kept(ket, a):
                     amp[_check_ket(ket, self.mode_count)] = a
         self._amp = amp
+
+    @classmethod
+    def _built(cls, mode_count: int, amplitudes: dict) -> "StateVec":
+        """State from kets this package derived itself: valid tuples of ints,
+        complex amplitudes. Skips the ket checks, keeps prune and finiteness."""
+        state = object.__new__(cls)
+        state.mode_count = mode_count
+        state._amp = {ket: a for ket, a in amplitudes.items() if _kept(ket, a)}
+        return state
 
     @classmethod
     def from_ket(cls, occupations, amplitude: complex = 1.0) -> "StateVec":
@@ -110,13 +151,13 @@ class StateVec:
 class TransferMatrix:
     """Single-particle mode map: a_j^dag -> sum_l entries[l, j] a_l^dag.
 
-    The unitary flag is computed at construction (max-norm defect of T^dag T
+    The unitary flag is computed on first read (max-norm defect of T^dag T
     against identity, tolerance 1e-12) and can be re-checked via
     `unitarity_defect`. Non-unitary matrices are allowed; they arise as
-    effective averaged gates.
+    effective averaged gates. A matrix with a non-finite entry is not unitary.
     """
 
-    __slots__ = ("entries", "dim", "unitary")
+    __slots__ = ("entries", "dim", "_unitary")
 
     def __init__(self, entries):
         entries = np.array(entries, dtype=complex)
@@ -125,10 +166,18 @@ class TransferMatrix:
         entries.flags.writeable = False
         self.entries = entries
         self.dim = entries.shape[0]
-        self.unitary = self.unitarity_defect() <= UNITARY_TOL
+        self._unitary = None
+
+    @property
+    def unitary(self) -> bool:
+        if self._unitary is None:
+            self._unitary = self.unitarity_defect() <= UNITARY_TOL
+        return self._unitary
 
     def unitarity_defect(self) -> float:
-        """Max-norm of T^dag T - I."""
+        """Max-norm of T^dag T - I; inf if an entry is not finite."""
+        if not np.isfinite(self.entries).all():
+            return math.inf
         delta = self.entries.conj().T @ self.entries - np.eye(self.dim)
         return float(np.max(np.abs(delta)))
 
@@ -146,7 +195,7 @@ def tensor(a: StateVec, b: StateVec) -> StateVec:
     for ka, va in a.items():
         for kb, vb in b.items():
             amp[ka + kb] = va * vb
-    return StateVec(a.mode_count + b.mode_count, amp)
+    return StateVec._built(a.mode_count + b.mode_count, amp)
 
 
 def inner_product(a: StateVec, b: StateVec) -> complex:
@@ -165,8 +214,25 @@ def norm_sq(s: StateVec) -> float:
     return float(sum(abs(a) ** 2 for _, a in s.items()))
 
 
-def _sqrt_fact_prod(ket) -> float:
-    return math.sqrt(math.prod(math.factorial(n) for n in ket))
+@functools.lru_cache(maxsize=1 << 14)
+def _sqrt_fact_prod(modes: tuple[int, ...]) -> float:
+    """sqrt(prod n!) of the ket whose sorted photon modes are `modes`.
+
+    Each photon multiplies in its rank within its run of equal modes, so a
+    run of n photons contributes exactly n!.
+    """
+    prod = run = 1
+    for prev, mode in zip(modes, modes[1:]):
+        run = run + 1 if mode == prev else 1
+        prod *= run
+    return math.sqrt(prod)
+
+
+def _occupations(modes: tuple[int, ...], m: int) -> FockKet:
+    occ = [0] * m
+    for mode in modes:
+        occ[mode] += 1
+    return tuple(occ)
 
 
 def apply_transfer(T: TransferMatrix, s: StateVec) -> StateVec:
@@ -182,17 +248,19 @@ def apply_transfer(T: TransferMatrix, s: StateVec) -> StateVec:
     m = s.mode_count
     # Nonzero (l, T[l, j]) pairs of each column j; a zero column yields no terms.
     columns = [[(l, t) for l, t in enumerate(col) if t] for col in T.entries.T.tolist()]
-    acc: dict[FockKet, complex] = {}
+    # Terms are keyed by their sorted photon modes (see the module docstring).
+    acc: dict[tuple[int, ...], complex] = {}
     for ket, amp in s.items():
-        terms = {(0,) * m: amp / _sqrt_fact_prod(ket)}
-        for j, n in enumerate(ket):
-            for _ in range(n):
-                expanded: dict[FockKet, complex] = {}
-                for key, c in terms.items():
-                    for l, t in columns[j]:
-                        out = key[:l] + (key[l] + 1,) + key[l + 1 :]
-                        expanded[out] = expanded.get(out, 0j) + c * t
-                terms = expanded
+        modes_in = tuple(j for j, n in enumerate(ket) for _ in range(n))
+        terms = {(): amp / _sqrt_fact_prod(modes_in)}
+        for j in modes_in:
+            expanded: dict[tuple[int, ...], complex] = {}
+            for key, c in terms.items():
+                for l, t in columns[j]:
+                    i = bisect_right(key, l)
+                    out = key[:i] + (l,) + key[i:]
+                    expanded[out] = expanded.get(out, 0j) + c * t
+            terms = expanded
         for key, c in terms.items():
             acc[key] = acc.get(key, 0j) + c * _sqrt_fact_prod(key)
-    return StateVec(m, acc)
+    return StateVec._built(m, {_occupations(key, m): c for key, c in acc.items()})

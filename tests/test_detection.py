@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
 from avgfusion.detection import (
@@ -38,6 +40,23 @@ def test_detection_pattern_validation():
         DetectionPattern((0, 1), (1,))
     with pytest.raises(ValueError):
         DetectionPattern((0, 1), (1, -1))
+
+
+@pytest.mark.parametrize(
+    "modes,counts",
+    [((0, 1), (1, 1.5)), ((0, 1), (math.nan, 0)), ((0.5, 1), (1, 0)), ((0, 1), (math.inf, 0))],
+)
+def test_detection_pattern_rejects_non_integral_values(modes, counts):
+    """A count of 1.5 would match no ket and read as probability 0."""
+    with pytest.raises(ValueError, match="non-integral value"):
+        DetectionPattern(modes, counts)
+
+
+def test_detection_pattern_normalizes_to_tuples_of_ints():
+    pattern = DetectionPattern([np.int64(0), 2], [1.0, np.uint8(0)])
+    assert pattern.modes == (0, 2) and pattern.counts == (1, 0)
+    assert all(type(v) is int for v in pattern.modes + pattern.counts)
+    assert pattern == DetectionPattern((0, 2), (1, 0))
 
 
 def test_project_pattern_single_ket():
@@ -132,3 +151,44 @@ def test_bsm_patterns_cover_all_two_photon_coincidences():
     assert len(BSM_PATTERNS) == 10
     assert all(sum(counts) == 2 for counts in BSM_PATTERNS.values())
     assert len({counts for counts in BSM_PATTERNS.values()}) == 10
+
+
+def all_loop_project_pattern(state, modes, counts):
+    """Reference copy of the per-ket ``all(...)`` loop `project_pattern` used
+    before its one tuple compare; kept to pin order and bits."""
+    measured = dict(zip(modes, counts))
+    keep = [i for i in range(state.mode_count) if i not in measured]
+    amp = {}
+    prob = 0.0
+    for ket, a in state.items():
+        if all(ket[m] == c for m, c in measured.items()):
+            amp[tuple(ket[i] for i in keep)] = a
+            prob += abs(a) ** 2
+    return StateVec(len(keep), amp), prob
+
+
+@st.composite
+def projection_cases(draw):
+    """A superposition of up to 12 kets of 0-4 photons on 1-8 modes and a
+    pattern on 0-all of its modes, in shuffled order, as lists or tuples."""
+    n_modes = draw(st.integers(min_value=1, max_value=8))
+    mode = st.integers(min_value=0, max_value=n_modes - 1)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    amp = {}
+    for photons in draw(st.lists(st.lists(mode, max_size=4), min_size=1, max_size=12)):
+        amp[tuple(photons.count(j) for j in range(n_modes))] = complex(*rng.standard_normal(2))
+    modes = draw(st.permutations(range(n_modes)))[: draw(st.integers(0, n_modes))]
+    counts = draw(st.lists(st.integers(0, 2), min_size=len(modes), max_size=len(modes)))
+    container = draw(st.sampled_from([list, tuple]))
+    return StateVec(n_modes, amp), container(modes), container(counts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(projection_cases())
+def test_project_pattern_equals_all_loop_reference_bit_for_bit(case):
+    state, modes, counts = case
+    residual, prob = project_pattern(state, DetectionPattern(modes, counts))
+    ref_residual, ref_prob = all_loop_project_pattern(state, modes, counts)
+    assert list(residual.items()) == list(ref_residual.items())
+    assert residual.mode_count == ref_residual.mode_count
+    assert prob == ref_prob

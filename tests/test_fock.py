@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avgfusion.averaging import build_averaged_network
 from avgfusion.fock import (
     StateVec,
     TransferMatrix,
@@ -81,6 +82,21 @@ def test_statevec_construction_and_pruning():
         StateVec(2, {(1, 0, 0): 1.0})
     with pytest.raises(ValueError):
         StateVec(2, {(-1, 1): 1.0})
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, np.float64(0.25)])
+def test_statevec_rejects_non_integral_occupations(bad):
+    """A fractional occupation must not be truncated to a neighbouring ket."""
+    with pytest.raises(ValueError, match=r"non-integral value in ket \("):
+        StateVec(2, {(bad, 0): 1.0})
+
+
+@pytest.mark.parametrize("one", [1, True, 1.0, np.int64(1), np.uint8(1), np.float32(1.0)])
+def test_statevec_accepts_integral_occupations_of_any_type(one):
+    s = StateVec(2, {(one, 0): 1.0})
+    (ket,) = s.kets()
+    assert ket == (1, 0)
+    assert all(type(n) is int for n in ket)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)])
@@ -252,7 +268,72 @@ def test_transfer_matrix_flags_and_defect():
         TransferMatrix(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_non_finite_transfer_matrix_is_not_unitary(bad):
+    """Defined answers, no RuntimeWarning (the suite turns warnings into errors)."""
+    t = TransferMatrix([[bad, 0], [0, 1]])
+    assert t.unitary is False
+    assert t.unitarity_defect() == math.inf
+    with pytest.raises(ValueError, match="must be unitary"):
+        build_averaged_network([t])
+
+
 def test_transfer_matrix_entries_read_only():
     u = beamsplitter(0.3)
     with pytest.raises(ValueError):
         u.entries[0, 0] = 2.0
+
+
+def occupation_keyed_apply_transfer(T, s):
+    """Reference copy of the occupation-keyed expansion `apply_transfer` used
+    before it keyed terms by photon modes; kept to pin order and bits."""
+
+    def sqrt_fact_prod(ket):
+        return math.sqrt(math.prod(math.factorial(n) for n in ket))
+
+    m = s.mode_count
+    columns = [[(l, t) for l, t in enumerate(col) if t] for col in T.entries.T.tolist()]
+    acc = {}
+    for ket, amp in s.items():
+        terms = {(0,) * m: amp / sqrt_fact_prod(ket)}
+        for j, n in enumerate(ket):
+            for _ in range(n):
+                expanded = {}
+                for key, c in terms.items():
+                    for l, t in columns[j]:
+                        out = key[:l] + (key[l] + 1,) + key[l + 1 :]
+                        expanded[out] = expanded.get(out, 0j) + c * t
+                terms = expanded
+        for key, c in terms.items():
+            acc[key] = acc.get(key, 0j) + c * sqrt_fact_prod(key)
+    return StateVec(m, acc)
+
+
+@st.composite
+def superposition_cases(draw):
+    """Complex non-unitary matrix on 1-8 modes with zeroed columns and entries,
+    and a superposition of 1-4 kets of 0-4 photons each, bunched ones included."""
+    n_modes = draw(st.integers(min_value=1, max_value=8))
+    mode = st.integers(min_value=0, max_value=n_modes - 1)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = (n_modes, n_modes)
+    entries = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    entries[:, sorted(draw(st.sets(mode)))] = 0.0
+    entries[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    amp = {}
+    for photons in draw(st.lists(st.lists(mode, max_size=4), min_size=1, max_size=4)):
+        ket = tuple(photons.count(j) for j in range(n_modes))
+        amp[ket] = complex(rng.standard_normal(), rng.standard_normal())
+    return TransferMatrix(entries), StateVec(n_modes, amp)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(superposition_cases())
+def test_apply_transfer_equals_occupation_keyed_reference_bit_for_bit(case):
+    """Same kets in the same order with == amplitudes: norm_sq and
+    project_pattern sum in this order, so a reordering would move bits."""
+    t, state = case
+    out = apply_transfer(t, state)
+    ref = occupation_keyed_apply_transfer(t, state)
+    assert list(out.items()) == list(ref.items())
+    assert out.mode_count == ref.mode_count
