@@ -88,17 +88,30 @@ def project_pattern(state: StateVec, pattern: DetectionPattern) -> tuple[StateVe
     The residual keeps only the unmeasured modes, in their original order. Its
     squared norm equals the returned probability.
     """
+    return _project_each(state, pattern, (pattern.counts,))[0]
+
+
+def _project_each(state: StateVec, pattern: DetectionPattern, counts_list) -> list[tuple[StateVec, float]]:
+    """`project_pattern` onto the modes of `pattern` for each of several
+    distinct count tuples, in one pass over the kets.
+
+    Each ket goes to the count tuple its measured modes show, so every
+    residual and probability accumulates in ket order, as its own
+    projection would.
+    """
     if any(m >= state.mode_count for m in pattern.modes):
         raise ValueError(f"pattern {pattern} references modes beyond {state.mode_count}")
     keep = [i for i in range(state.mode_count) if i not in pattern.modes]
     measured, residual = _picker(pattern.modes), _picker(keep)
-    amp = {}
-    prob = 0.0
+    slot = {counts: i for i, counts in enumerate(counts_list)}
+    amps = [{} for _ in slot]
+    probs = [0.0] * len(slot)
     for ket, a in state.items():
-        if measured(ket) == pattern.counts:
-            amp[residual(ket)] = a
-            prob += abs(a) ** 2
-    return StateVec._built(len(keep), amp), prob
+        i = slot.get(measured(ket))
+        if i is not None:
+            amps[i][residual(ket)] = a
+            probs[i] += abs(a) ** 2
+    return [(StateVec._built(len(keep), amp), prob) for amp, prob in zip(amps, probs)]
 
 
 def _picker(indices):
@@ -115,11 +128,11 @@ def fusion_outcomes(state: StateVec, rails: tuple[int, int, int, int]) -> dict[s
     within ``state``. Probabilities are taken against the state as given, so
     feed an unnormalized post-selected state to fold its success probability in.
     """
-    outcomes = {}
-    for label, counts in FUSION_PATTERNS.items():
-        residual, prob = project_pattern(state, DetectionPattern(rails, counts))
-        outcomes[label] = FusionOutcome(label=label, probability=prob, residual=residual)
-    return outcomes
+    projections = _project_each(state, DetectionPattern(rails, FUSION_PATTERNS["HH"]), FUSION_PATTERNS.values())
+    return {
+        label: FusionOutcome(label=label, probability=prob, residual=residual)
+        for label, (residual, prob) in zip(FUSION_PATTERNS, projections)
+    }
 
 
 def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[str, float]:
@@ -129,10 +142,8 @@ def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[s
     beam-splitter reflectivities; keys are the labels of :data:`BSM_PATTERNS`.
     """
     out = apply_transfer(bsm_matrix(eta_h, eta_v), bell_state(bell_label))
-    return {
-        label: project_pattern(out, DetectionPattern((0, 1, 2, 3), counts))[1]
-        for label, counts in BSM_PATTERNS.items()
-    }
+    projections = _project_each(out, DetectionPattern((0, 1, 2, 3), BSM_PATTERNS["a2"]), BSM_PATTERNS.values())
+    return {label: prob for label, (_, prob) in zip(BSM_PATTERNS, projections)}
 
 
 #: Click probability above which a pattern counts as possible.

@@ -11,14 +11,19 @@ Inside `apply_transfer` a term is keyed by the sorted tuple of its photons'
 modes, not by its m-long occupation tuple: (0, 2, 2) is |1, 0, 2>. The two
 keys are in bijection, so the expansion visits terms in the same order and does
 the same float operations; each output term becomes an occupation tuple once,
-and sqrt(prod n!) is read from a bounded memo keyed by the photon modes.
+and sqrt(prod n!) is read from a bounded memo keyed by the photon modes. A
+one-photon key takes the next photon with one compare, which places it exactly
+where the general `bisect_right` insertion would.
 
 Kets are validated once, where they enter from outside: `StateVec(...)` checks
 each ket's length, sign and integrality. States this module and `detection`
 build from kets they derived themselves skip that check, but still drop
 amplitudes at or below `PRUNE_TOL` and still reject a non-finite amplitude.
 `TransferMatrix.unitary` is computed on first read, so intermediate products
-never pay for a T^dag T they are not asked about.
+never pay for a T^dag T they are not asked about. The nonzero (l, T[l, j])
+pairs of each column, which `apply_transfer` walks, are likewise built on a
+matrix's first evolution and kept with it; `entries` is a read-only copy, so
+they cannot go stale, and a matrix that evolves several states builds them once.
 """
 
 from __future__ import annotations
@@ -91,15 +96,18 @@ class StateVec:
     __slots__ = ("mode_count", "_amp")
 
     def __init__(self, mode_count: int, amplitudes=None):
+        (mode_count,) = _int_tuple((mode_count,), "mode_count")
         if mode_count < 0:
             raise ValueError(f"mode_count must be >= 0, got {mode_count}")
-        self.mode_count = int(mode_count)
+        self.mode_count = mode_count
         amp = {}
         if amplitudes:
             for ket, a in amplitudes.items():
+                # Every ket is checked, also one whose amplitude the prune drops.
+                ket = _check_ket(ket, mode_count)
                 a = complex(a)
                 if _kept(ket, a):
-                    amp[_check_ket(ket, self.mode_count)] = a
+                    amp[ket] = a
         self._amp = amp
 
     @classmethod
@@ -157,7 +165,7 @@ class TransferMatrix:
     effective averaged gates. A matrix with a non-finite entry is not unitary.
     """
 
-    __slots__ = ("entries", "dim", "_unitary")
+    __slots__ = ("entries", "dim", "_unitary", "_columns")
 
     def __init__(self, entries):
         entries = np.array(entries, dtype=complex)
@@ -167,12 +175,19 @@ class TransferMatrix:
         self.entries = entries
         self.dim = entries.shape[0]
         self._unitary = None
+        self._columns = None
 
     @property
     def unitary(self) -> bool:
         if self._unitary is None:
             self._unitary = self.unitarity_defect() <= UNITARY_TOL
         return self._unitary
+
+    def _nonzero_columns(self) -> list[list[tuple[int, complex]]]:
+        """Nonzero (l, T[l, j]) pairs of each column j, built on first use."""
+        if self._columns is None:
+            self._columns = [[(l, t) for l, t in enumerate(col) if t] for col in self.entries.T.tolist()]
+        return self._columns
 
     def unitarity_defect(self) -> float:
         """Max-norm of T^dag T - I; inf if an entry is not finite."""
@@ -247,19 +262,27 @@ def apply_transfer(T: TransferMatrix, s: StateVec) -> StateVec:
         raise ValueError(f"matrix dim {T.dim} != state mode count {s.mode_count}")
     m = s.mode_count
     # Nonzero (l, T[l, j]) pairs of each column j; a zero column yields no terms.
-    columns = [[(l, t) for l, t in enumerate(col) if t] for col in T.entries.T.tolist()]
-    # Terms are keyed by their sorted photon modes (see the module docstring).
+    columns = T._nonzero_columns()
+    # Terms are keyed by their sorted photon modes (see the module docstring);
+    # after the n-th substitution every key holds n photons.
     acc: dict[tuple[int, ...], complex] = {}
     for ket, amp in s.items():
         modes_in = tuple(j for j, n in enumerate(ket) for _ in range(n))
         terms = {(): amp / _sqrt_fact_prod(modes_in)}
-        for j in modes_in:
+        for n, j in enumerate(modes_in):
             expanded: dict[tuple[int, ...], complex] = {}
-            for key, c in terms.items():
-                for l, t in columns[j]:
-                    i = bisect_right(key, l)
-                    out = key[:i] + (l,) + key[i:]
-                    expanded[out] = expanded.get(out, 0j) + c * t
+            get = expanded.get
+            if n == 1:
+                for (k,), c in terms.items():
+                    for l, t in columns[j]:
+                        out = (k, l) if l >= k else (l, k)
+                        expanded[out] = get(out, 0j) + c * t
+            else:
+                for key, c in terms.items():
+                    for l, t in columns[j]:
+                        i = bisect_right(key, l)
+                        out = key[:i] + (l,) + key[i:]
+                        expanded[out] = get(out, 0j) + c * t
             terms = expanded
         for key, c in terms.items():
             acc[key] = acc.get(key, 0j) + c * _sqrt_fact_prod(key)

@@ -12,8 +12,9 @@ from avgfusion.averaging import (
     run_averaged,
 )
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
-from avgfusion.interferometers import effective_average, fusion_gate
+from avgfusion.interferometers import direct_sum, effective_average, fusion_gate
 from avgfusion.metrics import bell_state
+from avgfusion.sweep import _fusion_input
 
 
 def random_unitary(rng, dim):
@@ -116,6 +117,40 @@ def test_postselected_network_equals_mean_gate_evolution(copies):
     for state in inputs:
         kept = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
         assert_states_close(kept, apply_transfer(mean_gate, state), atol=1e-10)
+
+
+#: A reflectivity in [0, 1], the ends and the balanced point drawn often.
+_eta = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def one_copy_cases(draw):
+    """A fusion gate, 0-4 passthrough modes and 1-3 few-photon input states;
+    with 4 passthrough modes the sweeps' two-pair input is one of them."""
+    gate = fusion_gate(draw(_eta), draw(_eta))
+    k = draw(st.integers(min_value=0, max_value=4))
+    mode = st.integers(min_value=0, max_value=3 + k)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    states = [_fusion_input()] if k == 4 else []
+    for kets in draw(st.lists(st.lists(st.lists(mode, max_size=3), min_size=1, max_size=4), min_size=1, max_size=3)):
+        amp = {tuple(photons.count(j) for j in range(4 + k)): complex(*rng.standard_normal(2)) for photons in kets}
+        states.append(StateVec(4 + k, amp))
+    return gate, k, states
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(one_copy_cases())
+def test_one_copy_network_equals_direct_evolution_bit_for_bit(case):
+    """The one-copy network, post-selected over its zero ancillas, is the
+    gate (+) identity: same kets in the same order with == amplitudes. The
+    fusion table of `verify` evolves that matrix directly on this identity."""
+    gate, k, states = case
+    net = build_averaged_network([gate], n_passthrough=k)
+    direct = direct_sum([gate, TransferMatrix(np.eye(k))] if k else [gate])
+    for state in states:
+        kept = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
+        assert list(kept.items()) == list(apply_transfer(direct, state).items())
+        assert kept.mode_count == 4 + k
 
 
 def test_postselection_probability_is_one_only_for_equal_copies():

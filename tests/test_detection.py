@@ -1,6 +1,7 @@
 """Tests for detection patterns, fusion outcomes, and pattern support."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from avgfusion.detection import (
     FUSION_PATTERNS,
     DetectionPattern,
     fusion_outcomes,
+    pattern_probabilities,
     pattern_support,
     project_pattern,
 )
-from avgfusion.fock import StateVec, norm_sq, tensor
-from avgfusion.interferometers import fusion_gate
-from avgfusion.metrics import bell_state, fidelity
+from avgfusion.fock import StateVec, apply_transfer, norm_sq, tensor
+from avgfusion.interferometers import bsm_matrix, fusion_gate
+from avgfusion.metrics import BELL_LABELS, bell_state, fidelity
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -192,3 +194,76 @@ def test_project_pattern_equals_all_loop_reference_bit_for_bit(case):
     assert list(residual.items()) == list(ref_residual.items())
     assert residual.mode_count == ref_residual.mode_count
     assert prob == ref_prob
+
+
+@st.composite
+def fusion_rail_cases(draw):
+    """A superposition of up to 12 kets of 0-4 photons on 4-8 modes, many of
+    them outside every fusion pattern, and four distinct rails in any order."""
+    n_modes = draw(st.integers(min_value=4, max_value=8))
+    mode = st.integers(min_value=0, max_value=n_modes - 1)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    amp = {}
+    for photons in draw(st.lists(st.lists(mode, max_size=4), min_size=1, max_size=12)):
+        amp[tuple(photons.count(j) for j in range(n_modes))] = complex(*rng.standard_normal(2))
+    rails = tuple(draw(st.permutations(range(n_modes)))[:4])
+    return StateVec(n_modes, amp), rails
+
+
+def assert_fusion_outcomes_equal_four_projections(state, rails):
+    outcomes = fusion_outcomes(state, rails)
+    assert list(outcomes) == list(FUSION_PATTERNS)
+    for label, counts in FUSION_PATTERNS.items():
+        residual, prob = project_pattern(state, DetectionPattern(rails, counts))
+        assert outcomes[label].label == label
+        assert outcomes[label].probability == prob
+        assert list(outcomes[label].residual.items()) == list(residual.items())
+        assert outcomes[label].residual.mode_count == residual.mode_count
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fusion_rail_cases())
+def test_fusion_outcomes_equal_four_projections(case):
+    assert_fusion_outcomes_equal_four_projections(*case)
+
+
+def test_fusion_outcomes_on_unsorted_rails_and_extra_modes():
+    """Rails (H1, V1, H2, V2) = modes (3, 0, 5, 1); modes 2, 4 and 6 are extra."""
+    state = StateVec(
+        7,
+        {
+            (0, 1, 0, 1, 0, 0, 0): 0.5,  # HV
+            (1, 0, 0, 1, 0, 0, 1): 0.3,  # H1 and V1 fired: no pattern
+            (0, 0, 0, 1, 0, 1, 1): -0.5j,  # HH, a photon on extra mode 6
+            (1, 1, 0, 0, 0, 0, 0): 0.25,  # VV
+            (0, 0, 2, 0, 0, 0, 0): 0.6,  # no rail fired
+            (0, 1, 1, 1, 0, 0, 0): 0.1,  # HV, a photon on extra mode 2
+            (1, 0, 0, 0, 0, 1, 0): 0.2j,  # VH
+        },
+    )
+    assert_fusion_outcomes_equal_four_projections(state, (3, 0, 5, 1))
+    outcomes = fusion_outcomes(state, (3, 0, 5, 1))
+    assert {label: len(o.residual) for label, o in outcomes.items()} == {"HH": 1, "VV": 1, "HV": 2, "VH": 1}
+    assert list(outcomes["HV"].residual.items()) == [((0, 0, 0), 0.5 + 0j), ((1, 0, 0), 0.1 + 0j)]
+
+
+def test_fusion_outcomes_reject_bad_rails_like_a_projection():
+    state = StateVec.from_ket((1, 0, 1, 0, 0))
+    for rails in ((0, 1, 2, 5), (0, 1, 1, 2), (0, 1, 2), (0, 1, 2, 1.5), (0, -1, 2, 3)):
+        with pytest.raises(ValueError) as expected:
+            project_pattern(state, DetectionPattern(rails, FUSION_PATTERNS["HH"]))
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            fusion_outcomes(state, rails)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(BELL_LABELS), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_pattern_probabilities_equal_ten_projections(label, eta_h, eta_v):
+    out = apply_transfer(bsm_matrix(eta_h, eta_v), bell_state(label))
+    expected = {
+        name: project_pattern(out, DetectionPattern((0, 1, 2, 3), counts))[1]
+        for name, counts in BSM_PATTERNS.items()
+    }
+    probs = pattern_probabilities(label, eta_h, eta_v)
+    assert list(probs) == list(expected)
+    assert probs == expected

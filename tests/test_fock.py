@@ -84,6 +84,38 @@ def test_statevec_construction_and_pruning():
         StateVec(2, {(-1, 1): 1.0})
 
 
+@pytest.mark.parametrize(
+    "bad", [2.5, math.nan, math.inf, -math.inf, np.float64(2.5)], ids=["2.5", "nan", "inf", "-inf", "np2.5"]
+)
+def test_statevec_rejects_non_integral_mode_count(bad):
+    """A fractional mode count must not be truncated to a smaller state."""
+    with pytest.raises(ValueError, match=r"non-integral value in mode_count"):
+        StateVec(bad, {(1, 0): 1.0})
+
+
+@pytest.mark.parametrize("two", [2, 2.0, np.int64(2), np.uint8(2), np.float32(2.0)])
+def test_statevec_accepts_integral_mode_count_of_any_type(two):
+    s = StateVec(two, {(1, 0): 1.0})
+    assert s.mode_count == 2
+    assert type(s.mode_count) is int
+
+
+@pytest.mark.parametrize(
+    "ket,match",
+    [
+        ((1, 0, 0), r"has 3 modes, expected 2"),
+        ((-1, 1), r"negative occupation"),
+        ((0.5, 0), r"non-integral value in ket"),
+    ],
+    ids=["long", "negative", "fractional"],
+)
+@pytest.mark.parametrize("tiny", [1e-17, 0.0])
+def test_statevec_checks_kets_the_prune_drops(ket, match, tiny):
+    """A malformed ket raises whatever its amplitude, not only when it survives the prune."""
+    with pytest.raises(ValueError, match=match):
+        StateVec(2, {ket: tiny, (1, 0): 1.0})
+
+
 @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, np.float64(0.25)])
 def test_statevec_rejects_non_integral_occupations(bad):
     """A fractional occupation must not be truncated to a neighbouring ket."""
@@ -337,3 +369,33 @@ def test_apply_transfer_equals_occupation_keyed_reference_bit_for_bit(case):
     ref = occupation_keyed_apply_transfer(t, state)
     assert list(out.items()) == list(ref.items())
     assert out.mode_count == ref.mode_count
+
+
+def test_one_matrix_evolves_several_states_like_fresh_matrices():
+    """The column lists a matrix keeps after its first evolution give the
+    same items, in order, as a fresh matrix for each state."""
+    rng = np.random.default_rng(17)
+    entries = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(2)
+    entries[:, 3] = 0.0
+    entries[rng.random((5, 5)) < 0.3] = 0.0
+    shared = TransferMatrix(entries)
+    states = [random_state(rng, 5, n) for n in (0, 1, 2, 3, 4, 2, 1)]
+    for state in states:
+        fresh = apply_transfer(TransferMatrix(entries), state)
+        assert list(apply_transfer(shared, state).items()) == list(fresh.items())
+
+
+@pytest.mark.parametrize("evolve_first", [False, True])
+def test_mutating_the_source_array_changes_nothing(evolve_first):
+    rng = np.random.default_rng(23)
+    source = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
+    original = source.copy()
+    state = random_state(rng, 4, 3)
+    t = TransferMatrix(source)
+    if evolve_first:
+        apply_transfer(t, state)
+    source[:, 0] = 0.0
+    source[1] *= 2.0
+    expected = apply_transfer(TransferMatrix(original), state)
+    assert list(apply_transfer(t, state).items()) == list(expected.items())
+    np.testing.assert_array_equal(t.entries, original)
