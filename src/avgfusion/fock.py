@@ -22,8 +22,9 @@ amplitudes at or below `PRUNE_TOL` and still reject a non-finite amplitude.
 `TransferMatrix.unitary` is computed on first read, so intermediate products
 never pay for a T^dag T they are not asked about. The nonzero (l, T[l, j])
 pairs of each column, which `apply_transfer` walks, are likewise built on a
-matrix's first evolution and kept with it; `entries` is a read-only copy, so
-they cannot go stale, and a matrix that evolves several states builds them once.
+matrix's first evolution and kept with it; `entries` and `dim` are read-only
+properties over a read-only copy, so they cannot go stale, and a matrix that
+evolves several states builds them once.
 """
 
 from __future__ import annotations
@@ -165,17 +166,26 @@ class TransferMatrix:
     effective averaged gates. A matrix with a non-finite entry is not unitary.
     """
 
-    __slots__ = ("entries", "dim", "_unitary", "_columns")
+    __slots__ = ("_entries", "_dim", "_unitary", "_columns")
 
     def __init__(self, entries):
         entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"transfer matrix must be square, got shape {entries.shape}")
         entries.flags.writeable = False
-        self.entries = entries
-        self.dim = entries.shape[0]
+        self._entries = entries
+        self._dim = entries.shape[0]
         self._unitary = None
         self._columns = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The matrix, complex and read-only; it cannot be reassigned either."""
+        return self._entries
+
+    @property
+    def dim(self) -> int:
+        return self._dim
 
     @property
     def unitary(self) -> bool:

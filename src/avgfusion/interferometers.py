@@ -13,6 +13,20 @@ gate B * SWAP * B is the sum of f_a f_b * (L_a SWAP L_b), over constant 4x4
 matrices L_a built below. The mean of N copies, M_N = (1/N) sum_r U_r, is
 then the same map of the copy means of f_a (analyzer) or f_a f_b (fusion).
 
+Every averaged fusion gate is real symmetric up to the row signs
+P = diag(1, -1, 1, -1), i.e. P * M_N == (P * M_N).T. Proof: on each rail pair
+P acts as Z = diag(1, -1), and Z * I = I.T * Z, Z * J = [[0, 1], [1, 0]] =
+J.T * Z, so P * L_a = L_a.T * P for every layer matrix. P commutes with SWAP,
+which exchanges modes 1 and 3, both of sign -1. Hence P * (L_a SWAP L_b) =
+L_a.T SWAP L_b.T * P = (P * L_b SWAP L_a).T, and since the copy mean of
+f_a f_b is symmetric in (a, b), P * M_N is its own transpose. The identity
+also holds in floating point: the 16 matrices L_a SWAP L_b have disjoint
+supports and entries +-1, so each entry of M_N is exactly +-(mean of
+f_a f_b) for one (a, b), and the matmul that forms those means gives the
+same bits at (a, b) and (b, a); the tests pin both facts. P is orthogonal,
+so the singular values of M_N - B are the moduli of the eigenvalues of the
+symmetric P * (M_N - B), which is how ``sweep`` reads the trace distance.
+
 The package-private builders ``_fusion_gates`` and ``_bsm_matrices`` take the
 copies' reflectivities on the last axis and return M_N directly, real
 float64 of shape (..., 4, 4); no per-copy matrix is built. They check
@@ -54,6 +68,9 @@ _PAIRS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 _LAYER = np.array([np.kron(p, b) for p in _PAIRS for b in _BLOCKS])  # L_a, shape (4, 4, 4)
 _ANALYZER = np.array([np.kron(b, p) for p in _PAIRS for b in _BLOCKS])
 _FUSION = (_LAYER[:, None, :, _SWAP] @ _LAYER).reshape(16, 4, 4)  # L_a SWAP L_b at 4a + b
+
+#: The row signs P of the module docstring, as a column: P * M_N is symmetric.
+_V_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 
 
 def _features(eta_1, eta_2) -> np.ndarray:

@@ -62,7 +62,7 @@ import numpy as np
 from .closed_form import bsm_closed_forms
 from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
 from .fock import StateVec, tensor
-from .interferometers import _bsm_matrices, _check_reflectivity, _fusion_gates
+from .interferometers import _V_SIGNS, _bsm_matrices, _check_reflectivity, _fusion_gates
 from .metrics import _SQRT_HALF, bell_state, fidelity, normalized_fidelity, trace_distance
 
 EXPERIMENTS = ("fusion", "bsm", "trace-distance")
@@ -217,7 +217,9 @@ _PATTERNS = tuple(BSM_PATTERNS.values())
 _PATTERN_MODES = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in _PATTERNS]).T
 _BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], _SQRT_HALF, 1.0)
 
-_BALANCED_FUSION = _fusion_gates([0.5], [0.5])
+#: The balanced gate under the row signs that make every fusion M_N symmetric,
+#: so ``trace_distance`` takes its symmetric-eigenvalue path.
+_SIGNED_BALANCED = _V_SIGNS * _fusion_gates([0.5], [0.5])
 
 #: phi+ on a fusion Kraus block's diagonal (HH, VV); the analyzer's psi+ image per pattern.
 _PHI_PLUS_DIAGONAL = np.full(2, _SQRT_HALF)
@@ -255,7 +257,7 @@ def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     f_hh_norm = np.full(len(p_hh), math.nan)
     f_hh_norm[heralded] = normalized_fidelity(f_hh[heralded], p_hh[heralded])
     p_single = sum(prob[:, _PATTERNS.index(p)] for p in FUSION_PATTERNS.values())
-    return f_hh, p_hh, f_hh_norm, p_single, trace_distance(mean, _BALANCED_FUSION)
+    return f_hh, p_hh, f_hh_norm, p_single, trace_distance(_V_SIGNS * mean, _SIGNED_BALANCED)
 
 
 def _bsm_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -270,7 +272,7 @@ def _bsm_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _trace_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Matrix level: distance of the copy average to the balanced gate."""
-    return (trace_distance(_fusion_gates(etas[:, 0], etas[:, 1]), _BALANCED_FUSION),)
+    return (trace_distance(_V_SIGNS * _fusion_gates(etas[:, 0], etas[:, 1]), _SIGNED_BALANCED),)
 
 
 #: Each metric function returns its (S,) columns in ``METRIC_COLUMNS`` order.

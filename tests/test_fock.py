@@ -316,6 +316,21 @@ def test_transfer_matrix_entries_read_only():
         u.entries[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("name, value", [("entries", np.array([[0, 1], [1, 0]], dtype=complex)), ("dim", 3)])
+def test_transfer_matrix_attributes_cannot_be_reassigned(name, value):
+    """An evolved matrix keeps its cached unitary flag and column lists, so
+    they must not outlive a reassignment: there is none."""
+    t = TransferMatrix(np.eye(2))
+    state = StateVec.from_ket((1, 0))
+    assert t.unitary
+    apply_transfer(t, state)
+    with pytest.raises(AttributeError):
+        setattr(t, name, value)
+    assert t.dim == 2
+    np.testing.assert_array_equal(t.entries, np.eye(2))
+    assert list(apply_transfer(t, state).items()) == list(apply_transfer(TransferMatrix(np.eye(2)), state).items())
+
+
 def occupation_keyed_apply_transfer(T, s):
     """Reference copy of the occupation-keyed expansion `apply_transfer` used
     before it keyed terms by photon modes; kept to pin order and bits."""

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from avgfusion.fock import StateVec, apply_transfer
 from avgfusion.interferometers import (
+    _FUSION,
+    _V_SIGNS,
     _bsm_matrices,
     _fusion_gates,
     beamsplitter_layer,
@@ -118,6 +120,34 @@ def test_builders_equal_the_mean_of_literal_copies(copies):
         got = builder(np.stack([eta_1, eta_1[::-1]]), np.stack([eta_2, eta_2[::-1]]))
         assert got.dtype == np.float64 and got.shape == (2, 4, 4)
         np.testing.assert_allclose(got, np.stack([want, want]), rtol=0, atol=1e-15)
+
+
+def test_signed_fusion_basis_is_transposed_by_swapping_its_layers():
+    """P * (L_a SWAP L_b) == (P * L_b SWAP L_a).T, and the 16 products have
+    disjoint supports with entries +-1: each entry of M_N is one signed copy mean."""
+    signed = _V_SIGNS * _FUSION
+    for a in range(4):
+        for b in range(4):
+            np.testing.assert_array_equal(signed[4 * a + b], signed[4 * b + a].T)
+    np.testing.assert_array_equal(np.abs(_FUSION).sum(axis=0), np.ones((4, 4)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n_copies=st.integers(min_value=1, max_value=8),
+    trials=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_signed_averaged_fusion_gates_are_exactly_symmetric(n_copies, trials, data):
+    """The sweep's trace distance takes the symmetric eigensolve only while
+    P * M_N equals its transpose bit for bit; any other matrix silently falls
+    back to the SVD. Reflectivities include 0, 1/2 and 1; trials are stacked
+    as the sweep stacks them."""
+    eta = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    etas = np.array(data.draw(st.lists(eta, min_size=2 * trials * n_copies, max_size=2 * trials * n_copies)))
+    eta_x, eta_y = etas.reshape(2, trials, n_copies)
+    signed = _V_SIGNS * _fusion_gates(eta_x, eta_y)
+    np.testing.assert_array_equal(signed, np.swapaxes(signed, -1, -2))
 
 
 @pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 20))

@@ -105,8 +105,12 @@ def test_trace_distance_basics():
             np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), -np.eye(4)]),
             [[0.0, 1.0, 4.0], [1.0, 0.0, 3.0]],
         ),
+        (np.zeros((0, 0)), np.zeros((0, 0)), 0.0),
+        (np.zeros((0, 4, 4)), np.eye(4), np.zeros(0)),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2), np.nan),
+        (np.array([[np.inf, 1.0], [0.0, 1.0]]), np.eye(2), np.nan),
     ],
-    ids=["row-vs-square", "vector-vs-square", "stacks-broadcast"],
+    ids=["row-vs-square", "vector-vs-square", "stacks-broadcast", "empty", "empty-stack", "inf-hermitian", "inf-general"],
 )
 def test_trace_distance_needs_square_operands_of_one_size(a, b, want):
     if want is None:
@@ -137,3 +141,62 @@ def test_trace_distance_of_sampled_average_is_moderate():
     copies = [fusion_gate(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)) for _ in range(3)]
     d = trace_distance(effective_average(copies), target)
     assert 0.0 < d < 1.0
+
+
+def _hermitian_stack(rng, shape, complex_part):
+    x = rng.standard_normal(shape)
+    if complex_part:
+        x = x + 1j * rng.standard_normal(shape)
+    return x + np.swapaxes(x, -1, -2).conj()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+@pytest.mark.parametrize("complex_part", [False, True], ids=["real-symmetric", "complex-hermitian"])
+def test_trace_distance_of_hermitian_differences_agrees_with_the_svd(d, complex_part):
+    rng = np.random.default_rng(16 + d)
+    a = _hermitian_stack(rng, (300, d, d), complex_part)
+    b = _hermitian_stack(rng, (d, d), complex_part)
+    svd = 0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False), axis=-1)
+    np.testing.assert_allclose(trace_distance(a, b), svd, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("complex_part", [False, True], ids=["real", "complex"])
+def test_trace_distance_gives_a_mixed_stack_the_bits_of_each_matrix_alone(complex_part):
+    """Exactly Hermitian differences take 0.5 * sum |eigvalsh|, all others the
+    SVD; a stack mixing both gives each matrix the bits it gets on its own."""
+    rng = np.random.default_rng(19)
+    hermitian = [_hermitian_stack(rng, (4, 4), complex_part) for _ in range(4)]
+    almost = hermitian[0].copy()
+    almost[0, 1] += 1e-15 * almost[0, 1]  # a few ulp off Hermitian
+    general = rng.standard_normal((2, 4, 4))
+    if complex_part:
+        general = general + 1j * rng.standard_normal((2, 4, 4))
+    stack = np.stack([hermitian[0], general[0], hermitian[1], almost, hermitian[2], general[1], hermitian[3]])
+    assert np.iscomplexobj(stack) == complex_part
+    zero = np.zeros((4, 4))
+    got = trace_distance(stack, zero)
+    assert [np.array_equal(x, x.conj().T) for x in stack] == [True, False, True, False, True, False, True]
+    for x, d in zip(stack, got.tolist()):
+        assert d == trace_distance(x, zero)
+        if np.array_equal(x, x.conj().T):
+            assert d == 0.5 * np.sum(np.abs(np.linalg.eigvalsh(x)))
+        else:
+            assert d == 0.5 * np.sum(np.linalg.svd(x, compute_uv=False))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.full((4, 4), np.nan),
+        np.diag([np.nan, 1.0, 1.0, 1.0]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
+        np.stack([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), 2.0 * np.eye(2)]),
+    ],
+    ids=["all-nan", "nan-diagonal", "symmetric-nan", "complex-nan", "stack-with-one-nan"],
+)
+def test_trace_distance_of_a_nan_difference_raises(a):
+    """A NaN is never equal to itself, so no NaN difference counts as
+    Hermitian: the SVD sees it and fails, for the whole stack."""
+    with pytest.raises(np.linalg.LinAlgError):
+        trace_distance(a, np.eye(a.shape[-1]))

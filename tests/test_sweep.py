@@ -134,6 +134,27 @@ def test_fusion_trial_matches_average_operator_oracle():
         assert p_single == pytest.approx(rec["P_single"], abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    experiment=st.sampled_from(["fusion", "trace-distance"]),
+    n_copies=st.integers(min_value=1, max_value=8),
+    m=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5)),
+    samples=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_trace_distance_column_matches_the_svd_of_literal_copies(experiment, n_copies, m, samples, seed):
+    """Per trial, the engine's symmetric eigensolve on P * (M_N - B) against
+    0.5 * sum of the singular values of the mean of N fusion_gate copies minus
+    fusion_gate(0.5, 0.5); m = 0 cells, whose difference is about 1e-17, included."""
+    etas = sample_reflectivity(np.random.default_rng(seed), m, (samples, 2, n_copies))
+    got = run_cell(experiment, m, etas).metrics["trace_distance"]
+    balanced = fusion_gate(0.5, 0.5).entries
+    for trial, (eta_x, eta_y) in enumerate(etas):
+        mean = effective_average([fusion_gate(ex, ey) for ex, ey in zip(eta_x, eta_y)]).entries
+        want = 0.5 * np.sum(np.linalg.svd(mean - balanced, compute_uv=False))
+        assert abs(got[trial] - want) <= 4e-15
+
+
 def test_trace_trial_decreases_with_copies_on_average():
     means = []
     for n in (1, 3):
