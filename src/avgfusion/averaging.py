@@ -9,29 +9,32 @@ only reverses replica labels, which the post-selection erases.
 
 Physical layout is logical-major: replica r of logical mode j sits at index
 j*N + r, so each per-mode DFT is a contiguous block. Unencoded passthrough
-modes are appended after the encoded block.
+modes are appended after the encoded block. The gate copies then form one
+replica-diagonal block: U_r[j, k] sits at (j*N + r, k*N + r).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .detection import DetectionPattern, project_pattern
-from .fock import StateVec, TransferMatrix, apply_transfer
-from .interferometers import dft_matrix, direct_sum, permutation_matrix
+from .fock import StateVec, TransferMatrix, _int_tuple, apply_transfer
+from .interferometers import dft_matrix, direct_sum
 
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """Mode-index bookkeeping for an N-copy averaging network."""
+    """Mode-index bookkeeping for an N-copy averaging network; sizes must be integral."""
 
     n_copies: int
     n_logical: int
     n_passthrough: int = 0
 
     def __post_init__(self):
+        for field, size in zip(fields(self), _int_tuple(astuple(self), "layout sizes")):
+            object.__setattr__(self, field.name, size)
         if self.n_copies < 1 or self.n_logical < 1 or self.n_passthrough < 0:
             raise ValueError(f"invalid layout {self}")
 
@@ -50,14 +53,10 @@ class NetworkLayout:
 
     def primary_modes(self) -> tuple[int, ...]:
         """Replica-0 line of each logical mode."""
-        return tuple(self.physical_index(j, 0) for j in range(self.n_logical))
+        return tuple(range(0, self.encoded_modes, self.n_copies))
 
     def ancilla_modes(self) -> tuple[int, ...]:
-        return tuple(
-            self.physical_index(j, r)
-            for j in range(self.n_logical)
-            for r in range(1, self.n_copies)
-        )
+        return tuple(i for i in range(self.encoded_modes) if i % self.n_copies)
 
     def passthrough_modes(self) -> tuple[int, ...]:
         return tuple(range(self.encoded_modes, self.total_modes))
@@ -73,10 +72,12 @@ class AveragedNetwork:
 def build_averaged_network(copies, n_passthrough: int = 0) -> AveragedNetwork:
     """Assemble the full network for the given per-copy gate matrices.
 
-    total = [decode][P^-1][couple-wise gate copies][P][encode] (+) identity on
-    passthrough modes, where encode = decode = one DFT per logical mode and P
-    converts the logical-major layout to copy-major so the parallel gates are
-    block-diagonal.
+    total = [decode][gate copies][encode] (+) identity on passthrough modes,
+    where encode = decode = one DFT per logical mode and the copies form the
+    replica-diagonal block of the module docstring. Row (a, r') of encode
+    meets column (b, s) of that block at index (a, s) only, so every entry of
+    encode @ gates is a single product; no permutation to a copy-major
+    layout is needed.
     """
     copies = tuple(copies)
     if not copies:
@@ -89,22 +90,14 @@ def build_averaged_network(copies, n_passthrough: int = 0) -> AveragedNetwork:
         raise ValueError("all gate copies must be unitary")
     layout = NetworkLayout(n_copies=n, n_logical=m, n_passthrough=n_passthrough)
 
-    encode = direct_sum([dft_matrix(n)] * m)
-    # logical-major index j*N + r  ->  copy-major index r*m + j
-    to_copy_major = [0] * (m * n)
-    for j in range(m):
-        for r in range(n):
-            to_copy_major[j * n + r] = r * m + j
-    p = permutation_matrix(to_copy_major)
-    p_inv = permutation_matrix(np.argsort(to_copy_major))
-    gates = direct_sum(copies)
-    core = encode @ p_inv @ gates @ p @ encode
-
-    if n_passthrough:
-        total = direct_sum([core, TransferMatrix(np.eye(n_passthrough))])
-    else:
-        total = core
-    return AveragedNetwork(layout=layout, total=total, copies=copies)
+    enc = layout.encoded_modes
+    encode = direct_sum([dft_matrix(n)] * m).entries
+    gates = np.zeros((m, n, m, n), dtype=complex)
+    for r, c in enumerate(copies):
+        gates[:, r, :, r] = c.entries
+    total = np.eye(layout.total_modes, dtype=complex)
+    total[:enc, :enc] = encode @ gates.reshape(enc, enc) @ encode
+    return AveragedNetwork(layout=layout, total=TransferMatrix(total), copies=copies)
 
 
 def run_averaged(net: AveragedNetwork, input_primary: StateVec) -> StateVec:
@@ -119,13 +112,12 @@ def run_averaged(net: AveragedNetwork, input_primary: StateVec) -> StateVec:
             f"input has {input_primary.mode_count} modes, "
             f"expected {lay.n_logical + lay.n_passthrough}"
         )
+    m, enc = lay.n_logical, lay.encoded_modes
     amp = {}
     for ket, a in input_primary.items():
         full = [0] * lay.total_modes
-        for j in range(lay.n_logical):
-            full[lay.physical_index(j, 0)] = ket[j]
-        for i in range(lay.n_passthrough):
-            full[lay.encoded_modes + i] = ket[lay.n_logical + i]
+        full[:enc:lay.n_copies] = ket[:m]
+        full[enc:] = ket[m:]
         amp[tuple(full)] = a
     return apply_transfer(net.total, StateVec(lay.total_modes, amp))
 

@@ -200,11 +200,11 @@ class TransferMatrix:
         return self._columns
 
     def unitarity_defect(self) -> float:
-        """Max-norm of T^dag T - I; inf if an entry is not finite."""
+        """Max-norm of T^dag T - I (0.0 for the empty map); inf if an entry is not finite."""
         if not np.isfinite(self.entries).all():
             return math.inf
         delta = self.entries.conj().T @ self.entries - np.eye(self.dim)
-        return float(np.max(np.abs(delta)))
+        return float(np.max(np.abs(delta), initial=0.0))
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
         return TransferMatrix(self.entries @ other.entries)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import TransferMatrix
+from .fock import TransferMatrix, _int_tuple
 
 
 def _check_reflectivity(name: str, eta) -> np.ndarray:
@@ -52,6 +52,7 @@ def _check_reflectivity(name: str, eta) -> np.ndarray:
 
 def dft_matrix(n: int) -> TransferMatrix:
     """N-mode discrete Fourier transform: entry (r, k) = w^(rk)/sqrt(N), w = exp(-2i pi/N)."""
+    (n,) = _int_tuple((n,), "DFT size")
     if n < 1:
         raise ValueError(f"DFT size must be >= 1, got {n}")
     r = np.arange(n)
@@ -129,7 +130,7 @@ def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
 
 def permutation_matrix(perm) -> TransferMatrix:
     """Mode relabeling: a photon in mode j moves to mode perm[j]."""
-    perm = tuple(int(p) for p in perm)
+    perm = _int_tuple(perm, "perm")
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a bijection on 0..{n - 1}, got {perm}")

@@ -311,7 +311,9 @@ def _run_cells(experiment: str, ms, etas: np.ndarray) -> list[Cell]:
 
 
 # The single-trial runners draw from ``rng`` as one trial of a sweep cell
-# does; ``trial`` only keeps their call signature and is not recorded.
+# does; ``trial`` only keeps their call signature and is not recorded. The
+# package itself no longer calls them, only ``perfbench/setup_probe.py`` and
+# the tests do; they go when that probe moves to ``run_cell`` (ROADMAP item 1).
 
 
 def run_fusion_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:

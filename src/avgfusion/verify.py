@@ -18,7 +18,7 @@ from .detection import BSM_MAP_TARGETS, SUPPORT_THRESHOLD, fusion_outcomes, patt
 from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
 from .metrics import _SQRT_HALF, BELL_LABELS, bell_state, fidelity
-from .sweep import _fusion_input, run_bsm_trial, run_cell, run_fusion_trial, sample_reflectivity
+from .sweep import _fusion_input, run_cell, sample_reflectivity
 
 DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 12345
@@ -197,15 +197,15 @@ def check_table2() -> SuiteResult:
 
 def check_perfect_sweep() -> SuiteResult:
     """Noise-free trials land exactly on the analytic values for N up to 3."""
-    rng = np.random.default_rng(DEFAULT_SEED)
     dev = 0.0
     for n_copies in (1, 2, 3):
-        fusion = run_fusion_trial(n_copies, 0.0, 0, rng).metrics
+        balanced = np.full((1, 2, n_copies), 0.5)
+        fusion = run_cell("fusion", 0.0, balanced).metrics
         dev = max(dev, abs(fusion["P_HH"][0] - 0.125))
         dev = max(dev, abs(fusion["P_single"][0] - 0.5))
         dev = max(dev, abs(fusion["F_HH_norm"][0] - 1.0))
         dev = max(dev, fusion["trace_distance"][0])
-        bsm = run_bsm_trial(n_copies, 0.0, 0, rng).metrics
+        bsm = run_cell("bsm", 0.0, balanced).metrics
         dev = max(dev, abs(bsm["P_success"][0] - 1.0))
         dev = max(dev, abs(bsm["F_norm"][0] - 1.0))
     return SuiteResult("perfect-point-values", dev < 1e-10, dev, 1e-10)

@@ -12,7 +12,7 @@ from avgfusion.averaging import (
     run_averaged,
 )
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
-from avgfusion.interferometers import direct_sum, effective_average, fusion_gate
+from avgfusion.interferometers import dft_matrix, direct_sum, effective_average, fusion_gate, permutation_matrix
 from avgfusion.metrics import bell_state
 from avgfusion.sweep import _fusion_input
 
@@ -41,6 +41,22 @@ def test_layout_index_map():
         layout.physical_index(4, 0)
     with pytest.raises(ValueError):
         layout.physical_index(0, 2)
+
+
+@pytest.mark.parametrize("sizes", [(2.5, 4), (2, 4.5), (2, 4, 0.5), (2, 4, np.nan), (2, 4, np.inf)])
+def test_layout_rejects_non_integral_sizes(sizes):
+    """NetworkLayout(2.5, 4) used to give encoded_modes == 10.0."""
+    with pytest.raises(ValueError, match="non-integral"):
+        NetworkLayout(*sizes)
+
+
+def test_layout_normalizes_integral_sizes_to_int():
+    layout = NetworkLayout(np.int64(3), 2.0, np.float64(1))
+    assert layout == NetworkLayout(3, 2, 1)
+    for size in (layout.n_copies, layout.n_logical, layout.n_passthrough, layout.encoded_modes, layout.total_modes):
+        assert type(size) is int
+    assert layout.primary_modes() == (0, 3)
+    assert layout.ancilla_modes() == (1, 2, 4, 5)
 
 
 def test_single_copy_network_is_the_bare_gate():
@@ -185,3 +201,64 @@ def test_run_averaged_validates_mode_count():
         run_averaged(net, bell_state("phi+"))
     with pytest.raises(ValueError):
         postselect_vacuum_ancilla(bell_state("phi+"), net.layout)
+
+
+def _copy_major_network(copies, n_passthrough):
+    """Reference builder: the gates as a direct sum in copy-major order
+    (index r*m + j), conjugated into the logical-major layout by a
+    permutation pair."""
+    m, n = copies[0].dim, len(copies)
+    encode = direct_sum([dft_matrix(n)] * m)
+    to_copy_major = [0] * (m * n)
+    for j in range(m):
+        for r in range(n):
+            to_copy_major[j * n + r] = r * m + j
+    p = permutation_matrix(to_copy_major)
+    p_inv = permutation_matrix(np.argsort(to_copy_major))
+    core = encode @ p_inv @ direct_sum(copies) @ p @ encode
+    return direct_sum([core, TransferMatrix(np.eye(n_passthrough))]) if n_passthrough else core
+
+
+def _copy_major_input(layout, ket):
+    """Reference placement: logical mode j onto physical_index(j, 0), then
+    the passthrough modes after the encoded block."""
+    full = [0] * layout.total_modes
+    for j in range(layout.n_logical):
+        full[layout.physical_index(j, 0)] = ket[j]
+    for i in range(layout.n_passthrough):
+        full[layout.encoded_modes + i] = ket[layout.n_logical + i]
+    return tuple(full)
+
+
+@st.composite
+def network_cases(draw):
+    """1-6 Haar or fusion copies of a 1-, 2- or 4-mode gate, 0-4 passthrough
+    modes and a 1-3 ket input of up to two photons."""
+    m = draw(st.sampled_from([1, 2, 4]))
+    haar = st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: random_unitary(np.random.default_rng(seed), m))
+    copy = st.one_of(haar, st.tuples(_eta, _eta).map(lambda etas: fusion_gate(*etas))) if m == 4 else haar
+    copies = draw(st.lists(copy, min_size=1, max_size=6))
+    k = draw(st.integers(min_value=0, max_value=4))
+    mode = st.integers(min_value=0, max_value=m + k - 1)
+    kets = draw(st.lists(st.lists(mode, min_size=1, max_size=2), min_size=1, max_size=3))
+    amp = {tuple(photons.count(j) for j in range(m + k)): 1.0 + i for i, photons in enumerate(kets)}
+    return copies, k, StateVec(m + k, amp)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(network_cases())
+def test_network_equals_copy_major_reference(case):
+    """The replica-diagonal build is the copy-major permutation round trip,
+    and run_averaged places every input ket exactly where the per-mode
+    placement does: same output kets, order and amplitudes.
+
+    The matrices agree to rounding, not always to the bit: each entry of
+    encode @ gates is one complex product, and a BLAS kernel may order the
+    fused multiply-adds of that product differently depending on where the
+    entry sits in its tile, which the two layouts place differently."""
+    copies, k, state = case
+    net = build_averaged_network(copies, n_passthrough=k)
+    reference = _copy_major_network(copies, k)
+    np.testing.assert_allclose(net.total.entries, reference.entries, rtol=0, atol=1e-15)
+    placed = StateVec(net.layout.total_modes, {_copy_major_input(net.layout, ket): a for ket, a in state.items()})
+    assert list(run_averaged(net, state).items()) == list(apply_transfer(net.total, placed).items())

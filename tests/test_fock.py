@@ -310,6 +310,18 @@ def test_non_finite_transfer_matrix_is_not_unitary(bad):
         build_averaged_network([t])
 
 
+def test_empty_transfer_matrix_is_unitary():
+    """The 0-mode map has a defined defect, 0.0, so it is unitary, has a
+    repr and evolves the 0-mode vacuum to itself."""
+    t = TransferMatrix(np.zeros((0, 0)))
+    assert t.unitarity_defect() == 0.0
+    assert t.unitary
+    assert repr(t) == "TransferMatrix(dim=0, unitary)"
+    out = apply_transfer(t, StateVec(0, {(): 1}))
+    assert out.mode_count == 0
+    assert list(out.items()) == [((), 1 + 0j)]
+
+
 def test_transfer_matrix_entries_read_only():
     u = beamsplitter(0.3)
     with pytest.raises(ValueError):

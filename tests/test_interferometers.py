@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgfusion.fock import StateVec, apply_transfer
+from avgfusion.fock import StateVec, TransferMatrix, apply_transfer
 from avgfusion.interferometers import (
     _FUSION,
     _V_SIGNS,
@@ -38,6 +38,18 @@ def test_dft_small_cases():
 def test_dft_rejects_nonpositive():
     with pytest.raises(ValueError):
         dft_matrix(0)
+
+
+@pytest.mark.parametrize("size", [2.5, 1e-9, math.nan, math.inf])
+def test_dft_rejects_non_integral_size(size):
+    """A fractional size used to build an arange-sized, non-unitary matrix."""
+    with pytest.raises(ValueError, match="non-integral"):
+        dft_matrix(size)
+
+
+@pytest.mark.parametrize("size", [np.int64(3), 3.0, np.float32(3)])
+def test_dft_accepts_integral_size_of_any_type(size):
+    np.testing.assert_array_equal(dft_matrix(size).entries, dft_matrix(3).entries)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -211,6 +223,18 @@ def test_permutation_matrix():
         permutation_matrix([0, 0, 1])
 
 
+@pytest.mark.parametrize("perm", [[0.5, 1], [1, 0.5], [0, 1.5, 2]])
+def test_permutation_matrix_rejects_non_integral_labels(perm):
+    """[0.5, 1] used to truncate to the identity."""
+    with pytest.raises(ValueError, match="non-integral"):
+        permutation_matrix(perm)
+
+
+@pytest.mark.parametrize("perm", [np.argsort([3, 1, 2, 0]), [3.0, 1.0, 2.0, 0.0], np.array([3, 1, 2, 0], dtype=np.int64)])
+def test_permutation_matrix_accepts_integral_labels_of_any_type(perm):
+    np.testing.assert_array_equal(permutation_matrix(perm).entries, permutation_matrix([3, 1, 2, 0]).entries)
+
+
 def test_direct_sum():
     both = direct_sum([dft_matrix(2), dft_matrix(3)])
     assert both.dim == 5
@@ -220,6 +244,16 @@ def test_direct_sum():
     np.testing.assert_allclose(both.entries[:2, 2:], 0)
     eye8 = direct_sum([permutation_matrix([0, 1])] * 4)
     np.testing.assert_allclose(eye8.entries, np.eye(8))
+
+
+def test_direct_sum_with_the_empty_block():
+    empty = TransferMatrix(np.zeros((0, 0)))
+    both = direct_sum([empty, dft_matrix(3), empty])
+    assert both.dim == 3
+    assert both.unitary
+    np.testing.assert_array_equal(both.entries, dft_matrix(3).entries)
+    assert direct_sum([empty]).dim == 0
+    assert direct_sum([empty]).unitary
 
 
 def test_effective_average_identities():
