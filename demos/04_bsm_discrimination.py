@@ -18,6 +18,7 @@ import numpy as np
 from avgfusion import (
     BELL_LABELS,
     BSM_PATTERNS,
+    StateVec,
     bell_state,
     bsm_closed_forms,
     bsm_matrix,
@@ -28,7 +29,7 @@ from avgfusion import (
     postselect_vacuum_ancilla,
     run_averaged,
 )
-from avgfusion.sweep import _bsm_target
+from avgfusion.detection import BSM_MAP_TARGETS
 
 print(__doc__)
 
@@ -51,7 +52,7 @@ for n in (1, 2, 3):
     net = build_averaged_network([bsm_matrix(eh, ev) for eh, ev in zip(eta_h, eta_v)])
     kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
     p_sim = norm_sq(kept)
-    f_norm_sim = fidelity(kept, _bsm_target()) / p_sim
+    f_norm_sim = fidelity(kept, StateVec(4, BSM_MAP_TARGETS["psi+"])) / p_sim
     _, p_closed, f_norm_closed = bsm_closed_forms(eta_h, eta_v)
     print(f"{n:3d} {p_sim:12.6f} {p_closed:12.6f} {f_norm_sim:12.6f} {f_norm_closed:14.6f}")
 

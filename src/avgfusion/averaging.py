@@ -47,6 +47,7 @@ class NetworkLayout:
         return self.encoded_modes + self.n_passthrough
 
     def physical_index(self, logical: int, replica: int) -> int:
+        logical, replica = _int_tuple((logical, replica), "layout indices")
         if not (0 <= logical < self.n_logical and 0 <= replica < self.n_copies):
             raise ValueError(f"(logical={logical}, replica={replica}) outside layout {self}")
         return logical * self.n_copies + replica
@@ -66,7 +67,6 @@ class NetworkLayout:
 class AveragedNetwork:
     layout: NetworkLayout
     total: TransferMatrix
-    copies: tuple[TransferMatrix, ...]
 
 
 def build_averaged_network(copies, n_passthrough: int = 0) -> AveragedNetwork:
@@ -97,7 +97,7 @@ def build_averaged_network(copies, n_passthrough: int = 0) -> AveragedNetwork:
         gates[:, r, :, r] = c.entries
     total = np.eye(layout.total_modes, dtype=complex)
     total[:enc, :enc] = encode @ gates.reshape(enc, enc) @ encode
-    return AveragedNetwork(layout=layout, total=TransferMatrix(total), copies=copies)
+    return AveragedNetwork(layout=layout, total=TransferMatrix(total))
 
 
 def run_averaged(net: AveragedNetwork, input_primary: StateVec) -> StateVec:

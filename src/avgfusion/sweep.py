@@ -43,10 +43,11 @@ trial, so a stacked cell equals a one-cell run bit for bit.
 from the (S, 2, N) reflectivities and checks them, m and the experiment.
 Below it, only the public :func:`closed_form.bsm_closed_forms`, which the bsm
 metrics call, checks the reflectivities again. The cell, with its trial axis
-intact, is what a sweep returns (:class:`Cell`) and what the CSV and the
-plots read. The full Fock-space network (:mod:`averaging`,
-:func:`fock.apply_transfer`) stays the oracle that ``verify`` and the tests
-check this engine against.
+intact, is what a sweep returns (:class:`Cell`); its per-column mean and std
+are computed when the cell is made, so the CSV and the plots only format it.
+This module builds no Fock state: the full Fock-space network
+(:mod:`averaging`, :func:`fock.apply_transfer`) and its input states live in
+the oracle that ``verify`` and the tests check this engine against.
 """
 
 from __future__ import annotations
@@ -54,27 +55,23 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .closed_form import bsm_closed_forms
 from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
-from .fock import StateVec, tensor
 from .interferometers import _V_SIGNS, _bsm_matrices, _check_reflectivity, _fusion_gates
-from .metrics import _SQRT_HALF, bell_state, fidelity, normalized_fidelity, trace_distance
+from .metrics import _SQRT_HALF, fidelity, normalized_fidelity, trace_distance
 
 EXPERIMENTS = ("fusion", "bsm", "trace-distance")
-
-_EXPERIMENT_IDS = {"fusion": 0, "bsm": 1, "trace-distance": 2}
 
 
 def _experiment_id(experiment: str) -> int:
     """The stream id of ``experiment``, which must be one of :data:`EXPERIMENTS`."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    return _EXPERIMENT_IDS[experiment]
+    return EXPERIMENTS.index(experiment)
 
 
 METRIC_COLUMNS: dict[str, tuple[str, ...]] = {
@@ -121,32 +118,31 @@ class Cell:
     ``etas`` has shape (S, 2, N): per trial, the N first-layer then the N
     second-layer reflectivities. ``metrics`` maps each metric column to an
     (S,) array. A NaN marks a trial where the metric is undefined (a
-    conditional fidelity whose heralding probability is 0); ``mean`` and
-    ``std`` take only the defined trials and are NaN when there are none.
+    conditional fidelity whose heralding probability is 0).
+
+    ``mean`` and ``std`` map each column to its mean and sample standard
+    deviation (ddof=1; 0.0 for a single defined trial) over the defined
+    trials, NaN when there are none. They are computed when the cell is
+    made, so later writes to ``metrics`` do not change them.
     """
 
     n_copies: int
     m: float
     etas: np.ndarray
     metrics: dict[str, np.ndarray]
+    mean: dict[str, float] = field(init=False)
+    std: dict[str, float] = field(init=False)
 
-    @property
-    def mean(self) -> dict[str, float]:
-        return {col: stats[0] for col, stats in self._stats.items()}
-
-    @property
-    def std(self) -> dict[str, float]:
-        """Sample standard deviation (ddof=1); 0.0 for a single defined trial."""
-        return {col: stats[1] for col, stats in self._stats.items()}
-
-    @cached_property
-    def _stats(self) -> dict[str, tuple[float, float]]:
+    def __post_init__(self):
         # numpy reduces each contiguous row of the (columns, S) table with
         # the pairwise sums of a 1-D column: the bits are those of _mean_std
         table = np.stack(list(self.metrics.values()))
         if table.shape[1] < 2 or np.isnan(table).any():
-            return {col: _mean_std(values) for col, values in self.metrics.items()}
-        return dict(zip(self.metrics, zip(table.mean(axis=1).tolist(), table.std(axis=1, ddof=1).tolist())))
+            means, stds = zip(*map(_mean_std, self.metrics.values()))
+        else:
+            means, stds = table.mean(axis=1).tolist(), table.std(axis=1, ddof=1).tolist()
+        object.__setattr__(self, "mean", dict(zip(self.metrics, means)))
+        object.__setattr__(self, "std", dict(zip(self.metrics, stds)))
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -188,27 +184,6 @@ def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, tr
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, _experiment_id(experiment), n_copies, m_index)))
     rng.bit_generator.advance(trial * 2 * operator.index(n_copies))
     return rng
-
-
-@cache
-def _fusion_input() -> StateVec:
-    """Two dual-rail phi+ pairs, reordered to (fused rails, spectator rails).
-
-    The raw tensor product lives on (H1,V1,H2,V2,H3,V3,H4,V4); the averaged
-    network wants the four fused rails (H2,V2,H3,V3) first and the spectators
-    (H1,V1,H4,V4) as passthrough.
-    """
-    pair = bell_state("phi+")
-    raw = tensor(pair, pair)
-    order = (2, 3, 4, 5, 0, 1, 6, 7)
-    amp = {tuple(ket[i] for i in order): a for ket, a in raw.items()}
-    return StateVec(8, amp)
-
-
-@cache
-def _bsm_target() -> StateVec:
-    """Balanced-analyzer image of psi+ (up to global phase): (|0011> - |1100>)/sqrt(2)."""
-    return StateVec(4, BSM_MAP_TARGETS["psi+"])
 
 
 #: Every two-photon click pattern on the four gate modes, and the two modes

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
 from .detection import BSM_MAP_TARGETS, SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
-from .fock import StateVec, TransferMatrix, apply_transfer
+from .fock import StateVec, TransferMatrix, apply_transfer, tensor
 from .interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
 from .metrics import _SQRT_HALF, BELL_LABELS, bell_state, fidelity
-from .sweep import _fusion_input, run_cell, sample_reflectivity
+from .sweep import run_cell, sample_reflectivity
 
 DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 12345
@@ -156,6 +157,21 @@ def check_fusion_table() -> SuiteResult:
             dev = max(dev, abs(sum(p.values()) - 0.5))
             dev = max(dev, abs(p["HH"] - p["VV"]), abs(p["HV"] - p["VH"]))
     return SuiteResult("fusion-pattern-table", dev < 1e-12, dev, 1e-12)
+
+
+@cache
+def _fusion_input() -> StateVec:
+    """Two dual-rail phi+ pairs, reordered to (fused rails, spectator rails).
+
+    The raw tensor product lives on (H1,V1,H2,V2,H3,V3,H4,V4); the averaged
+    network wants the four fused rails (H2,V2,H3,V3) first and the spectators
+    (H1,V1,H4,V4) as passthrough.
+    """
+    pair = bell_state("phi+")
+    raw = tensor(pair, pair)
+    order = (2, 3, 4, 5, 0, 1, 6, 7)
+    amp = {tuple(ket[i] for i in order): a for ket, a in raw.items()}
+    return StateVec(8, amp)
 
 
 def _fusion_patterns_at(eta_x: float, eta_y: float):

@@ -13,18 +13,17 @@ import pytest
 
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
 from avgfusion.cli import main as cli_main
-from avgfusion.detection import BSM_PATTERNS, DetectionPattern, fusion_outcomes, project_pattern
+from avgfusion.detection import BSM_MAP_TARGETS, BSM_PATTERNS, DetectionPattern, fusion_outcomes, project_pattern
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
 from avgfusion.interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
 from avgfusion.metrics import BELL_LABELS, bell_state, fidelity
 from avgfusion.sweep import (
     SweepConfig,
-    _bsm_target,
-    _fusion_input,
     run_fusion_trial,
     run_sweep,
     trial_rng,
 )
+from avgfusion.verify import _fusion_input
 
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -215,7 +214,7 @@ def _simulate_bsm(eta_h, eta_v):
     copies = [bsm_matrix(eh, ev) for eh, ev in zip(eta_h, eta_v)]
     net = build_averaged_network(copies)
     kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
-    return fidelity(kept, _bsm_target()), norm_sq(kept)
+    return fidelity(kept, StateVec(4, BSM_MAP_TARGETS["psi+"])), norm_sq(kept)
 
 
 def test_05_closed_form_cross_validation(capsys):

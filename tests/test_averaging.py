@@ -14,7 +14,7 @@ from avgfusion.averaging import (
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
 from avgfusion.interferometers import dft_matrix, direct_sum, effective_average, fusion_gate, permutation_matrix
 from avgfusion.metrics import bell_state
-from avgfusion.sweep import _fusion_input
+from avgfusion.verify import _fusion_input
 
 
 def random_unitary(rng, dim):
@@ -48,6 +48,17 @@ def test_layout_rejects_non_integral_sizes(sizes):
     """NetworkLayout(2.5, 4) used to give encoded_modes == 10.0."""
     with pytest.raises(ValueError, match="non-integral"):
         NetworkLayout(*sizes)
+
+
+def test_physical_index_takes_integral_indices_only():
+    """On NetworkLayout(2, 4), physical_index(0.5, 0) used to return 1.0 and (1, 0.5) 2.5."""
+    layout = NetworkLayout(2, 4)
+    for index in ((0.5, 0), (1, 0.5), (np.nan, 0), (0, np.inf)):
+        with pytest.raises(ValueError, match="non-integral"):
+            layout.physical_index(*index)
+    for index in ((np.int64(1), 1), (1.0, np.float64(1.0))):
+        assert layout.physical_index(*index) == 3
+        assert type(layout.physical_index(*index)) is int
 
 
 def test_layout_normalizes_integral_sizes_to_int():

@@ -13,10 +13,10 @@ import pytest
 from avgfusion.closed_form import bsm_closed_forms
 
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
-from avgfusion.fock import norm_sq
+from avgfusion.detection import BSM_MAP_TARGETS
+from avgfusion.fock import StateVec, norm_sq
 from avgfusion.interferometers import bsm_matrix
 from avgfusion.metrics import bell_state, fidelity
-from avgfusion.sweep import _bsm_target
 
 
 def _pair_terms(etas, pairs):
@@ -174,7 +174,7 @@ def simulate_bsm(eta_h, eta_v):
     copies = [bsm_matrix(eh, ev) for eh, ev in zip(eta_h, eta_v)]
     net = build_averaged_network(copies)
     kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
-    return fidelity(kept, _bsm_target()), norm_sq(kept)
+    return fidelity(kept, StateVec(4, BSM_MAP_TARGETS["psi+"])), norm_sq(kept)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

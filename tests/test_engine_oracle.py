@@ -14,18 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
-from avgfusion.detection import fusion_outcomes
+from avgfusion.detection import BSM_MAP_TARGETS, fusion_outcomes
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
 from avgfusion.interferometers import bsm_matrix, effective_average, fusion_gate
-from avgfusion.metrics import bell_state, fidelity, trace_distance
+from avgfusion.metrics import _SQRT_HALF, bell_state, fidelity, trace_distance
 from avgfusion.sweep import (
     _PATTERNS,
-    _bsm_target,
-    _fusion_input,
     _pair_amplitudes,
     run_bsm_trial,
     run_fusion_trial,
 )
+from avgfusion.verify import _fusion_input
 
 TOL = 1e-12
 
@@ -79,6 +78,18 @@ def _compare(cell, oracle: dict) -> None:
         assert cell.metrics[key][0] == pytest.approx(want, abs=TOL, nan_ok=True), key
 
 
+def test_fusion_input_kets_are_pinned():
+    """phi+ (x) phi+ on (H2, V2, H3, V3 | H1, V1, H4, V4): the kets q1+q2+q1+q2,
+    each with the product amplitude 0.4999999999999999, not 0.5."""
+    amp = _SQRT_HALF * _SQRT_HALF
+    terms = ((1, 0), (0, 1))
+    state = _fusion_input()
+    assert state.mode_count == 8
+    # == on finite nonzero floats is bit equality
+    assert dict(state.items()) == {q1 + q2 + q1 + q2: amp for q1 in terms for q2 in terms}
+    assert amp != 0.5
+
+
 @PROPERTY
 @given(reflectivity_draws())
 def test_fusion_trial_matches_fock_network(case):
@@ -112,7 +123,7 @@ def test_bsm_trial_matches_fock_network_and_closed_form(case):
     copies = [bsm_matrix(eh, ev) for eh, ev in zip(etas[:n], etas[n:])]
     net = build_averaged_network(copies)
     kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
-    f, p = fidelity(kept, _bsm_target()), norm_sq(kept)
+    f, p = fidelity(kept, StateVec(4, BSM_MAP_TARGETS["psi+"])), norm_sq(kept)
     _compare(cell, {"F": f, "P_success": p, "F_norm": f / p})
 
     m = cell.metrics

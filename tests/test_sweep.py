@@ -23,7 +23,6 @@ from avgfusion.sweep import (
     METRIC_COLUMNS,
     SweepConfig,
     SweepResult,
-    _fusion_input,
     run_bsm_trial,
     run_cell,
     run_fusion_trial,
@@ -33,6 +32,7 @@ from avgfusion.sweep import (
     trial_rng,
     write_csv,
 )
+from avgfusion.verify import _fusion_input
 
 
 def test_sample_reflectivity_zero_width_is_exactly_balanced():
@@ -444,6 +444,17 @@ def test_cell_stats_equal_per_column_mean_std(samples, undefined):
         mean, std = sweep._mean_std(values)
         assert _same_bits(cell.mean[col], mean) and _same_bits(cell.std[col], std), col
     assert math.isnan(cell.mean["c2"]) == (undefined and samples == 1)
+
+
+def test_cell_stats_are_fixed_when_the_cell_is_made():
+    """mean and std are computed by the constructor, not on first read, so a
+    later in-place write to a metric column does not reach them."""
+    values = np.random.default_rng(5).uniform(0.0, 1.0, 9)
+    mean, std = sweep._mean_std(values)
+    cell = sweep.Cell(1, 0.1, np.full((9, 2, 1), 0.5), {"c": values})
+    values[0] = 7.0
+    assert cell.metrics["c"][0] == 7.0
+    assert _same_bits(cell.mean["c"], mean) and _same_bits(cell.std["c"], std)
 
 
 def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
