@@ -7,26 +7,26 @@ with the ideal analyzer's output depends only on the four sums
     sh = sum_k sqrt(eta^H_k)      shc = sum_k sqrt(1 - eta^H_k)
     sv = sum_k sqrt(eta^V_k)      svc = sum_k sqrt(1 - eta^V_k)
 
-These expressions reproduce the full Fock-space simulation to machine
-precision and make wide parameter sweeps cheap. :func:`bsm_closed_forms`
-computes the four sums once and returns all three metrics. It takes the
-copies on the last axis of ``eta_h`` and ``eta_v`` and broadcasts over any
-leading axes, so a stack of S draws of shape (S, N) gives S values of each.
+These are the copy sums of the per-copy features f of :mod:`interferometers`,
+which the sweep engine takes once for M_N and these forms alike. The forms
+match the Fock-space simulation to machine precision. :func:`bsm_closed_forms`
+checks its input and applies the engine's formula; the copies sit on the last
+axis, any leading axes broadcast, so draws of shape (S, N) give S values each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .interferometers import _check_reflectivity
+from .interferometers import _check_reflectivity, _features
 
 
-def _root_sums(eta_h, eta_v):
-    eta_h, eta_v = _check_reflectivity("eta_h", eta_h), _check_reflectivity("eta_v", eta_v)
-    if eta_h.ndim == 0 or eta_v.ndim == 0 or eta_h.shape[-1] != eta_v.shape[-1] or not eta_h.shape[-1]:
-        raise ValueError("eta_h and eta_v need equal, non-empty copy axes (the last axis)")
-    sums = [np.sqrt(x).sum(axis=-1) for x in (eta_h, 1.0 - eta_h, eta_v, 1.0 - eta_v)]
-    return (*sums, eta_h.shape[-1])
+def _bsm_closed(sums: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """``(F, P_success, F_norm)`` from the feature copy sums (..., 4) of n copies, unchecked."""
+    sh, shc, sv, svc = np.moveaxis(sums, -1, 0)
+    num = (sh * svc + shc * sv) ** 2
+    den = (sh**2 + shc**2) * (sv**2 + svc**2)
+    return num / n**4, den / n**4, num / den
 
 
 def bsm_closed_forms(eta_h, eta_v):
@@ -41,7 +41,7 @@ def bsm_closed_forms(eta_h, eta_v):
     - ``F_norm``: the overlap renormalized by the success probability.
       Bounded by 1 (Cauchy-Schwarz on the root sums).
     """
-    sh, shc, sv, svc, n = _root_sums(eta_h, eta_v)
-    num = (sh * svc + shc * sv) ** 2
-    den = (sh**2 + shc**2) * (sv**2 + svc**2)
-    return num / n**4, den / n**4, num / den
+    eta_h, eta_v = _check_reflectivity("eta_h", eta_h), _check_reflectivity("eta_v", eta_v)
+    if eta_h.ndim == 0 or eta_v.ndim == 0 or eta_h.shape[-1] != eta_v.shape[-1] or not eta_h.shape[-1]:
+        raise ValueError("eta_h and eta_v need equal, non-empty copy axes (the last axis)")
+    return _bsm_closed(_features(eta_h, eta_v).sum(axis=-2), eta_h.shape[-1])

@@ -27,12 +27,12 @@ same bits at (a, b) and (b, a); the tests pin both facts. P is orthogonal,
 so the singular values of M_N - B are the moduli of the eigenvalues of the
 symmetric P * (M_N - B), which is how ``sweep`` reads the trace distance.
 
-The package-private builders ``_fusion_gates`` and ``_bsm_matrices`` take the
-copies' reflectivities on the last axis and return M_N directly, real
-float64 of shape (..., 4, 4); no per-copy matrix is built. They check
-nothing; ``sweep.run_cell`` checks the sweep engine's reflectivities. The
-public scalar constructors are the N = 1 case: they check their
-reflectivities and wrap the one matrix in a :class:`TransferMatrix`.
+The package-private builders return M_N, real float64 of shape (..., 4, 4),
+and build no per-copy matrix: ``_fusion_gates`` from the reflectivities on the
+last axis, ``_bsm_matrices`` from the copy means (..., 4) of f, whose sums
+:mod:`closed_form` reads. They check nothing; ``sweep.run_cell`` checks the
+engine's reflectivities. The public scalar constructors are the N = 1 case:
+they check their reflectivities and wrap M_N in a :class:`TransferMatrix`.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def _fusion_gates(eta_x, eta_y) -> np.ndarray:
     return _linear(products.reshape(products.shape[:-2] + (16,)), _FUSION)
 
 
-def _bsm_matrices(eta_h, eta_v) -> np.ndarray:
-    """M_N of :func:`bsm_matrix`, the copies on the last axis, unchecked: real, (..., 4, 4)."""
-    return _linear(_features(eta_h, eta_v).mean(axis=-2), _ANALYZER)
+def _bsm_matrices(means: np.ndarray) -> np.ndarray:
+    """M_N of :func:`bsm_matrix` from the feature copy means (..., 4), unchecked: real, (..., 4, 4)."""
+    return _linear(means, _ANALYZER)
 
 
 def beamsplitter_layer(eta_x: float, eta_y: float) -> TransferMatrix:
@@ -125,7 +125,7 @@ def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
     reflectivity.
     """
     eta_h, eta_v = _check_reflectivity("eta_h", eta_h), _check_reflectivity("eta_v", eta_v)
-    return TransferMatrix(_bsm_matrices(eta_h[..., None], eta_v[..., None]))
+    return TransferMatrix(_bsm_matrices(_features(eta_h, eta_v)))
 
 
 def permutation_matrix(perm) -> TransferMatrix:

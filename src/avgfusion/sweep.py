@@ -39,12 +39,12 @@ its copies' reflectivities (:mod:`interferometers` averages per-copy
 features, never copy matrices), and the *metrics* are computed for all
 trials at once and split back into C cells. Each metric is computed trial by
 trial, so a stacked cell equals a one-cell run bit for bit.
-:func:`run_cell` is the engine's boundary and its one-cell case: it reads N
-from the (S, 2, N) reflectivities and checks them, m and the experiment.
-Below it, only the public :func:`closed_form.bsm_closed_forms`, which the bsm
-metrics call, checks the reflectivities again. The cell, with its trial axis
-intact, is what a sweep returns (:class:`Cell`); its per-column mean and std
-are computed when the cell is made, so the CSV and the plots only format it.
+:func:`run_cell` is the engine's boundary, its one-cell case and its only
+check: it reads N from the (S, 2, N) reflectivities and checks them, m and
+the experiment; the bsm metrics read M_N and the closed forms from one set of
+feature copy sums. The cell, with its trial axis intact, is what a sweep
+returns (:class:`Cell`); its per-column mean and std are computed when the
+cell is made, so the CSV and the plots only format it.
 This module builds no Fock state: the full Fock-space network
 (:mod:`averaging`, :func:`fock.apply_transfer`) and its input states live in
 the oracle that ``verify`` and the tests check this engine against.
@@ -59,9 +59,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import bsm_closed_forms
+from .closed_form import _bsm_closed
 from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
-from .interferometers import _V_SIGNS, _bsm_matrices, _check_reflectivity, _fusion_gates
+from .fock import _int_tuple
+from .interferometers import _V_SIGNS, _bsm_matrices, _check_reflectivity, _features, _fusion_gates
 from .metrics import _SQRT_HALF, fidelity, normalized_fidelity, trace_distance
 
 EXPERIMENTS = ("fusion", "bsm", "trace-distance")
@@ -99,10 +100,15 @@ class SweepConfig:
 
     def __post_init__(self):
         _experiment_id(self.experiment)
+        object.__setattr__(self, "n_copies_list", _int_tuple(self.n_copies_list, "n_copies_list"))
+        for name in ("samples", "master_seed"):
+            object.__setattr__(self, name, *_int_tuple((getattr(self, name),), name))
         if not self.n_copies_list or any(n < 1 for n in self.n_copies_list):
             raise ValueError(f"n_copies_list must be non-empty positive integers, got {self.n_copies_list}")
-        if not self.m_grid or any(not 0.0 <= m <= 0.5 for m in self.m_grid):
-            raise ValueError(f"m values must lie in [0, 0.5], got {self.m_grid}")
+        if not self.m_grid:
+            raise ValueError("m_grid must not be empty")
+        for m in self.m_grid:
+            _check_m(m)
         if len(set(self.n_copies_list)) < len(self.n_copies_list) or len(set(self.m_grid)) < len(self.m_grid):
             raise ValueError(f"copy counts and m values must not repeat, got {self.n_copies_list} and {self.m_grid}")
         if self.samples < 1:
@@ -165,9 +171,13 @@ def sample_reflectivity(rng: np.random.Generator, m: float, size=None):
     values (in C order) that as many scalar draws would give. m = 0 draws like
     any other m and gives exactly 0.5.
     """
+    _check_m(m)
+    return rng.uniform(0.5 - m, 0.5 + m, size)
+
+
+def _check_m(m) -> None:
     if not 0.0 <= m <= 0.5:
         raise ValueError(f"noise half-width m must lie in [0, 0.5], got {m}")
-    return rng.uniform(0.5 - m, 0.5 + m, size)
 
 
 def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, trial: int) -> np.random.Generator:
@@ -237,12 +247,12 @@ def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _bsm_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Bell-state analyzer on a psi+ input, one trial per row of ``etas``."""
-    mean = _bsm_matrices(etas[:, 0], etas[:, 1])
-    amp = _SQRT_HALF * _pair_amplitudes(mean, [0, 1], [3, 2])
+    sums = _features(etas[:, 0], etas[:, 1]).sum(axis=-2)
+    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums / etas.shape[-1]), [0, 1], [3, 2])
     out = amp[..., 0] + amp[..., 1]
     f = fidelity(out, _BSM_TARGET)
     p_success = np.sum(np.abs(out) ** 2, axis=-1)
-    return f, p_success, normalized_fidelity(f, p_success), *bsm_closed_forms(etas[:, 0], etas[:, 1])
+    return f, p_success, normalized_fidelity(f, p_success), *_bsm_closed(sums, etas.shape[-1])
 
 
 def _trace_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -258,13 +268,18 @@ _METRICS = {
 }
 
 
+def _metric_columns(experiment: str, etas: np.ndarray) -> dict[str, np.ndarray]:
+    """Each metric column of ``experiment`` over the trials of ``etas`` (S, 2, N), unchecked."""
+    return dict(zip(METRIC_COLUMNS[experiment], _METRICS[experiment](etas), strict=True))
+
+
 def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
     """Every trial of one (N, m) cell from its reflectivities ``etas``.
 
     ``etas`` must be a float array of shape (S >= 1, 2, N >= 1) with values in
     [0, 1]; N is read from its last axis. ``m`` must lie in [0, 0.5] and
-    ``experiment`` in :data:`EXPERIMENTS`. Below this check only the bsm
-    closed forms check the reflectivities again.
+    ``experiment`` in :data:`EXPERIMENTS`. Nothing below this check checks
+    the reflectivities again.
     """
     return _run_cells(experiment, (m,), np.asarray(etas, dtype=float)[None])[0]
 
@@ -274,14 +289,13 @@ def _run_cells(experiment: str, ms, etas: np.ndarray) -> list[Cell]:
     and the reflectivities ``etas[i]`` of the (C, S, 2, N) stack."""
     _experiment_id(experiment)
     for m in ms:
-        if not 0.0 <= m <= 0.5:
-            raise ValueError(f"noise half-width m must lie in [0, 0.5], got {m}")
+        _check_m(m)
     etas = _check_reflectivity("etas", etas)
     if etas.ndim != 4 or etas.shape[2] != 2 or 0 in etas.shape:
         raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape[1:]}")
     c, s, _, n = etas.shape
-    values = _METRICS[experiment](etas.reshape(c * s, 2, n))
-    metrics = {col: v.reshape(c, s) for col, v in zip(METRIC_COLUMNS[experiment], values, strict=True)}
+    values = _metric_columns(experiment, etas.reshape(c * s, 2, n))
+    metrics = {col: v.reshape(c, s) for col, v in values.items()}
     return [Cell(n, m, etas[i], {col: v[i] for col, v in metrics.items()}) for i, m in enumerate(ms)]
 
 

@@ -19,7 +19,7 @@ from .detection import BSM_MAP_TARGETS, SUPPORT_THRESHOLD, fusion_outcomes, patt
 from .fock import StateVec, TransferMatrix, apply_transfer, tensor
 from .interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
 from .metrics import _SQRT_HALF, BELL_LABELS, bell_state, fidelity
-from .sweep import run_cell, sample_reflectivity
+from .sweep import _metric_columns, sample_reflectivity
 
 DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 12345
@@ -123,9 +123,9 @@ def check_closed_form(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Sweep-engine analyzer metrics vs their closed forms, random draws."""
     dev = 0.0
     for n_copies in (1, 2, 3):
-        cell = run_cell("bsm", 0.3, sample_reflectivity(rng, 0.3, (samples, 2, n_copies)))
+        metrics = _metric_columns("bsm", sample_reflectivity(rng, 0.3, (samples, 2, n_copies)))
         for sim in ("F", "P_success", "F_norm"):
-            dev = max(dev, float(np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))))
+            dev = max(dev, float(np.max(np.abs(metrics[sim] - metrics[f"{sim}_closed"]))))
     return SuiteResult("closed-form-vs-simulator", dev < 1e-10, dev, 1e-10)
 
 
@@ -216,12 +216,12 @@ def check_perfect_sweep() -> SuiteResult:
     dev = 0.0
     for n_copies in (1, 2, 3):
         balanced = np.full((1, 2, n_copies), 0.5)
-        fusion = run_cell("fusion", 0.0, balanced).metrics
+        fusion = _metric_columns("fusion", balanced)
         dev = max(dev, abs(fusion["P_HH"][0] - 0.125))
         dev = max(dev, abs(fusion["P_single"][0] - 0.5))
         dev = max(dev, abs(fusion["F_HH_norm"][0] - 1.0))
         dev = max(dev, fusion["trace_distance"][0])
-        bsm = run_cell("bsm", 0.0, balanced).metrics
+        bsm = _metric_columns("bsm", balanced)
         dev = max(dev, abs(bsm["P_success"][0] - 1.0))
         dev = max(dev, abs(bsm["F_norm"][0] - 1.0))
     return SuiteResult("perfect-point-values", dev < 1e-10, dev, 1e-10)

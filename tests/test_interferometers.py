@@ -12,6 +12,7 @@ from avgfusion.interferometers import (
     _FUSION,
     _V_SIGNS,
     _bsm_matrices,
+    _features,
     _fusion_gates,
     beamsplitter_layer,
     bsm_matrix,
@@ -127,7 +128,11 @@ def test_builders_equal_the_mean_of_literal_copies(copies):
     from the printed block; a leading axis (here the copies and their
     reversal) broadcasts."""
     eta_1, eta_2 = np.array(copies).T
-    for builder, literal in ((_fusion_gates, _literal_fusion), (_bsm_matrices, _literal_bsm)):
+
+    def bsm_builder(eta_h, eta_v):
+        return _bsm_matrices(_features(eta_h, eta_v).mean(axis=-2))
+
+    for builder, literal in ((_fusion_gates, _literal_fusion), (bsm_builder, _literal_bsm)):
         want = np.mean([literal(a, b) for a, b in copies], axis=0)
         got = builder(np.stack([eta_1, eta_1[::-1]]), np.stack([eta_2, eta_2[::-1]]))
         assert got.dtype == np.float64 and got.shape == (2, 4, 4)

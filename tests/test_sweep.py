@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from avgfusion import sweep
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
+from avgfusion.closed_form import bsm_closed_forms
 from avgfusion.detection import fusion_outcomes
 from avgfusion.fock import TransferMatrix, apply_transfer
 from avgfusion.interferometers import direct_sum, effective_average, fusion_gate
@@ -180,9 +181,19 @@ def test_sweep_config_validation():
         {**good, "samples": 0},
         {**good, "master_seed": -1},
         {**good, "master_seed": 2**64},
+        {**good, "n_copies_list": (2.5,)},
+        {**good, "samples": 2.5},
+        {**good, "master_seed": 1.5},
     ):
         with pytest.raises(ValueError):
             SweepConfig(**bad)
+    for n in (2.0, np.int64(2)):
+        cfg = SweepConfig(**{**good, "n_copies_list": (n,)})
+        assert cfg.n_copies_list == (2,) and type(cfg.n_copies_list[0]) is int
+        assert run_sweep(cfg).cells[0].n_copies == 2
+    cfg = SweepConfig(**{**good, "samples": 2.0, "master_seed": np.uint64(2**64 - 1)})
+    assert (cfg.samples, cfg.master_seed) == (2, 2**64 - 1)
+    assert type(cfg.samples) is int and type(cfg.master_seed) is int
 
 
 def _tiny_config(experiment="bsm"):
@@ -368,6 +379,25 @@ def test_stream_draws_reject_bad_input(draw, message):
 
 def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_bsm_closed_columns_are_the_public_closed_forms(n):
+    """The engine and bsm_closed_forms share one formula on the feature copy
+    sums, so a cell's *_closed columns equal the public function bit for bit.
+    At N <= 7, where a strided and a contiguous copy sum add in the same
+    order, they also equal the root sums taken layer by layer."""
+    cell = run_cell("bsm", 0.4, sample_reflectivity(np.random.default_rng(900 + n), 0.4, (50, 2, n)))
+    eta_h, eta_v = cell.etas[:, 0], cell.etas[:, 1]
+    public = bsm_closed_forms(eta_h, eta_v)
+    sh, shc, sv, svc = (np.sqrt(x).sum(axis=-1) for x in (eta_h, 1.0 - eta_h, eta_v, 1.0 - eta_v))
+    num = (sh * svc + shc * sv) ** 2
+    den = (sh**2 + shc**2) * (sv**2 + svc**2)
+    root_sums = (num / n**4, den / n**4, num / den)
+    for col, want, literal in zip(("F_closed", "P_success_closed", "F_norm_closed"), public, root_sums, strict=True):
+        assert _same_bits(cell.metrics[col], want), col
+        if n <= 7:
+            assert _same_bits(cell.metrics[col], literal), col
 
 
 def _assert_cells_identical(got, want):
