@@ -21,12 +21,19 @@ import numpy as np
 from .interferometers import _check_reflectivity, _features
 
 
-def _bsm_closed(sums: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """``(F, P_success, F_norm)`` from the feature copy sums (..., 4) of n copies, unchecked."""
+def _bsm_closed(sums: np.ndarray, n) -> tuple[np.ndarray, ...]:
+    """``(F, P_success, F_norm)`` from the feature copy sums (..., 4) of n copies, unchecked.
+
+    ``n`` is an int, or a float array of copy counts that broadcasts against
+    the sums' leading axes. (n * n) ** 2 is exact for an int and, since the
+    square of a count below 2**26 is exact, correctly rounded for a float:
+    both divide by the float nearest n**4.
+    """
     sh, shc, sv, svc = np.moveaxis(sums, -1, 0)
     num = (sh * svc + shc * sv) ** 2
     den = (sh**2 + shc**2) * (sv**2 + svc**2)
-    return num / n**4, den / n**4, num / den
+    n4 = (n * n) ** 2
+    return num / n4, den / n4, num / den
 
 
 def bsm_closed_forms(eta_h, eta_v):

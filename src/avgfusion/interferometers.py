@@ -28,11 +28,13 @@ so the singular values of M_N - B are the moduli of the eigenvalues of the
 symmetric P * (M_N - B), which is how ``sweep`` reads the trace distance.
 
 The package-private builders return M_N, real float64 of shape (..., 4, 4),
-and build no per-copy matrix: ``_fusion_gates`` from the reflectivities on the
-last axis, ``_bsm_matrices`` from the copy means (..., 4) of f, whose sums
-:mod:`closed_form` reads. They check nothing; ``sweep.run_cell`` checks the
-engine's reflectivities. The public scalar constructors are the N = 1 case:
-they check their reflectivities and wrap M_N in a :class:`TransferMatrix`.
+and build no per-copy matrix: ``_fusion_matrices`` from the copy means
+(..., 16) of f_a f_b that ``_fusion_products`` takes from the reflectivities
+on the last axis (``_fusion_gates`` is the two in turn), ``_bsm_matrices``
+from the copy means (..., 4) of f, whose sums :mod:`closed_form` reads.
+They check nothing; ``sweep.run_cell`` checks the engine's reflectivities.
+The public scalar constructors are the N = 1 case: they check their
+reflectivities and wrap M_N in a :class:`TransferMatrix`.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ _V_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 def _features(eta_1, eta_2) -> np.ndarray:
     """(sqrt(eta_1), sqrt(1 - eta_1), sqrt(eta_2), sqrt(1 - eta_2)) on a new last axis."""
     eta_1, eta_2 = np.broadcast_arrays(eta_1, eta_2)
-    return np.sqrt(np.stack([eta_1, 1.0 - eta_1, eta_2, 1.0 - eta_2], axis=-1))
+    f = np.stack([eta_1, 1.0 - eta_1, eta_2, 1.0 - eta_2], axis=-1)
+    return np.sqrt(f, out=f)
 
 
 def _linear(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -85,11 +88,21 @@ def _linear(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (coefficients @ basis.reshape(len(basis), 16)).reshape(coefficients.shape[:-1] + (4, 4))
 
 
+def _fusion_products(eta_x, eta_y) -> np.ndarray:
+    """The copy means of f_a f_b at 4a + b, (..., 16), the copies on the last axis, unchecked."""
+    f = _features(eta_x, eta_y)
+    products = np.swapaxes(f, -1, -2) @ f / f.shape[-2]
+    return products.reshape(products.shape[:-2] + (16,))
+
+
+def _fusion_matrices(products: np.ndarray) -> np.ndarray:
+    """M_N of :func:`fusion_gate` from the copy means (..., 16) of f_a f_b, unchecked: real, (..., 4, 4)."""
+    return _linear(products, _FUSION)
+
+
 def _fusion_gates(eta_x, eta_y) -> np.ndarray:
     """M_N of :func:`fusion_gate`, the copies on the last axis, unchecked: real, (..., 4, 4)."""
-    f = _features(eta_x, eta_y)
-    products = np.swapaxes(f, -1, -2) @ f / f.shape[-2]  # copy mean of f_a f_b
-    return _linear(products.reshape(products.shape[:-2] + (16,)), _FUSION)
+    return _fusion_matrices(_fusion_products(eta_x, eta_y))
 
 
 def _bsm_matrices(means: np.ndarray) -> np.ndarray:

@@ -32,13 +32,22 @@ a doubly occupied output mode), and each experiment reads an index slice of
 them: fusion the 2x2 Kraus block of each pattern p, which maps the phi+ (x)
 phi+ spectator rails to the heralded pair; bsm the psi+ amplitudes
 (A[p, 0, 3] + A[p, 1, 2]) / sqrt(2).
-A sweep *draws* each cell's reflectivities in one call, then makes one
-engine call per copy count N: the (S, 2, N) draws of its C cells (one per m)
-are stacked to C * S trials, M_N is built for every trial straight from
-its copies' reflectivities (:mod:`interferometers` averages per-copy
-features, never copy matrices), and the *metrics* are computed for all
-trials at once and split back into C cells. Each metric is computed trial by
-trial, so a stacked cell equals a one-cell run bit for bit.
+A sweep *draws* each cell's reflectivities in one call, then runs the engine
+in two stages split at the copy mean, the only step that reads the copy axis.
+Stage 1 runs once per copy count N on the (S, 2, N) draws of all its cells:
+the copy means mean(f f^T) of the per-copy features f for fusion and
+trace-distance, the feature sums and N for bsm (:mod:`interferometers`
+averages features, never copy matrices). Stage 2 is a per-trial function of
+those rows: it builds M_N and every metric column of every cell of the
+sweep, over fixed blocks of ``_BLOCK`` trials that run across copy counts,
+into one (columns, trials) table. Each metric is computed trial by trial,
+so blocks and stacking do not change a bit and a sweep's cells equal
+one-cell runs. One stacked pass over that table, seen as (columns, cells,
+S), then takes every cell's mean and std. The blocks bound memory: on a
+6 N x 5 m x 20 000-trial fusion sweep, one stage-2 pass over every trial
+took ``run_sweep`` to a peak RSS of 917 MB, against 266 MB for the engine
+that made one call per N and 156 MB in blocks; the largest arrays the engine
+adds are then those stage 1 makes for one N.
 :func:`run_cell` is the engine's boundary, its one-cell case and its only
 check: it reads N from the (S, 2, N) reflectivities and checks them, m and
 the experiment; the bsm metrics read M_N and the closed forms from one set of
@@ -53,6 +62,7 @@ the oracle that ``verify`` and the tests check this engine against.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field
@@ -62,7 +72,15 @@ import numpy as np
 from .closed_form import _bsm_closed
 from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
 from .fock import _int_tuple
-from .interferometers import _V_SIGNS, _bsm_matrices, _check_reflectivity, _features, _fusion_gates
+from .interferometers import (
+    _V_SIGNS,
+    _bsm_matrices,
+    _check_reflectivity,
+    _features,
+    _fusion_gates,
+    _fusion_matrices,
+    _fusion_products,
+)
 from .metrics import _SQRT_HALF, fidelity, normalized_fidelity, trace_distance
 
 EXPERIMENTS = ("fusion", "bsm", "trace-distance")
@@ -107,8 +125,7 @@ class SweepConfig:
             raise ValueError(f"n_copies_list must be non-empty positive integers, got {self.n_copies_list}")
         if not self.m_grid:
             raise ValueError("m_grid must not be empty")
-        for m in self.m_grid:
-            _check_m(m)
+        object.__setattr__(self, "m_grid", tuple(map(_check_m, self.m_grid)))
         if len(set(self.n_copies_list)) < len(self.n_copies_list) or len(set(self.m_grid)) < len(self.m_grid):
             raise ValueError(f"copy counts and m values must not repeat, got {self.n_copies_list} and {self.m_grid}")
         if self.samples < 1:
@@ -140,15 +157,16 @@ class Cell:
     std: dict[str, float] = field(init=False)
 
     def __post_init__(self):
-        # numpy reduces each contiguous row of the (columns, S) table with
-        # the pairwise sums of a 1-D column: the bits are those of _mean_std
-        table = np.stack(list(self.metrics.values()))
-        if table.shape[1] < 2 or np.isnan(table).any():
-            means, stds = zip(*map(_mean_std, self.metrics.values()))
-        else:
-            means, stds = table.mean(axis=1).tolist(), table.std(axis=1, ddof=1).tolist()
-        object.__setattr__(self, "mean", dict(zip(self.metrics, means)))
-        object.__setattr__(self, "std", dict(zip(self.metrics, stds)))
+        (mean,), (std,) = _stats(np.stack(list(self.metrics.values()))[:, None])
+        object.__setattr__(self, "mean", dict(zip(self.metrics, mean)))
+        object.__setattr__(self, "std", dict(zip(self.metrics, std)))
+
+    @classmethod
+    def _built(cls, n_copies: int, m: float, etas: np.ndarray, metrics: dict, mean: dict, std: dict) -> "Cell":
+        """A cell whose statistics the engine took in its one stats pass; skips ``__post_init__``."""
+        cell = object.__new__(cls)
+        vars(cell).update(n_copies=n_copies, m=m, etas=etas, metrics=metrics, mean=mean, std=std)
+        return cell
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -156,6 +174,26 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     if not len(defined):
         return math.nan, math.nan
     return float(defined.mean()), float(defined.std(ddof=1)) if len(defined) > 1 else 0.0
+
+
+def _stats(table: np.ndarray) -> tuple[list, list]:
+    """Mean and std of each column of each cell of the (columns, cells, S) ``table``.
+
+    Returns two (cells, columns) nested lists of floats. One stacked pass
+    covers every row; a row holding a NaN, and every row when S < 2, takes
+    the per-column :func:`_mean_std` instead.
+    """
+    # numpy reduces each contiguous length-S row with the pairwise sums of a
+    # 1-D column, so a stacked row has the bits _mean_std gives it
+    if table.shape[-1] < 2:
+        fallback = np.ones(table.shape[:-1], dtype=bool)
+        mean, std = np.empty(table.shape[:-1]), np.empty(table.shape[:-1])
+    else:
+        fallback = np.isnan(table).any(axis=-1)
+        mean, std = table.mean(axis=-1), table.std(axis=-1, ddof=1)
+    for row in zip(*np.nonzero(fallback)):
+        mean[row], std[row] = _mean_std(table[row])
+    return mean.T.tolist(), std.T.tolist()
 
 
 @dataclass(frozen=True)
@@ -171,13 +209,17 @@ def sample_reflectivity(rng: np.random.Generator, m: float, size=None):
     values (in C order) that as many scalar draws would give. m = 0 draws like
     any other m and gives exactly 0.5.
     """
-    _check_m(m)
+    m = _check_m(m)
     return rng.uniform(0.5 - m, 0.5 + m, size)
 
 
-def _check_m(m) -> None:
+def _check_m(m) -> float:
+    """``m`` as a Python float; it must be a real number in [0, 0.5]."""
+    if not isinstance(m, numbers.Real):
+        raise ValueError(f"noise half-width m must be a real number, got {m!r}")
     if not 0.0 <= m <= 0.5:
         raise ValueError(f"noise half-width m must lie in [0, 0.5], got {m}")
+    return float(m)
 
 
 def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, trial: int) -> np.random.Generator:
@@ -225,14 +267,14 @@ def _pair_amplitudes(mean: np.ndarray, i, j) -> np.ndarray:
     return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
 
 
-def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of ``etas``.
+def _fusion_metrics(products: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of the (B, 16) copy means.
 
     Each phi+ (x) phi+ ket has amplitude 1/sqrt(2) * 1/sqrt(2), so pattern p heralds
     the spectators in the Kraus block ``kraus[:, p]``, rows (V1, H1) and columns
     (V4, H4): the sorted spectator-ket order, which fixes how P_HH and P_single sum.
     """
-    mean = _fusion_gates(etas[:, 0], etas[:, 1])
+    mean = _fusion_matrices(products)
     kraus = _SQRT_HALF * _SQRT_HALF * _pair_amplitudes(mean, [[1], [0]], [[3, 2]])
     prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
     hh = _PATTERNS.index(FUSION_PATTERNS["HH"])
@@ -245,58 +287,131 @@ def _fusion_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
     return f_hh, p_hh, f_hh_norm, p_single, trace_distance(_V_SIGNS * mean, _SIGNED_BALANCED)
 
 
-def _bsm_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Bell-state analyzer on a psi+ input, one trial per row of ``etas``."""
-    sums = _features(etas[:, 0], etas[:, 1]).sum(axis=-2)
-    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums / etas.shape[-1]), [0, 1], [3, 2])
+def _bsm_metrics(sums_n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Bell-state analyzer on a psi+ input, one trial per row of the (B, 5)
+    feature copy sums, each followed by its copy count N."""
+    sums, n = sums_n[:, :4], sums_n[:, 4]
+    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums / n[:, None]), [0, 1], [3, 2])
     out = amp[..., 0] + amp[..., 1]
     f = fidelity(out, _BSM_TARGET)
     p_success = np.sum(np.abs(out) ** 2, axis=-1)
-    return f, p_success, normalized_fidelity(f, p_success), *_bsm_closed(sums, etas.shape[-1])
+    return f, p_success, normalized_fidelity(f, p_success), *_bsm_closed(sums, n)
 
 
-def _trace_metrics(etas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Matrix level: distance of the copy average to the balanced gate."""
-    return (trace_distance(_V_SIGNS * _fusion_gates(etas[:, 0], etas[:, 1]), _SIGNED_BALANCED),)
+def _trace_metrics(products: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Matrix level: distance of the copy average to the balanced gate, from the (B, 16) copy means."""
+    return (trace_distance(_V_SIGNS * _fusion_matrices(products), _SIGNED_BALANCED),)
 
 
-#: Each metric function returns its (S,) columns in ``METRIC_COLUMNS`` order.
+def _feature_sums(eta_1: np.ndarray, eta_2: np.ndarray) -> np.ndarray:
+    """The (S, 5) feature copy sums of the two layers' (S, N) reflectivities, each followed by N."""
+    sums = _features(eta_1, eta_2).sum(axis=-2)
+    return np.concatenate((sums, np.full((len(sums), 1), float(eta_1.shape[-1]))), axis=1)
+
+
+#: Stage 1, once per copy count N, on the two layers' (S, N) reflectivities:
+#: the only step that reads the copy axis.
+_COPY_MEANS = {
+    "fusion": _fusion_products,
+    "bsm": _feature_sums,
+    "trace-distance": _fusion_products,
+}
+
+#: Stage 2 on a block of stage-1 rows of any copy counts: each function
+#: returns its (B,) columns in ``METRIC_COLUMNS`` order.
 _METRICS = {
     "fusion": _fusion_metrics,
     "bsm": _bsm_metrics,
     "trace-distance": _trace_metrics,
 }
 
+#: Trials per stage-2 call, not a knob. On a 600k-trial sweep, blocks of
+#: 2**12 to 2**16 trials kept ``run_sweep``'s peak RSS at 130-220 MB where one
+#: pass over every trial took 470-920 MB; 2**12 and 2**13 were the fastest
+#: and smallest, within noise of each other, and 2**13 makes half the calls.
+_BLOCK = 1 << 13
+
+
+def _blocks(parts, size: int):
+    """The rows of the arrays ``parts``, in order, cut into blocks of ``size``
+    rows (the last block may be shorter); a block may span several parts."""
+    held, count = [], 0
+    for part in parts:
+        while len(part):
+            take, part = part[: size - count], part[size - count :]
+            held.append(take)
+            count += len(take)
+            if count == size:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, count = [], 0
+    if held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
+
+
+def _metric_table(experiment: str, stacks) -> np.ndarray:
+    """Every metric column over every trial of the (C, S, 2, N) ``stacks``,
+    unchecked: a (columns, trials) array, trials in stack then C then S order.
+
+    Stage 1 takes each stack's copy means in one call, when stage 2 first
+    needs them; stage 2 reads them in blocks of ``_BLOCK`` trials that run
+    across copy counts, and writes each block's columns into the table.
+    """
+    copy_means, metrics = _COPY_MEANS[experiment], _METRICS[experiment]
+    trials = [etas.reshape(-1, *etas.shape[-2:]) for etas in stacks]
+    table = np.empty((len(METRIC_COLUMNS[experiment]), sum(map(len, trials))))
+    done = 0
+    for block in _blocks((copy_means(etas[:, 0], etas[:, 1]) for etas in trials), _BLOCK):
+        for row, values in zip(table[:, done : done + len(block)], metrics(block), strict=True):
+            row[...] = values
+        done += len(block)
+    return table
+
 
 def _metric_columns(experiment: str, etas: np.ndarray) -> dict[str, np.ndarray]:
     """Each metric column of ``experiment`` over the trials of ``etas`` (S, 2, N), unchecked."""
-    return dict(zip(METRIC_COLUMNS[experiment], _METRICS[experiment](etas), strict=True))
+    return dict(zip(METRIC_COLUMNS[experiment], _metric_table(experiment, (etas[None],))))
 
 
 def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
     """Every trial of one (N, m) cell from its reflectivities ``etas``.
 
     ``etas`` must be a float array of shape (S >= 1, 2, N >= 1) with values in
-    [0, 1]; N is read from its last axis. ``m`` must lie in [0, 0.5] and
-    ``experiment`` in :data:`EXPERIMENTS`. Nothing below this check checks
-    the reflectivities again.
+    [0, 1]; N is read from its last axis. ``m`` must be a real number in
+    [0, 0.5] and ``experiment`` in :data:`EXPERIMENTS`. Nothing below this
+    check checks the reflectivities again.
+
+    This is the one-cell case of the path :func:`run_sweep` takes: stage 1
+    takes the copy means of the S trials (mean(f f^T) for fusion and
+    trace-distance, the feature sums and N for bsm), stage 2 computes every
+    metric column from them in blocks of ``_BLOCK`` trials, and one stacked
+    pass takes the cell's mean and std.
     """
     return _run_cells(experiment, (m,), np.asarray(etas, dtype=float)[None])[0]
 
 
-def _run_cells(experiment: str, ms, etas: np.ndarray) -> list[Cell]:
-    """One engine call for the cells of one copy count: cell i has m ``ms[i]``
-    and the reflectivities ``etas[i]`` of the (C, S, 2, N) stack."""
+def _run_cells(experiment: str, ms, *stacks: np.ndarray) -> list[Cell]:
+    """The cells of one or more copy counts, in one metric pass and one stats pass.
+
+    Each (C, S, 2, N) stack holds the cells of one copy count: cell i has m
+    ``ms[i]`` and the reflectivities ``stack[i]``. Every stack has C = len(ms)
+    and one S. Cells come out stack by stack, then in ``ms`` order.
+    """
     _experiment_id(experiment)
-    for m in ms:
-        _check_m(m)
-    etas = _check_reflectivity("etas", etas)
-    if etas.ndim != 4 or etas.shape[2] != 2 or 0 in etas.shape:
-        raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape[1:]}")
-    c, s, _, n = etas.shape
-    values = _metric_columns(experiment, etas.reshape(c * s, 2, n))
-    metrics = {col: v.reshape(c, s) for col, v in values.items()}
-    return [Cell(n, m, etas[i], {col: v[i] for col, v in metrics.items()}) for i, m in enumerate(ms)]
+    ms = [_check_m(m) for m in ms]
+    stacks = [_check_reflectivity("etas", etas) for etas in stacks]
+    for etas in stacks:
+        if etas.ndim != 4 or etas.shape[2] != 2 or 0 in etas.shape:
+            raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape[1:]}")
+    if {etas.shape[:2] for etas in stacks} != {(len(ms), stacks[0].shape[1])}:
+        raise ValueError(f"every stack must hold one cell per m and one S, got {[e.shape for e in stacks]}")
+    columns = METRIC_COLUMNS[experiment]
+    table = _metric_table(experiment, stacks).reshape(len(columns), -1, stacks[0].shape[1])
+    means, stds = _stats(table)
+    cells = [(etas[i], m) for etas in stacks for i, m in enumerate(ms)]
+    return [
+        Cell._built(etas.shape[-1], m, etas, dict(zip(columns, rows)), dict(zip(columns, mean)), dict(zip(columns, std)))
+        for (etas, m), rows, mean, std in zip(cells, table.swapaxes(0, 1), means, stds, strict=True)
+    ]
 
 
 # The single-trial runners draw from ``rng`` as one trial of a sweep cell
@@ -324,17 +439,17 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every (N, m) cell; :func:`write_csv` writes the result.
 
     The reflectivities of each cell come from its own stream in one draw; the
-    cells of each copy count N then run in one engine call.
+    whole sweep then runs in one metric pass and one stats pass.
     Cells come out N-major, then in ``m_grid`` order.
     """
-    cells = []
-    for n in cfg.n_copies_list:
-        etas = np.stack([
+    stacks = [
+        np.stack([
             sample_reflectivity(trial_rng(cfg.master_seed, cfg.experiment, n, mi, 0), m, (cfg.samples, 2, n))
             for mi, m in enumerate(cfg.m_grid)
         ])
-        cells += _run_cells(cfg.experiment, cfg.m_grid, etas)
-    return SweepResult(cfg, tuple(cells))
+        for n in cfg.n_copies_list
+    ]
+    return SweepResult(cfg, tuple(_run_cells(cfg.experiment, cfg.m_grid, *stacks)))
 
 
 _FLOAT = "%.17g"

@@ -5,19 +5,20 @@ import dataclasses
 import hashlib
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgfusion import sweep
+from avgfusion import cli, sweep
 from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
 from avgfusion.closed_form import bsm_closed_forms
-from avgfusion.detection import fusion_outcomes
+from avgfusion.detection import FUSION_PATTERNS, fusion_outcomes
 from avgfusion.fock import TransferMatrix, apply_transfer
-from avgfusion.interferometers import direct_sum, effective_average, fusion_gate
-from avgfusion.metrics import bell_state, fidelity
+from avgfusion.interferometers import _ANALYZER, _FUSION, _V_SIGNS, _linear, direct_sum, effective_average, fusion_gate
+from avgfusion.metrics import _SQRT_HALF, bell_state, fidelity, normalized_fidelity, trace_distance
 from avgfusion.svgplot import render_sweep_svg, write_svg
 from avgfusion.sweep import (
     EXPERIMENTS,
@@ -194,6 +195,18 @@ def test_sweep_config_validation():
     cfg = SweepConfig(**{**good, "samples": 2.0, "master_seed": np.uint64(2**64 - 1)})
     assert (cfg.samples, cfg.master_seed) == (2, 2**64 - 1)
     assert type(cfg.samples) is int and type(cfg.master_seed) is int
+    for m, name in (("0.1", "'0.1'"), (None, "None"), (b"0.1", "b'0.1'"), (np.array([0.1]), r"array\(\[0.1\]\)")):
+        with pytest.raises(ValueError, match=f"real number, got {name}"):
+            SweepConfig(**{**good, "m_grid": (m,)})
+
+
+@pytest.mark.parametrize("m", [0.1, 0, np.float64(0.1), np.float32(0.1), np.int64(0)])
+def test_sweep_config_keeps_m_grid_as_a_tuple_of_python_floats(m):
+    """A list grid and numpy scalars are stored as a tuple of Python floats of
+    the same values, so the frozen config hashes."""
+    cfg = SweepConfig("fusion", (1,), [m, 0.3], 2, 1)
+    assert cfg.m_grid == (float(m), 0.3) and all(type(x) is float for x in cfg.m_grid)
+    assert hash(cfg) == hash(SweepConfig("fusion", (1,), (float(m), 0.3), 2, 1))
 
 
 def _tiny_config(experiment="bsm"):
@@ -356,10 +369,10 @@ def test_run_cell_rejects_unknown_experiment():
 @pytest.mark.parametrize("change", [lambda v: v[:-1], lambda v: (*v, v[0])], ids=["one-too-few", "one-too-many"])
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_run_cell_rejects_a_metric_function_of_the_wrong_width(monkeypatch, experiment, change):
-    """The engine pairs a metric function's values with METRIC_COLUMNS; a
+    """The engine pairs the metric stage's values with METRIC_COLUMNS; a
     column too few or too many is an error, not a silently short CSV."""
     metrics = sweep._METRICS[experiment]
-    monkeypatch.setitem(sweep._METRICS, experiment, lambda etas: change(tuple(metrics(etas))))
+    monkeypatch.setitem(sweep._METRICS, experiment, lambda block: change(tuple(metrics(block))))
     with pytest.raises(ValueError):
         run_cell(experiment, 0.1, _VALID_ETAS)
 
@@ -433,6 +446,137 @@ def test_sweep_cells_equal_one_cell_runs(experiment, n_copies, m_grid, samples, 
         _assert_cells_identical(cell, run_cell(experiment, cell.m, cell.etas.copy()))
 
 
+# The engine as of commit 1f787fe, copied literally as the reference for the
+# two-stage engine: one metric call per copy count on the (C * S, 2, N)
+# reflectivities of its cells, then each cell's statistics from its own
+# (columns, S) table.
+
+
+def _ref_features(eta_1, eta_2):
+    eta_1, eta_2 = np.broadcast_arrays(eta_1, eta_2)
+    return np.sqrt(np.stack([eta_1, 1.0 - eta_1, eta_2, 1.0 - eta_2], axis=-1))
+
+
+def _ref_fusion_gates(eta_x, eta_y):
+    f = _ref_features(eta_x, eta_y)
+    products = np.swapaxes(f, -1, -2) @ f / f.shape[-2]  # copy mean of f_a f_b
+    return _linear(products.reshape(products.shape[:-2] + (16,)), _FUSION)
+
+
+def _ref_bsm_closed(sums, n):
+    sh, shc, sv, svc = np.moveaxis(sums, -1, 0)
+    num = (sh * svc + shc * sv) ** 2
+    den = (sh**2 + shc**2) * (sv**2 + svc**2)
+    return num / n**4, den / n**4, num / den
+
+
+def _ref_pair_amplitudes(mean, i, j):
+    shape = (-1,) + (1,) * np.broadcast(i, j).ndim
+    k, l = sweep._PATTERN_MODES.reshape(2, *shape)
+    m = mean.transpose(1, 2, 0).copy()  # trials last: each product runs along contiguous trials
+    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * sweep._BUNCHING.reshape(*shape, 1)
+    return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
+
+
+def _ref_fusion_metrics(etas):
+    mean = _ref_fusion_gates(etas[:, 0], etas[:, 1])
+    kraus = _SQRT_HALF * _SQRT_HALF * _ref_pair_amplitudes(mean, [[1], [0]], [[3, 2]])
+    prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
+    hh = sweep._PATTERNS.index(FUSION_PATTERNS["HH"])
+    f_hh = fidelity(np.diagonal(kraus[:, hh], axis1=-2, axis2=-1), sweep._PHI_PLUS_DIAGONAL)
+    p_hh = prob[:, hh]
+    heralded = p_hh > 0
+    f_hh_norm = np.full(len(p_hh), math.nan)
+    f_hh_norm[heralded] = normalized_fidelity(f_hh[heralded], p_hh[heralded])
+    p_single = sum(prob[:, sweep._PATTERNS.index(p)] for p in FUSION_PATTERNS.values())
+    return f_hh, p_hh, f_hh_norm, p_single, trace_distance(_V_SIGNS * mean, sweep._SIGNED_BALANCED)
+
+
+def _ref_bsm_metrics(etas):
+    sums = _ref_features(etas[:, 0], etas[:, 1]).sum(axis=-2)
+    amp = _SQRT_HALF * _ref_pair_amplitudes(_linear(sums / etas.shape[-1], _ANALYZER), [0, 1], [3, 2])
+    out = amp[..., 0] + amp[..., 1]
+    f = fidelity(out, sweep._BSM_TARGET)
+    p_success = np.sum(np.abs(out) ** 2, axis=-1)
+    return f, p_success, normalized_fidelity(f, p_success), *_ref_bsm_closed(sums, etas.shape[-1])
+
+
+def _ref_trace_metrics(etas):
+    return (trace_distance(_V_SIGNS * _ref_fusion_gates(etas[:, 0], etas[:, 1]), sweep._SIGNED_BALANCED),)
+
+
+_REF_METRICS = {"fusion": _ref_fusion_metrics, "bsm": _ref_bsm_metrics, "trace-distance": _ref_trace_metrics}
+
+
+def _ref_stats(metrics):
+    table = np.stack(list(metrics.values()))
+    if table.shape[1] < 2 or np.isnan(table).any():
+        means, stds = zip(*map(sweep._mean_std, metrics.values()))
+    else:
+        means, stds = table.mean(axis=1).tolist(), table.std(axis=1, ddof=1).tolist()
+    return dict(zip(metrics, means)), dict(zip(metrics, stds))
+
+
+def _ref_run_cells(experiment, ms, etas):
+    """(metrics, mean, std) of each cell of the (C, S, 2, N) stack of one copy count."""
+    c, s, _, n = etas.shape
+    values = dict(zip(METRIC_COLUMNS[experiment], _REF_METRICS[experiment](etas.reshape(c * s, 2, n)), strict=True))
+    metrics = {col: v.reshape(c, s) for col, v in values.items()}
+    cells = [{col: v[i] for col, v in metrics.items()} for i in range(len(ms))]
+    return [(cell, *_ref_stats(cell)) for cell in cells]
+
+
+def _assert_equals_reference(result: SweepResult):
+    """Every cell of ``result`` against the reference engine run per copy count on the same draws."""
+    cfg = result.config
+    for k, n in enumerate(cfg.n_copies_list):
+        cells = result.cells[k * len(cfg.m_grid) : (k + 1) * len(cfg.m_grid)]
+        assert [(c.n_copies, c.m) for c in cells] == [(n, m) for m in cfg.m_grid]
+        ref = _ref_run_cells(cfg.experiment, cfg.m_grid, np.stack([c.etas for c in cells]))
+        for cell, (metrics, mean, std) in zip(cells, ref, strict=True):
+            assert cell.metrics.keys() == metrics.keys() == mean.keys() == std.keys()
+            for col in metrics:
+                assert cell.metrics[col].shape == metrics[col].shape, col
+                assert _same_bits(cell.metrics[col], metrics[col]), col
+                assert _same_bits(cell.mean[col], mean[col]) and type(cell.mean[col]) is float, col
+                assert _same_bits(cell.std[col], std[col]) and type(cell.std[col]) is float, col
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    n_copies=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3, unique=True),
+    m_grid=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5)),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    ),
+    samples=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    block=st.one_of(st.integers(min_value=1, max_value=9), st.just(sweep._BLOCK)),
+)
+def test_run_sweep_equals_the_reference_engine_bit_for_bit(experiment, n_copies, m_grid, samples, seed, block):
+    """Every metric array, mean and std of every cell equals the one-call-per-N
+    engine of 1f787fe bit for bit, at the real block size and at blocks of a
+    few trials that cut cells and copy counts apart (m = 0 and 0.5, S = 1)."""
+    cfg = SweepConfig(experiment, tuple(n_copies), tuple(m_grid), samples, seed)
+    with mock.patch.object(sweep, "_BLOCK", block):
+        result = run_sweep(cfg)
+    _assert_equals_reference(result)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_a_sweep_of_several_blocks_equals_the_reference_engine(experiment):
+    """36 000 trials at the real block size: at least three blocks, and the
+    cells that hold the first two block boundaries straddle them."""
+    cfg = SweepConfig(experiment, (1, 2, 3), (0.0, 0.2, 0.5), samples=4000, master_seed=2**64 - 1)
+    starts = [k * cfg.samples for k in range(9)]
+    assert -(-9 * cfg.samples // sweep._BLOCK) >= 3
+    assert all(any(lo < b < lo + cfg.samples for lo in starts) for b in (sweep._BLOCK, 2 * sweep._BLOCK))
+    _assert_equals_reference(run_sweep(cfg))
+
+
 def test_stacked_cells_with_an_undefined_trial_equal_one_cell_runs():
     """A stack holding a fusion trial with P_HH = 0 (N = 1, etas (0, 1)) keeps
     its NaN F_HH_norm in its own cell and leaves the other cell's bits alone."""
@@ -441,23 +585,77 @@ def test_stacked_cells_with_an_undefined_trial_equal_one_cell_runs():
     assert np.isnan(cells[0].metrics["F_HH_norm"][1]) and not np.isnan(cells[1].metrics["F_HH_norm"]).any()
     for cell, m, cell_etas in zip(cells, (0.5, 0.2), etas, strict=True):
         _assert_cells_identical(cell, run_cell("fusion", m, cell_etas.copy()))
+    _assert_equals_reference(SweepResult(SweepConfig("fusion", (1,), (0.5, 0.2), 2, 0), tuple(cells)))
 
 
+def _count_stage_calls(monkeypatch, experiment):
+    """Record the input shape of every stage-1 (copy means) and stage-2 (metrics) call."""
+    stage1, stage2 = [], []
+    for table, calls in ((sweep._COPY_MEANS, stage1), (sweep._METRICS, stage2)):
+        def counted(*args, stage=table[experiment], calls=calls):
+            calls.append(tuple(x.shape for x in args))
+            return stage(*args)
+
+        monkeypatch.setitem(table, experiment, counted)
+    return stage1, stage2
+
+
+@pytest.mark.parametrize("block", [None, 7, 60, 61], ids=["default-block", "block-7", "block-60", "block-61"])
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_run_sweep_makes_one_engine_call_per_copy_count(monkeypatch, experiment):
-    calls = []
-    metrics = sweep._METRICS[experiment]
-
-    def counted(etas):
-        calls.append(etas.shape)
-        return metrics(etas)
-
-    monkeypatch.setitem(sweep._METRICS, experiment, counted)
+def test_run_sweep_takes_copy_means_once_per_copy_count_and_metrics_once_per_block(monkeypatch, experiment, block):
+    """Stage 1 runs once per copy count on all its cells; stage 2 runs once per
+    block of trials, blocks cut across copy counts; the blocks do not change a bit."""
     cfg = SweepConfig(experiment, (1, 3, 2), (0.0, 0.1, 0.2, 0.4), samples=5, master_seed=7)
+    want = run_sweep(cfg)
+    if block is not None:
+        monkeypatch.setattr(sweep, "_BLOCK", block)
+    stage1, stage2 = _count_stage_calls(monkeypatch, experiment)
     result = run_sweep(cfg)
-    assert len(calls) == len(cfg.n_copies_list)
-    assert calls == [(len(cfg.m_grid) * cfg.samples, 2, n) for n in cfg.n_copies_list]
+    total = len(cfg.n_copies_list) * len(cfg.m_grid) * cfg.samples
+    size = sweep._BLOCK
+    assert stage1 == [((len(cfg.m_grid) * cfg.samples, n),) * 2 for n in cfg.n_copies_list]
+    assert len(stage2) == -(-total // size)
+    assert [shape[0] for (shape,) in stage2] == [min(size, total - lo) for lo in range(0, total, size)]
     assert len(result.cells) == len(cfg.n_copies_list) * len(cfg.m_grid)
+    for got, ref in zip(result.cells, want.cells, strict=True):
+        _assert_cells_identical(got, ref)
+
+
+@pytest.mark.parametrize("command", ["fusion-sweep", "bsm-sweep", "trace-distance"])
+def test_every_default_cli_grid_is_one_metric_block(monkeypatch, tmp_path, command):
+    experiment = cli._SWEEPS[command][0]
+    stage1, stage2 = _count_stage_calls(monkeypatch, experiment)
+    assert cli.main([command, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(stage2) == 1 and stage2[0][0][0] == sum(eta_1[0] for eta_1, _ in stage1)
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("fidelity", "fusion-sweep"),
+        ("fidelity", "bsm-sweep"),
+        ("trace_distance", "fusion-sweep"),
+        ("trace_distance", "trace-distance"),
+        *((name, command) for name in ("run_sweep", "trial_rng", "sample_reflectivity")
+          for command in ("fusion-sweep", "bsm-sweep", "trace-distance")),
+    ],
+)
+def test_sweeps_call_the_names_perfbench_patches_as_sweep_globals(monkeypatch, tmp_path, name, command):
+    """perfbench's layer tracer and its perturbation tests replace these
+    ``sweep`` module globals (and every package binding of the same function),
+    so a sweep must look them up there on every call."""
+    original, calls = getattr(sweep, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (sweep, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    assert cli.main([command, "--samples", "2", "--out", str(tmp_path / "out.csv")]) == 0
+    cells = {"fusion-sweep": 15, "bsm-sweep": 15, "trace-distance": 6}[command]
+    assert len(calls) == {"run_sweep": 1, "trial_rng": cells, "sample_reflectivity": cells}.get(name, 1)
 
 
 @pytest.mark.parametrize("undefined", [False, True], ids=["defined", "one-nan"])
@@ -474,6 +672,22 @@ def test_cell_stats_equal_per_column_mean_std(samples, undefined):
         mean, std = sweep._mean_std(values)
         assert _same_bits(cell.mean[col], mean) and _same_bits(cell.std[col], std), col
     assert math.isnan(cell.mean["c2"]) == (undefined and samples == 1)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 9, 128, 129, 20_000])
+def test_stacked_stats_equal_per_column_mean_std(samples):
+    """One pass over a (columns, cells, S) table gives each row the bits of
+    _mean_std on that row alone, rows with a NaN and S = 1 included."""
+    rng = np.random.default_rng(samples)
+    table = rng.uniform(0.0, 1.0, (3, 4, samples)) * np.array([1e-3, 1.0, 1e3])[:, None, None]
+    table[1, 2, samples // 2] = math.nan
+    table[2, 0, :] = math.nan
+    means, stds = sweep._stats(table)
+    for col in range(3):
+        for cell in range(4):
+            mean, std = sweep._mean_std(table[col, cell])
+            assert _same_bits(means[cell][col], mean) and _same_bits(stds[cell][col], std), (col, cell)
+            assert type(means[cell][col]) is float and type(stds[cell][col]) is float
 
 
 def test_cell_stats_are_fixed_when_the_cell_is_made():
