@@ -18,11 +18,15 @@ import argparse
 import decimal
 import sys
 
-from .detection import BSM_PATTERNS, pattern_support
-from .metrics import BELL_LABELS
+from .metrics import BELL_LABELS, BSM_PATTERNS
 from .svgplot import write_svg
 from .sweep import SweepConfig, run_sweep, write_csv
-from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_all
+
+# The Fock oracle (``verify``, ``detection``) is imported by the commands
+# that use it, so a sweep loads only the engine. ``verify.run_all`` takes
+# its defaults from here, the one place both read them.
+DEFAULT_SAMPLES = 20
+DEFAULT_SEED = 12345
 
 
 # Flag converters. argparse names the converter in its error message
@@ -139,6 +143,8 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from .verify import run_all
+
     results = run_all(samples=args.samples, seed=args.seed)
     for res in results:
         print(res.report_line())
@@ -146,6 +152,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_table2(args, parser) -> int:
+    from .detection import pattern_support
+
     support = {label: pattern_support(label, args.eta_h, args.eta_v) for label in BELL_LABELS}
     balanced = {label: pattern_support(label, 0.5, 0.5) for label in BELL_LABELS}
     print(f"{'pattern':<9}" + "".join(f"{label:>7}" for label in BELL_LABELS))

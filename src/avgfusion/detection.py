@@ -2,7 +2,10 @@
 
 A detection pattern fixes the photon count on a subset of modes. Projecting a
 state onto a pattern yields the click probability together with the residual
-state on the unmeasured modes.
+state on the unmeasured modes. The pattern tables ``BSM_PATTERNS``,
+``FUSION_PATTERNS`` and ``BSM_MAP_TARGETS`` are defined in :mod:`metrics`,
+where the sweep engine reads them without loading this module, and are
+importable from here too.
 """
 
 from __future__ import annotations
@@ -12,40 +15,7 @@ from operator import itemgetter
 
 from .fock import StateVec, _int_tuple, apply_transfer
 from .interferometers import bsm_matrix
-from .metrics import _SQRT_HALF, bell_state
-
-#: Two-photon click patterns on the four analyzer modes (a, b, c, d) of a
-#: Bell-state analyzer: the four doubles and the six coincidences.
-BSM_PATTERNS: dict[str, tuple[int, int, int, int]] = {
-    "a2": (2, 0, 0, 0),
-    "b2": (0, 2, 0, 0),
-    "c2": (0, 0, 2, 0),
-    "d2": (0, 0, 0, 2),
-    "ab": (1, 1, 0, 0),
-    "ac": (1, 0, 1, 0),
-    "ad": (1, 0, 0, 1),
-    "bc": (0, 1, 1, 0),
-    "bd": (0, 1, 0, 1),
-    "cd": (0, 0, 1, 1),
-}
-
-#: Balanced-analyzer image of each Bell state, up to one global phase.
-BSM_MAP_TARGETS: dict[str, dict[tuple[int, ...], complex]] = {
-    "psi+": {(1, 1, 0, 0): -_SQRT_HALF, (0, 0, 1, 1): _SQRT_HALF},
-    "psi-": {(1, 0, 0, 1): _SQRT_HALF, (0, 1, 1, 0): -_SQRT_HALF},
-    "phi+": {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5},
-    "phi-": {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): -0.5},
-}
-
-#: Success patterns of a polarization fusion gate on its (H1, V1, H2, V2)
-#: outputs: one photon in each port, keyed by which rails fired.
-FUSION_PATTERNS: dict[str, tuple[int, int, int, int]] = {
-    "HH": (1, 0, 1, 0),
-    "VV": (0, 1, 0, 1),
-    "HV": (1, 0, 0, 1),
-    "VH": (0, 1, 1, 0),
-}
-
+from .metrics import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS, bell_state
 
 @dataclass(frozen=True)
 class DetectionPattern:

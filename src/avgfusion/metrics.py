@@ -1,4 +1,4 @@
-"""Bell-state constructors and figures of merit."""
+"""Bell states, the click-pattern tables, and figures of merit."""
 
 from __future__ import annotations
 
@@ -12,6 +12,38 @@ from .fock import StateVec, TransferMatrix, inner_product
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+#: Two-photon click patterns on the four analyzer modes (a, b, c, d) of a
+#: Bell-state analyzer: the four doubles and the six coincidences.
+BSM_PATTERNS: dict[str, tuple[int, int, int, int]] = {
+    "a2": (2, 0, 0, 0),
+    "b2": (0, 2, 0, 0),
+    "c2": (0, 0, 2, 0),
+    "d2": (0, 0, 0, 2),
+    "ab": (1, 1, 0, 0),
+    "ac": (1, 0, 1, 0),
+    "ad": (1, 0, 0, 1),
+    "bc": (0, 1, 1, 0),
+    "bd": (0, 1, 0, 1),
+    "cd": (0, 0, 1, 1),
+}
+
+#: Balanced-analyzer image of each Bell state, up to one global phase.
+BSM_MAP_TARGETS: dict[str, dict[tuple[int, ...], complex]] = {
+    "psi+": {(1, 1, 0, 0): -_SQRT_HALF, (0, 0, 1, 1): _SQRT_HALF},
+    "psi-": {(1, 0, 0, 1): _SQRT_HALF, (0, 1, 1, 0): -_SQRT_HALF},
+    "phi+": {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5},
+    "phi-": {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): -0.5},
+}
+
+#: Success patterns of a polarization fusion gate on its (H1, V1, H2, V2)
+#: outputs: one photon in each port, keyed by which rails fired.
+FUSION_PATTERNS: dict[str, tuple[int, int, int, int]] = {
+    "HH": (1, 0, 1, 0),
+    "VV": (0, 1, 0, 1),
+    "HV": (1, 0, 0, 1),
+    "VH": (0, 1, 1, 0),
+}
 
 _BELL_KETS = {
     "psi+": (((1, 0, 0, 1), _SQRT_HALF), ((0, 1, 1, 0), _SQRT_HALF)),

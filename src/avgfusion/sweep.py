@@ -1,62 +1,38 @@
 """Seeded Monte-Carlo sweeps over reflectivity noise, with CSV output.
 
-Three experiments share one harness:
+Three experiments share one engine: ``fusion``, an N-copy averaged fusion
+gate on two dual-rail Bell pairs; ``bsm``, an N-copy averaged Bell-state
+analyzer on psi+, next to its closed forms; and ``trace-distance``, the
+matrix-level distance of the copy average to the balanced gate alone.
+:data:`METRIC_COLUMNS` names what each records per trial.
 
-``fusion``
-    N-copy averaged fusion gate acting on two dual-rail Bell pairs, with the
-    spectator rails passed through. Records the HH-pattern overlap and
-    probability, the conditional fidelity, the total success probability over
-    all four patterns, and the gate-level trace distance to the balanced gate.
-``bsm``
-    N-copy averaged Bell-state analyzer fed a psi+ pair. Records overlap,
-    success probability and conditional fidelity alongside their closed-form
-    counterparts.
-``trace-distance``
-    Matrix-level only: trace distance between the mean of the sampled gate
-    copies and the balanced fusion gate.
+Streams: every (N, m) cell draws from its own numpy stream, keyed by
+(master seed, experiment, N, m index), so results do not depend on execution
+order. Trial t reads draws t * 2N to t * 2N + 2N - 1, so more samples extend
+each cell and keep the earlier trials. :func:`trial_rng` positions a stream
+at any trial; a sweep draws each cell in one call from trial 0.
 
-Every (N, m) cell draws its reflectivities from one independent,
-deterministically derived numpy stream keyed by (master seed, experiment, N,
-m index), so results do not depend on execution order. Trial t reads draws
-t * 2N to t * 2N + 2N - 1 of its cell's stream, so a run with more samples
-extends each cell and keeps the earlier trials. :func:`trial_rng` gives the
-stream positioned at any one trial; a sweep draws each cell in one call from
-the stream at trial 0.
+Stages: the engine evaluates the mean matrix M_N = (1/N) sum_r U_r, which
+the post-selected N-copy network applies to the gate modes, and M_N is
+linear in the copy means of the per-copy features (:mod:`interferometers`
+derives both). Stage 1 runs once per copy count N on the (S, 2, N) draws of
+all its cells and takes those copy means: mean(f f^T) for fusion and
+trace-distance, the feature sums and N for bsm. It is the only step that
+reads the copy axis. Stage 2 builds M_N from them and every metric column of
+every cell, from the 2x2 permanents of M_N per click pattern.
 
-Sweeps compute from the mean matrix, not from the N-copy network. The
-post-selected network acts on the gate modes as M_N = (1/N) sum_r U_r
-(see :mod:`averaging`), and every input here puts exactly two photons on the
-gate modes, one photon per input mode. So the click amplitudes A[p, i, j]
-of photons entering modes i and j are 2x2 permanents of M_N (over sqrt(2) for
-a doubly occupied output mode), and each experiment reads an index slice of
-them: fusion the 2x2 Kraus block of each pattern p, which maps the phi+ (x)
-phi+ spectator rails to the heralded pair; bsm the psi+ amplitudes
-(A[p, 0, 3] + A[p, 1, 2]) / sqrt(2).
-A sweep *draws* each cell's reflectivities in one call, then runs the engine
-in two stages split at the copy mean, the only step that reads the copy axis.
-Stage 1 runs once per copy count N on the (S, 2, N) draws of all its cells:
-the copy means mean(f f^T) of the per-copy features f for fusion and
-trace-distance, the feature sums and N for bsm (:mod:`interferometers`
-averages features, never copy matrices). Stage 2 is a per-trial function of
-those rows: it builds M_N and every metric column of every cell of the
-sweep, over fixed blocks of ``_BLOCK`` trials that run across copy counts,
-into one (columns, trials) table. Each metric is computed trial by trial,
-so blocks and stacking do not change a bit and a sweep's cells equal
-one-cell runs. One stacked pass over that table, seen as (columns, cells,
-S), then takes every cell's mean and std. The blocks bound memory: on a
-6 N x 5 m x 20 000-trial fusion sweep, one stage-2 pass over every trial
-took ``run_sweep`` to a peak RSS of 917 MB, against 266 MB for the engine
-that made one call per N and 156 MB in blocks; the largest arrays the engine
-adds are then those stage 1 makes for one N.
-:func:`run_cell` is the engine's boundary, its one-cell case and its only
-check: it reads N from the (S, 2, N) reflectivities and checks them, m and
-the experiment; the bsm metrics read M_N and the closed forms from one set of
-feature copy sums. The cell, with its trial axis intact, is what a sweep
-returns (:class:`Cell`); its per-column mean and std are computed when the
-cell is made, so the CSV and the plots only format it.
-This module builds no Fock state: the full Fock-space network
-(:mod:`averaging`, :func:`fock.apply_transfer`) and its input states live in
-the oracle that ``verify`` and the tests check this engine against.
+Blocks: stage 2 runs over fixed blocks of ``_BLOCK`` trials that cross copy
+counts, into one (columns, trials) table, and one stacked pass over that
+table takes every cell's mean and std. Each metric is computed trial by
+trial, so neither blocks nor stacking change a bit, and the largest arrays
+the engine holds are those stage 1 makes for one N.
+
+Boundary: :func:`run_cell` is the engine's one-cell case and its only check;
+nothing below it checks the reflectivities again. A :class:`Cell` keeps its
+trial axis and takes its mean and std when it is made, so the CSV and the
+plots only format it. This module builds no Fock state: the Fock network and
+its input states belong to the oracle that ``verify`` and the tests check
+this engine against.
 """
 
 from __future__ import annotations
@@ -70,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import _bsm_closed
-from .detection import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS
 from .fock import _int_tuple
 from .interferometers import (
     _V_SIGNS,
@@ -81,7 +56,15 @@ from .interferometers import (
     _fusion_matrices,
     _fusion_products,
 )
-from .metrics import _SQRT_HALF, fidelity, normalized_fidelity, trace_distance
+from .metrics import (
+    _SQRT_HALF,
+    BSM_MAP_TARGETS,
+    BSM_PATTERNS,
+    FUSION_PATTERNS,
+    fidelity,
+    normalized_fidelity,
+    trace_distance,
+)
 
 EXPERIMENTS = ("fusion", "bsm", "trace-distance")
 
@@ -134,7 +117,7 @@ class SweepConfig:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cell:
     """One (N, m) cell of a sweep, its S trials along the first axis.
 
@@ -147,6 +130,9 @@ class Cell:
     deviation (ddof=1; 0.0 for a single defined trial) over the defined
     trials, NaN when there are none. They are computed when the cell is
     made, so later writes to ``metrics`` do not change them.
+
+    A cell equals only itself and hashes by identity, as its arrays have no
+    single truth value to compare by.
     """
 
     n_copies: int
@@ -196,8 +182,14 @@ def _stats(table: np.ndarray) -> tuple[list, list]:
     return mean.T.tolist(), std.T.tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """The cells of one sweep, N-major, then in ``m_grid`` order.
+
+    A result equals only itself and hashes by identity; two sweeps are the
+    same when :func:`write_csv` writes the same bytes for both.
+    """
+
     config: SweepConfig
     cells: tuple[Cell, ...]
 
@@ -334,7 +326,11 @@ _BLOCK = 1 << 13
 
 def _blocks(parts, size: int):
     """The rows of the arrays ``parts``, in order, cut into blocks of ``size``
-    rows (the last block may be shorter); a block may span several parts."""
+    rows (the last block may be shorter); a block may span several parts.
+
+    No reference to a part is left when the next one is requested: a tail
+    that waits for it is copied, so it holds only its own rows.
+    """
     held, count = [], 0
     for part in parts:
         while len(part):
@@ -344,6 +340,9 @@ def _blocks(parts, size: int):
             if count == size:
                 yield held[0] if len(held) == 1 else np.concatenate(held)
                 held, count = [], 0
+        part = take = None
+        if held:
+            held = [np.concatenate(held)]
     if held:
         yield held[0] if len(held) == 1 else np.concatenate(held)
 
@@ -364,6 +363,7 @@ def _metric_table(experiment: str, stacks) -> np.ndarray:
         for row, values in zip(table[:, done : done + len(block)], metrics(block), strict=True):
             row[...] = values
         done += len(block)
+        del block  # the next block may run the next stage 1
     return table
 
 

@@ -15,14 +15,13 @@ from functools import cache
 import numpy as np
 
 from .averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
-from .detection import BSM_MAP_TARGETS, SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
+from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
+from .detection import SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
 from .fock import StateVec, TransferMatrix, apply_transfer, tensor
 from .interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
-from .metrics import _SQRT_HALF, BELL_LABELS, bell_state, fidelity
+from .metrics import _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
 from .sweep import _metric_columns, sample_reflectivity
 
-DEFAULT_SAMPLES = 20
-DEFAULT_SEED = 12345
 FUSION_TABLE_GRID = 5  # points per reflectivity axis that check_fusion_table scans
 
 #: Analyzer click patterns each Bell state can produce at the balanced point...

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -621,6 +622,49 @@ def test_run_sweep_takes_copy_means_once_per_copy_count_and_metrics_once_per_blo
         _assert_cells_identical(got, ref)
 
 
+def test_blocks_let_go_of_a_part_before_the_next_is_made():
+    """No view of a used part, a waiting tail included, outlives it."""
+    made = []
+
+    def parts():
+        for rows in (5, 7, 3, 1, 6):
+            assert all(ref() is None for ref in made)
+            part = np.arange(2.0 * rows).reshape(rows, 2) + len(made)
+            made.append(weakref.ref(part))
+            yield part
+            del part
+
+    want = np.concatenate([np.arange(2.0 * rows).reshape(rows, 2) + k for k, rows in enumerate((5, 7, 3, 1, 6))])
+    got = []
+    for block in sweep._blocks(parts(), 4):
+        got.append(block.copy())
+        del block
+    assert [len(b) for b in got] == [4] * 5 + [2]
+    np.testing.assert_array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_stage_1_of_a_copy_count_starts_after_the_last_one_is_let_go(monkeypatch, experiment):
+    """The engine holds one copy count's stage-1 rows at a time, with blocks that cross copy counts."""
+    made = []
+    stage1 = sweep._COPY_MEANS[experiment]
+
+    def copy_means(eta_1, eta_2):
+        assert all(ref() is None for ref in made)
+        rows = stage1(eta_1, eta_2)
+        made.append(weakref.ref(rows if rows.base is None else rows.base))  # views keep their owner alive
+        return rows
+
+    cfg = SweepConfig(experiment, (1, 3, 2), (0.0, 0.2), samples=5, master_seed=3)
+    want = run_sweep(cfg)
+    monkeypatch.setattr(sweep, "_BLOCK", 7)
+    monkeypatch.setitem(sweep._COPY_MEANS, experiment, copy_means)
+    result = run_sweep(cfg)
+    assert len(made) == len(cfg.n_copies_list)
+    for got, ref in zip(result.cells, want.cells, strict=True):
+        _assert_cells_identical(got, ref)
+
+
 @pytest.mark.parametrize("command", ["fusion-sweep", "bsm-sweep", "trace-distance"])
 def test_every_default_cli_grid_is_one_metric_block(monkeypatch, tmp_path, command):
     experiment = cli._SWEEPS[command][0]
@@ -847,6 +891,31 @@ def test_run_sweep_is_deterministic():
         assert ca.metrics.keys() == cb.metrics.keys()
         for key in ca.metrics:
             np.testing.assert_array_equal(ca.metrics[key], cb.metrics[key])
+
+
+def test_a_cell_equals_only_itself():
+    a, b = run_sweep(_tiny_config()).cells[:2]
+    twin = run_sweep(_tiny_config()).cells[0]
+    assert a == a
+    assert a != b and a != twin
+
+
+def test_a_cell_is_found_in_its_sweep_by_identity():
+    cells = run_sweep(_tiny_config()).cells
+    assert cells[1] in cells
+    assert run_sweep(_tiny_config()).cells[1] not in cells
+
+
+def test_a_cell_hashes():
+    cells = run_sweep(_tiny_config()).cells
+    assert hash(cells[0]) == hash(cells[0])
+    assert len(set(cells)) == len(cells)
+
+
+def test_a_sweep_result_equals_only_itself_and_hashes():
+    a, b = run_sweep(_tiny_config()), run_sweep(_tiny_config())
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_csv_layout(tmp_path):
