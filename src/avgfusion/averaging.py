@@ -46,21 +46,8 @@ class NetworkLayout:
     def total_modes(self) -> int:
         return self.encoded_modes + self.n_passthrough
 
-    def physical_index(self, logical: int, replica: int) -> int:
-        logical, replica = _int_tuple((logical, replica), "layout indices")
-        if not (0 <= logical < self.n_logical and 0 <= replica < self.n_copies):
-            raise ValueError(f"(logical={logical}, replica={replica}) outside layout {self}")
-        return logical * self.n_copies + replica
-
-    def primary_modes(self) -> tuple[int, ...]:
-        """Replica-0 line of each logical mode."""
-        return tuple(range(0, self.encoded_modes, self.n_copies))
-
     def ancilla_modes(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.encoded_modes) if i % self.n_copies)
-
-    def passthrough_modes(self) -> tuple[int, ...]:
-        return tuple(range(self.encoded_modes, self.total_modes))
 
 
 @dataclass(frozen=True)

@@ -45,19 +45,6 @@ UNITARY_TOL = 1e-12
 FockKet = tuple  # occupation numbers, one non-negative int per mode
 
 
-def fock_dimension(n_modes: int, n_photons: int) -> int:
-    """Number of Fock basis states for `n_photons` photons in `n_modes` modes.
-
-    Stars-and-bars count C(n_modes + n_photons - 1, n_photons); exact for any
-    size since Python integers do not overflow.
-    """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if n_photons < 0:
-        raise ValueError(f"n_photons must be >= 0, got {n_photons}")
-    return math.comb(n_modes + n_photons - 1, n_photons)
-
-
 def _int_tuple(values, what: str) -> tuple[int, ...]:
     """`values` as a tuple of ints; ValueError naming them if one is not integral."""
     values = tuple(values)
@@ -134,18 +121,6 @@ class StateVec:
 
     def kets(self):
         return self._amp.keys()
-
-    def total_photons(self) -> int | None:
-        """Common photon number of all kets, or None for the zero state."""
-        counts = {sum(k) for k in self._amp}
-        if not counts:
-            return None
-        if len(counts) > 1:
-            raise ValueError(f"state mixes photon numbers {sorted(counts)}")
-        return counts.pop()
-
-    def is_zero(self) -> bool:
-        return not self._amp
 
     def __len__(self) -> int:
         return len(self._amp)

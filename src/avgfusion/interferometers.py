@@ -110,17 +110,6 @@ def _bsm_matrices(means: np.ndarray) -> np.ndarray:
     return _linear(means, _ANALYZER)
 
 
-def beamsplitter_layer(eta_x: float, eta_y: float) -> TransferMatrix:
-    """One layer of the fusion gate: a beam splitter on each qubit's rail pair."""
-    eta_x, eta_y = _check_reflectivity("eta_x", eta_x), _check_reflectivity("eta_y", eta_y)
-    return TransferMatrix(_linear(_features(eta_x, eta_y), _LAYER))
-
-
-def swap_matrix() -> TransferMatrix:
-    """Exchange of the two V rails (modes 1 and 3); self-inverse."""
-    return permutation_matrix(_SWAP)
-
-
 def fusion_gate(eta_x: float, eta_y: float) -> TransferMatrix:
     """Type-II fusion gate B * SWAP * B; both layers share (eta_x, eta_y).
 

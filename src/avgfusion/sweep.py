@@ -106,9 +106,10 @@ class SweepConfig:
             object.__setattr__(self, name, *_int_tuple((getattr(self, name),), name))
         if not self.n_copies_list or any(n < 1 for n in self.n_copies_list):
             raise ValueError(f"n_copies_list must be non-empty positive integers, got {self.n_copies_list}")
-        if not self.m_grid:
+        m_grid = tuple(self.m_grid)  # a numpy array has no single truth value
+        if not m_grid:
             raise ValueError("m_grid must not be empty")
-        object.__setattr__(self, "m_grid", tuple(map(_check_m, self.m_grid)))
+        object.__setattr__(self, "m_grid", tuple(map(_check_m, m_grid)))
         if len(set(self.n_copies_list)) < len(self.n_copies_list) or len(set(self.m_grid)) < len(self.m_grid):
             raise ValueError(f"copy counts and m values must not repeat, got {self.n_copies_list} and {self.m_grid}")
         if self.samples < 1:
@@ -206,12 +207,13 @@ def sample_reflectivity(rng: np.random.Generator, m: float, size=None):
 
 
 def _check_m(m) -> float:
-    """``m`` as a Python float; it must be a real number in [0, 0.5]."""
+    """``m`` as a Python float, a real number in [0, 0.5]; -0.0 becomes 0.0,
+    so the noise-free cell has one ``m`` key in the CSV."""
     if not isinstance(m, numbers.Real):
         raise ValueError(f"noise half-width m must be a real number, got {m!r}")
     if not 0.0 <= m <= 0.5:
         raise ValueError(f"noise half-width m must lie in [0, 0.5], got {m}")
-    return float(m)
+    return float(m) + 0.0
 
 
 def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, trial: int) -> np.random.Generator:
@@ -380,11 +382,8 @@ def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
     [0, 0.5] and ``experiment`` in :data:`EXPERIMENTS`. Nothing below this
     check checks the reflectivities again.
 
-    This is the one-cell case of the path :func:`run_sweep` takes: stage 1
-    takes the copy means of the S trials (mean(f f^T) for fusion and
-    trace-distance, the feature sums and N for bsm), stage 2 computes every
-    metric column from them in blocks of ``_BLOCK`` trials, and one stacked
-    pass takes the cell's mean and std.
+    This is the one-cell case of the path :func:`run_sweep` takes, through
+    the stages and blocks of the module docstring.
     """
     return _run_cells(experiment, (m,), np.asarray(etas, dtype=float)[None])[0]
 

@@ -30,17 +30,9 @@ def assert_states_close(a, b, atol=1e-10):
 
 def test_layout_index_map():
     layout = NetworkLayout(n_copies=2, n_logical=4, n_passthrough=3)
-    assert layout.physical_index(2, 1) == 5
-    assert layout.primary_modes() == (0, 2, 4, 6)
     assert layout.ancilla_modes() == (1, 3, 5, 7)
-    assert layout.passthrough_modes() == (8, 9, 10)
+    assert layout.encoded_modes == 8
     assert layout.total_modes == 11
-    full = set(layout.primary_modes()) | set(layout.ancilla_modes())
-    assert full == set(range(layout.encoded_modes))
-    with pytest.raises(ValueError):
-        layout.physical_index(4, 0)
-    with pytest.raises(ValueError):
-        layout.physical_index(0, 2)
 
 
 @pytest.mark.parametrize("sizes", [(2.5, 4), (2, 4.5), (2, 4, 0.5), (2, 4, np.nan), (2, 4, np.inf)])
@@ -50,23 +42,11 @@ def test_layout_rejects_non_integral_sizes(sizes):
         NetworkLayout(*sizes)
 
 
-def test_physical_index_takes_integral_indices_only():
-    """On NetworkLayout(2, 4), physical_index(0.5, 0) used to return 1.0 and (1, 0.5) 2.5."""
-    layout = NetworkLayout(2, 4)
-    for index in ((0.5, 0), (1, 0.5), (np.nan, 0), (0, np.inf)):
-        with pytest.raises(ValueError, match="non-integral"):
-            layout.physical_index(*index)
-    for index in ((np.int64(1), 1), (1.0, np.float64(1.0))):
-        assert layout.physical_index(*index) == 3
-        assert type(layout.physical_index(*index)) is int
-
-
 def test_layout_normalizes_integral_sizes_to_int():
     layout = NetworkLayout(np.int64(3), 2.0, np.float64(1))
     assert layout == NetworkLayout(3, 2, 1)
     for size in (layout.n_copies, layout.n_logical, layout.n_passthrough, layout.encoded_modes, layout.total_modes):
         assert type(size) is int
-    assert layout.primary_modes() == (0, 3)
     assert layout.ancilla_modes() == (1, 2, 4, 5)
 
 
@@ -99,7 +79,7 @@ def test_opposite_sign_copies_interfere_to_zero():
     minus = TransferMatrix(np.array([[-1.0]]))
     net = build_averaged_network([plus, minus])
     out = postselect_vacuum_ancilla(run_averaged(net, StateVec.from_ket((1,))), net.layout)
-    assert out.is_zero()
+    assert len(out) == 0
 
 
 def test_network_total_is_unitary():
@@ -231,11 +211,11 @@ def _copy_major_network(copies, n_passthrough):
 
 
 def _copy_major_input(layout, ket):
-    """Reference placement: logical mode j onto physical_index(j, 0), then
-    the passthrough modes after the encoded block."""
+    """Reference placement: logical mode j onto index j * N, replica 0 of the
+    module docstring's layout, then the passthrough modes after the encoded block."""
     full = [0] * layout.total_modes
     for j in range(layout.n_logical):
-        full[layout.physical_index(j, 0)] = ket[j]
+        full[j * layout.n_copies] = ket[j]
     for i in range(layout.n_passthrough):
         full[layout.encoded_modes + i] = ket[layout.n_logical + i]
     return tuple(full)

@@ -149,6 +149,20 @@ def test_m_grid_csv_column_holds_the_grid_decimals(tmp_path, capsys):
     assert written == [0.0, 0.1, 0.2, 0.3, 0.4]
 
 
+@pytest.mark.parametrize("command, zero, negative_zero", [
+    ("trace-distance", ["--m", "0"], ["--m", "-0"]),
+    ("bsm-sweep", ["--m-grid", "0"], ["--m-grid=-0"]),
+])
+def test_negative_zero_m_writes_the_csv_of_zero(tmp_path, capsys, command, zero, negative_zero):
+    """``-0`` used to be written as ``-0`` in the m column: a second key for the noise-free cell."""
+    written = []
+    for i, grid in enumerate((zero, negative_zero)):
+        out = tmp_path / f"{i}.csv"
+        assert run_cli([command, *grid, "--n-copies", "1,2", "--samples", "2", "--out", str(out)], capsys)[0] == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_single_value_m_grid(tmp_path, capsys):
     out = tmp_path / "f.csv"
     argv = ["fusion-sweep", "--n-copies", "1", "--m-grid", "0.2", "--samples", "2", "--out", str(out)]

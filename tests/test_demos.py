@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints its headline result.
+"""Every demo script runs to completion and prints its headline result, and
+every Python example of README.md runs.
 
 Each demo is copied into a temporary directory and run there, so demo 05
 writes its CSV and SVG files next to the copy, not into the source tree.
@@ -11,6 +12,7 @@ import csv
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -36,12 +38,7 @@ def test_every_demo_has_a_headline():
 def test_demo_runs_and_prints_its_headline(demo, tmp_path):
     script = tmp_path / demo
     shutil.copy(REPO / "demos" / demo, script)
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(script)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _run_python([str(script)], tmp_path)
     assert HEADLINES[demo] in proc.stdout.splitlines()
     if demo == "05_sweep_figures.py":
         committed = sorted((REPO / "demos").glob("demo_*.csv"))
@@ -49,6 +46,24 @@ def test_demo_runs_and_prints_its_headline(demo, tmp_path):
         assert committed
         for path in committed:
             _assert_same_table(path, tmp_path / path.name)
+
+
+def test_readme_python_examples_run(tmp_path):
+    """The quick start and the sweep example, each in a fresh interpreter."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (REPO / "README.md").read_text(encoding="utf-8"), re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    for code in blocks:
+        _run_python(["-c", code], tmp_path)
+
+
+def _run_python(args, cwd) -> subprocess.CompletedProcess:
+    """Run ``python -W error *args`` in ``cwd`` on this checkout's ``src``; it must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def _assert_same_table(committed, written):

@@ -14,14 +14,12 @@ from avgfusion.interferometers import (
     _bsm_matrices,
     _features,
     _fusion_gates,
-    beamsplitter_layer,
     bsm_matrix,
     dft_matrix,
     direct_sum,
     effective_average,
     fusion_gate,
     permutation_matrix,
-    swap_matrix,
 )
 from avgfusion.metrics import bell_state, trace_distance
 
@@ -65,37 +63,11 @@ def test_dft_squared_is_mode_reversal(n):
     np.testing.assert_allclose(twice.entries, reversal.entries, atol=1e-12)
 
 
-def test_beamsplitter_layer_entries():
-    np.testing.assert_allclose(beamsplitter_layer(1.0, 1.0).entries, np.eye(4), atol=1e-15)
-    half = beamsplitter_layer(0.5, 0.5)
-    np.testing.assert_allclose(np.abs(half.entries[:2, :2]), SQRT_HALF, atol=1e-15)
-    np.testing.assert_allclose(np.abs(half.entries[2:, 2:]), SQRT_HALF, atol=1e-15)
-    assert beamsplitter_layer(0.3, 0.7).entries[0, 1] == pytest.approx(math.sqrt(0.7))
-    assert beamsplitter_layer(0.3, 0.7).entries[1, 0] == pytest.approx(-math.sqrt(0.7))
-
-
-def test_beamsplitter_layer_rejects_out_of_range():
-    for constructor in (beamsplitter_layer, fusion_gate, bsm_matrix):
+def test_constructors_reject_out_of_range():
+    for constructor in (fusion_gate, bsm_matrix):
         for eta_1, eta_2 in ((1.2, 0.5), (0.5, -0.01), (float("nan"), 0.5)):
             with pytest.raises(ValueError):
                 constructor(eta_1, eta_2)
-
-
-def test_swap_matrix():
-    swap = swap_matrix()
-    np.testing.assert_allclose(swap.entries[:, 0], [1, 0, 0, 0])
-    np.testing.assert_allclose((swap @ swap).entries, np.eye(4), atol=1e-15)
-    fixed = apply_transfer(swap, StateVec.from_ket((0, 1, 0, 1)))
-    assert fixed.amplitude((0, 1, 0, 1)) == pytest.approx(1)
-    moved = apply_transfer(swap, StateVec.from_ket((0, 1, 0, 0)))
-    assert moved.amplitude((0, 0, 0, 1)) == pytest.approx(1)
-
-
-def test_fusion_gate_structure():
-    np.testing.assert_allclose(fusion_gate(1.0, 1.0).entries, swap_matrix().entries, atol=1e-15)
-    b = beamsplitter_layer(0.37, 0.62)
-    expected = (b @ swap_matrix() @ b).entries
-    np.testing.assert_allclose(fusion_gate(0.37, 0.62).entries, expected, atol=1e-15)
 
 
 def _printed_block(eta):
@@ -116,6 +88,15 @@ def _literal_bsm(eta_h, eta_v):
     t = np.zeros((4, 4))
     t[0::2, 0::2], t[1::2, 1::2] = _printed_block(eta_h), _printed_block(eta_v)
     return t
+
+
+def test_fusion_gate_structure():
+    """B * SWAP * B with B built from the printed block by ``np.kron``, not
+    from the feature basis the gate itself is built from."""
+    swap = permutation_matrix([0, 3, 2, 1]).entries
+    np.testing.assert_allclose(fusion_gate(1.0, 1.0).entries, swap, atol=1e-15)
+    b = np.kron(np.diag([1.0, 0.0]), _printed_block(0.37)) + np.kron(np.diag([0.0, 1.0]), _printed_block(0.62))
+    np.testing.assert_allclose(fusion_gate(0.37, 0.62).entries, b @ swap @ b, atol=1e-15)
 
 
 _ETA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
@@ -224,6 +205,8 @@ def test_permutation_matrix():
     forward = permutation_matrix(perm)
     inverse = permutation_matrix(np.argsort(perm))
     np.testing.assert_allclose((inverse @ forward).entries, np.eye(4))
+    moved = apply_transfer(forward, StateVec.from_ket((1, 0, 0, 0)))
+    assert moved.amplitude((0, 0, 1, 0)) == pytest.approx(1)  # a photon in mode j moves to perm[j]
     with pytest.raises(ValueError):
         permutation_matrix([0, 0, 1])
 

@@ -210,6 +210,23 @@ def test_sweep_config_keeps_m_grid_as_a_tuple_of_python_floats(m):
     assert hash(cfg) == hash(SweepConfig("fusion", (1,), (float(m), 0.3), 2, 1))
 
 
+def test_sweep_config_takes_a_numpy_array_grid():
+    """A two-point array grid used to raise numpy's "truth value of an array
+    ... is ambiguous", and an empty one that error's empty-array form."""
+    with pytest.raises(ValueError, match="m_grid must not be empty"):
+        SweepConfig("fusion", (1, 2), np.array([]), 3, 1)
+    for grid in ((0.1,), (0.1, 0.2)):
+        cfg = SweepConfig("fusion", (1, 2), np.array(grid), 3, 1)
+        assert cfg.m_grid == grid and all(type(x) is float for x in cfg.m_grid)
+        assert hash(cfg) == hash(SweepConfig("fusion", (1, 2), grid, 3, 1))
+
+
+def test_negative_zero_m_is_stored_as_zero():
+    cfg = SweepConfig("bsm", (1,), (-0.0, 0.1), 2, 1)
+    cell = run_cell("bsm", np.float64(-0.0), np.full((1, 2, 1), 0.5))
+    assert math.copysign(1.0, cfg.m_grid[0]) == math.copysign(1.0, cell.m) == 1.0
+
+
 def _tiny_config(experiment="bsm"):
     return SweepConfig(
         experiment=experiment,
