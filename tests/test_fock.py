@@ -57,6 +57,20 @@ def amplitude_by_permanent(t, ket_in, ket_out):
     return permanent(sub) / math.sqrt(norm)
 
 
+@pytest.mark.parametrize(
+    "n_modes,n_photons,expected",
+    [(1, 0, 1), (2, 1, 2), (4, 2, 10), (24, 4, 17550)],
+)
+def test_fock_dimension(n_modes, n_photons, expected):
+    """All photons in mode 0 through a Haar unitary, whose column 0 has no
+    zero entry, reach every ket of the C(m + n - 1, n)-dimensional space."""
+    assert math.comb(n_modes + n_photons - 1, n_photons) == expected
+    t = random_unitary(np.random.default_rng(n_modes), n_modes)
+    out = apply_transfer(t, StateVec.from_ket((n_photons,) + (0,) * (n_modes - 1)))
+    assert len(out) == expected
+    assert {sum(k) for k in out.kets()} == {n_photons}
+
+
 def test_statevec_construction_and_pruning():
     s = StateVec(2, {(1, 0): 0.6, (0, 1): 0.8, (2, 0): 1e-17})
     assert len(s) == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer
 from avgfusion.interferometers import (
     _FUSION,
+    _LAYER,
     _V_SIGNS,
     _bsm_matrices,
     _features,
@@ -88,6 +89,34 @@ def _literal_bsm(eta_h, eta_v):
     t = np.zeros((4, 4))
     t[0::2, 0::2], t[1::2, 1::2] = _printed_block(eta_h), _printed_block(eta_v)
     return t
+
+
+def test_beamsplitter_layer_entries():
+    """The layer basis L_a that the fusion gate and the analyzer are built
+    from, summed over the features, against the printed blocks."""
+
+    def layer(eta_1, eta_2):
+        return np.tensordot(_features(eta_1, eta_2), _LAYER, axes=1)
+
+    np.testing.assert_allclose(layer(1.0, 1.0), np.eye(4), atol=1e-15)
+    half = layer(0.5, 0.5)
+    np.testing.assert_allclose(np.abs(half[:2, :2]), SQRT_HALF, atol=1e-15)
+    np.testing.assert_allclose(np.abs(half[2:, 2:]), SQRT_HALF, atol=1e-15)
+    assert layer(0.3, 0.7)[0, 1] == pytest.approx(math.sqrt(0.7))
+    assert layer(0.3, 0.7)[1, 0] == pytest.approx(-math.sqrt(0.7))
+    expected = np.kron(np.diag([1.0, 0.0]), _printed_block(0.3)) + np.kron(np.diag([0.0, 1.0]), _printed_block(0.7))
+    np.testing.assert_allclose(layer(0.3, 0.7), expected, atol=1e-15)
+
+
+def test_swap_matrix():
+    """At (1, 1) the fusion gate is the bare SWAP of V1 and V2, seen on states."""
+    swap = fusion_gate(1.0, 1.0)
+    np.testing.assert_allclose(swap.entries[:, 0], [1, 0, 0, 0])
+    np.testing.assert_allclose((swap @ swap).entries, np.eye(4), atol=1e-15)
+    fixed = apply_transfer(swap, StateVec.from_ket((0, 1, 0, 1)))
+    assert fixed.amplitude((0, 1, 0, 1)) == pytest.approx(1)
+    moved = apply_transfer(swap, StateVec.from_ket((0, 1, 0, 0)))
+    assert moved.amplitude((0, 0, 0, 1)) == pytest.approx(1)
 
 
 def test_fusion_gate_structure():
