@@ -106,7 +106,7 @@ def m_grid(text: str) -> tuple[float, ...]:
 def _config_flags(path: str, command: str, parser: argparse.ArgumentParser) -> list[str]:
     """The ``key=value`` lines of the config file at ``path`` as ``--key=value`` flags of ``command``."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             lines = f.readlines()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")

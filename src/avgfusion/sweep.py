@@ -27,10 +27,11 @@ table takes every cell's mean and std. Each metric is computed trial by
 trial, so neither blocks nor stacking change a bit, and the largest arrays
 the engine holds are those stage 1 makes for one N.
 
-Boundary: :func:`run_cell` is the engine's one-cell case and its only check;
-nothing below it checks the reflectivities again. A :class:`Cell` keeps its
-trial axis and takes its mean and std when it is made, so the CSV and the
-plots only format it. This module builds no Fock state: the Fock network and
+Boundary: :func:`run_cell` checks outside input; :func:`run_sweep` draws
+from a :class:`SweepConfig` that has already checked its own, so nothing
+below these two checks again. A :class:`Cell` keeps its trial axis next to
+the mean and std the engine's one stats pass took, so the CSV and the plots
+only format it. This module builds no Fock state: the Fock network and
 its input states belong to the oracle that ``verify`` and the tests check
 this engine against.
 """
@@ -41,7 +42,7 @@ import math
 import numbers
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,8 +130,8 @@ class Cell:
 
     ``mean`` and ``std`` map each column to its mean and sample standard
     deviation (ddof=1; 0.0 for a single defined trial) over the defined
-    trials, NaN when there are none. They are computed when the cell is
-    made, so later writes to ``metrics`` do not change them.
+    trials, NaN when there are none. The engine's stats pass computes them
+    when it makes the cell, so later writes to ``metrics`` do not change them.
 
     A cell equals only itself and hashes by identity, as its arrays have no
     single truth value to compare by.
@@ -140,20 +141,8 @@ class Cell:
     m: float
     etas: np.ndarray
     metrics: dict[str, np.ndarray]
-    mean: dict[str, float] = field(init=False)
-    std: dict[str, float] = field(init=False)
-
-    def __post_init__(self):
-        (mean,), (std,) = _stats(np.stack(list(self.metrics.values()))[:, None])
-        object.__setattr__(self, "mean", dict(zip(self.metrics, mean)))
-        object.__setattr__(self, "std", dict(zip(self.metrics, std)))
-
-    @classmethod
-    def _built(cls, n_copies: int, m: float, etas: np.ndarray, metrics: dict, mean: dict, std: dict) -> "Cell":
-        """A cell whose statistics the engine took in its one stats pass; skips ``__post_init__``."""
-        cell = object.__new__(cls)
-        vars(cell).update(n_copies=n_copies, m=m, etas=etas, metrics=metrics, mean=mean, std=std)
-        return cell
+    mean: dict[str, float]
+    std: dict[str, float]
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -385,38 +374,35 @@ def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
     This is the one-cell case of the path :func:`run_sweep` takes, through
     the stages and blocks of the module docstring.
     """
-    return _run_cells(experiment, (m,), np.asarray(etas, dtype=float)[None])[0]
+    _experiment_id(experiment)
+    m = _check_m(m)
+    etas = _check_reflectivity("etas", etas)
+    if etas.ndim != 3 or etas.shape[1] != 2 or 0 in etas.shape:
+        raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape}")
+    return _run_cells(experiment, (m,), etas[None])[0]
 
 
 def _run_cells(experiment: str, ms, *stacks: np.ndarray) -> list[Cell]:
-    """The cells of one or more copy counts, in one metric pass and one stats pass.
+    """The cells of one or more copy counts, in one metric pass and one stats pass, unchecked.
 
     Each (C, S, 2, N) stack holds the cells of one copy count: cell i has m
     ``ms[i]`` and the reflectivities ``stack[i]``. Every stack has C = len(ms)
     and one S. Cells come out stack by stack, then in ``ms`` order.
     """
-    _experiment_id(experiment)
-    ms = [_check_m(m) for m in ms]
-    stacks = [_check_reflectivity("etas", etas) for etas in stacks]
-    for etas in stacks:
-        if etas.ndim != 4 or etas.shape[2] != 2 or 0 in etas.shape:
-            raise ValueError(f"etas must have shape (S >= 1, 2, N >= 1), got {etas.shape[1:]}")
-    if {etas.shape[:2] for etas in stacks} != {(len(ms), stacks[0].shape[1])}:
-        raise ValueError(f"every stack must hold one cell per m and one S, got {[e.shape for e in stacks]}")
     columns = METRIC_COLUMNS[experiment]
     table = _metric_table(experiment, stacks).reshape(len(columns), -1, stacks[0].shape[1])
     means, stds = _stats(table)
     cells = [(etas[i], m) for etas in stacks for i, m in enumerate(ms)]
     return [
-        Cell._built(etas.shape[-1], m, etas, dict(zip(columns, rows)), dict(zip(columns, mean)), dict(zip(columns, std)))
+        Cell(etas.shape[-1], m, etas, dict(zip(columns, rows)), dict(zip(columns, mean)), dict(zip(columns, std)))
         for (etas, m), rows, mean, std in zip(cells, table.swapaxes(0, 1), means, stds, strict=True)
     ]
 
 
 # The single-trial runners draw from ``rng`` as one trial of a sweep cell
-# does; ``trial`` only keeps their call signature and is not recorded. The
-# package itself no longer calls them, only ``perfbench/setup_probe.py`` and
-# the tests do; they go when that probe moves to ``run_cell`` (ROADMAP item 1).
+# does; ``trial`` only keeps their call signature and is not recorded. Only
+# ``perfbench/setup_probe.py`` calls them, and one test pins them to
+# ``run_cell``; they go when that probe moves to ``run_cell`` (ROADMAP item 1).
 
 
 def run_fusion_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:
@@ -438,7 +424,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every (N, m) cell; :func:`write_csv` writes the result.
 
     The reflectivities of each cell come from its own stream in one draw; the
-    whole sweep then runs in one metric pass and one stats pass.
+    whole sweep then runs in one metric pass and one stats pass, unchecked:
+    ``cfg`` has checked its fields, and its draws lie in [0, 1] by construction.
     Cells come out N-major, then in ``m_grid`` order.
     """
     stacks = [

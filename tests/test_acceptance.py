@@ -19,8 +19,9 @@ from avgfusion.interferometers import bsm_matrix, direct_sum, effective_average,
 from avgfusion.metrics import BELL_LABELS, bell_state, fidelity
 from avgfusion.sweep import (
     SweepConfig,
-    run_fusion_trial,
+    run_cell,
     run_sweep,
+    sample_reflectivity,
     trial_rng,
 )
 from avgfusion.verify import _fusion_input
@@ -50,7 +51,7 @@ def _cell_stats(result, metric: str, n: int, m: float) -> tuple[float, float]:
 def test_01_perfect_fusion_values(capsys):
     dev = 0.0
     for n in (1, 2, 3):
-        trial = run_fusion_trial(n, 0.0, 0, trial_rng(42, "fusion", n, 0, 0)).metrics
+        trial = run_cell("fusion", 0.0, sample_reflectivity(trial_rng(42, "fusion", n, 0, 0), 0.0, (1, 2, n))).metrics
         dev = max(dev, abs(trial["P_HH"][0] - 0.125))
         dev = max(dev, abs(trial["P_single"][0] - 0.5))
         dev = max(dev, abs(trial["F_HH_norm"][0] - 1.0))

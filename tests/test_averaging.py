@@ -42,6 +42,12 @@ def test_layout_rejects_non_integral_sizes(sizes):
         NetworkLayout(*sizes)
 
 
+@pytest.mark.parametrize("sizes", [(0, 4), (2, 0), (2, 4, -1)])
+def test_layout_rejects_sizes_below_their_minimum(sizes):
+    with pytest.raises(ValueError, match="invalid layout"):
+        NetworkLayout(*sizes)
+
+
 def test_layout_normalizes_integral_sizes_to_int():
     layout = NetworkLayout(np.int64(3), 2.0, np.float64(1))
     assert layout == NetworkLayout(3, 2, 1)

@@ -267,6 +267,20 @@ def test_averaging_equivalence_checks_fusion_gates_at_any_sample_count(monkeypat
     assert len(calls) >= 2 + 3
 
 
+def test_verify_rejects_zero_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        verify.run_all(samples=0)
+
+
+def test_value_error_while_writing_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """An output path the OS cannot take (a NUL byte) is a ValueError, not an OSError."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["fusion-sweep", "--samples", "1", "--out", "x\0.csv"], capsys)
+    assert code == 2
+    assert err == "error: embedded null byte\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_supplies_defaults_and_cli_wins(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("# comment line\nsamples = 2\nn-copies = 1\n", encoding="utf-8")
@@ -305,6 +319,28 @@ def test_config_file_unknown_key_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fusion-sweep", "--config", str(cfg)])
     assert exc.value.code == 2
+
+
+def test_config_line_without_equals_sign_errors(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("samples=2\nsamples 3\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion-sweep", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:2: expected key=value, got 'samples 3'" in capsys.readouterr().err
+
+
+def test_config_file_byte_order_mark_is_ignored(tmp_path, capsys):
+    """Many Windows editors start a UTF-8 file with a byte-order mark."""
+    written = []
+    for name, text in (("plain", b"samples=3\nn-copies=1,2\n"), ("bom", b"\xef\xbb\xbfsamples=3\r\nn-copies=1,2\r\n")):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        cfg.write_bytes(text)
+        code, _, err = run_cli(["bsm-sweep", "--m-grid", "0.1", "--config", str(cfg), "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b",trial\n") == 6
 
 
 @pytest.mark.parametrize("key", ["wibble", "config", "help", "m-gr", "m"])

@@ -21,8 +21,8 @@ from avgfusion.metrics import _SQRT_HALF, bell_state, fidelity, trace_distance
 from avgfusion.sweep import (
     _PATTERNS,
     _pair_amplitudes,
-    run_bsm_trial,
-    run_fusion_trial,
+    run_cell,
+    sample_reflectivity,
 )
 from avgfusion.verify import _fusion_input
 
@@ -94,7 +94,7 @@ def test_fusion_input_kets_are_pinned():
 @given(reflectivity_draws())
 def test_fusion_trial_matches_fock_network(case):
     n, etas = case
-    cell = run_fusion_trial(n, 0.5, 0, ScriptedRng(etas))
+    cell = run_cell("fusion", 0.5, sample_reflectivity(ScriptedRng(etas), 0.5, (1, 2, n)))
     assert cell.etas.ravel().tolist() == etas
 
     copies = [fusion_gate(ex, ey) for ex, ey in zip(etas[:n], etas[n:])]
@@ -117,7 +117,7 @@ def test_fusion_trial_matches_fock_network(case):
 @given(reflectivity_draws())
 def test_bsm_trial_matches_fock_network_and_closed_form(case):
     n, etas = case
-    cell = run_bsm_trial(n, 0.5, 0, ScriptedRng(etas))
+    cell = run_cell("bsm", 0.5, sample_reflectivity(ScriptedRng(etas), 0.5, (1, 2, n)))
     assert cell.etas.ravel().tolist() == etas
 
     copies = [bsm_matrix(eh, ev) for eh, ev in zip(etas[:n], etas[n:])]

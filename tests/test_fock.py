@@ -91,6 +91,17 @@ def test_statevec_rejects_non_integral_mode_count(bad):
         StateVec(bad, {(1, 0): 1.0})
 
 
+def test_statevec_rejects_negative_mode_count():
+    with pytest.raises(ValueError, match="mode_count must be >= 0, got -1"):
+        StateVec(-1)
+
+
+def test_statevec_repr_lists_sorted_kets():
+    s = StateVec(2, {(0, 1): 0.8, (1, 0): 0.6})
+    assert repr(s) == "StateVec(2 modes, {01: 0.8+0j, 10: 0.6+0j})"
+    assert repr(StateVec(0)) == "StateVec(0 modes, {})"
+
+
 @pytest.mark.parametrize("two", [2, 2.0, np.int64(2), np.uint8(2), np.float32(2.0)])
 def test_statevec_accepts_integral_mode_count_of_any_type(two):
     s = StateVec(two, {(1, 0): 1.0})

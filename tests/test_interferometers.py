@@ -271,6 +271,8 @@ def test_direct_sum_with_the_empty_block():
     np.testing.assert_array_equal(both.entries, dft_matrix(3).entries)
     assert direct_sum([empty]).dim == 0
     assert direct_sum([empty]).unitary
+    with pytest.raises(ValueError, match="at least one block"):
+        direct_sum([])
 
 
 def test_effective_average_identities():
@@ -284,6 +286,8 @@ def test_effective_average_identities():
     np.testing.assert_allclose(hermitian_part.entries, (u.entries + dagger) / 2)
     with pytest.raises(ValueError):
         effective_average([])
+    with pytest.raises(ValueError, match=r"copies must share dimension, got \[4, 2\]"):
+        effective_average([u, dft_matrix(2)])
 
 
 def test_effective_average_cancels_symmetric_errors():

@@ -26,11 +26,8 @@ from avgfusion.sweep import (
     METRIC_COLUMNS,
     SweepConfig,
     SweepResult,
-    run_bsm_trial,
     run_cell,
-    run_fusion_trial,
     run_sweep,
-    run_trace_trial,
     sample_reflectivity,
     trial_rng,
     write_csv,
@@ -83,7 +80,7 @@ def test_trial_rng_is_deterministic_and_stream_independent():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fusion_trial_balanced_point(n):
-    cell = run_fusion_trial(n, 0.0, 0, trial_rng(42, "fusion", n, 0, 0))
+    cell = run_cell("fusion", 0.0, sample_reflectivity(trial_rng(42, "fusion", n, 0, 0), 0.0, (1, 2, n)))
     assert (cell.n_copies, cell.m) == (n, 0.0)
     np.testing.assert_array_equal(cell.etas, np.full((1, 2, n), 0.5))
     expected = {"F_HH": 0.125, "P_HH": 0.125, "F_HH_norm": 1.0, "P_single": 0.5, "trace_distance": 0.0}
@@ -95,7 +92,7 @@ def test_fusion_trial_balanced_point(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_bsm_trial_balanced_point(n):
-    cell = run_bsm_trial(n, 0.0, 0, trial_rng(42, "bsm", n, 0, 0))
+    cell = run_cell("bsm", 0.0, sample_reflectivity(trial_rng(42, "bsm", n, 0, 0), 0.0, (1, 2, n)))
     for key in ("F", "P_success", "F_norm", "F_closed", "P_success_closed", "F_norm_closed"):
         assert cell.metrics[key].shape == (1,)
         assert cell.metrics[key][0] == pytest.approx(1.0, abs=1e-10)
@@ -103,7 +100,7 @@ def test_bsm_trial_balanced_point(n):
 
 def test_trial_record_invariants_under_noise():
     for trial in range(20):
-        cell = run_fusion_trial(2, 0.4, trial, trial_rng(9, "fusion", 2, 0, trial))
+        cell = run_cell("fusion", 0.4, sample_reflectivity(trial_rng(9, "fusion", 2, 0, trial), 0.4, (1, 2, 2)))
         m = {key: values[0] for key, values in cell.metrics.items()}
         assert 0.0 <= m["P_HH"] <= 1.0
         assert 0.0 <= m["P_single"] <= 1.0
@@ -111,7 +108,7 @@ def test_trial_record_invariants_under_noise():
         assert 0.0 <= m["F_HH_norm"] <= 1.0 + 1e-12
         assert cell.etas.shape == (1, 2, 2) and np.all((0.1 <= cell.etas) & (cell.etas <= 0.9))
 
-        cell = run_bsm_trial(2, 0.4, trial, trial_rng(9, "bsm", 2, 0, trial))
+        cell = run_cell("bsm", 0.4, sample_reflectivity(trial_rng(9, "bsm", 2, 0, trial), 0.4, (1, 2, 2)))
         m = {key: values[0] for key, values in cell.metrics.items()}
         assert m["F"] <= m["P_success"] + 1e-12
         assert m["F"] == pytest.approx(m["F_closed"], abs=1e-9)
@@ -123,7 +120,7 @@ def test_fusion_trial_matches_average_operator_oracle():
     """Recompute a fusion trial from its logged reflectivities via the
     mean-of-copies operator applied as a single (non-unitary) transfer."""
     for trial in range(5):
-        cell = run_fusion_trial(2, 0.2, trial, trial_rng(11, "fusion", 2, 0, trial))
+        cell = run_cell("fusion", 0.2, sample_reflectivity(trial_rng(11, "fusion", 2, 0, trial), 0.2, (1, 2, 2)))
         rec = {key: values[0] for key, values in cell.metrics.items()}
         eta_x, eta_y = cell.etas[0]
         copies = [fusion_gate(ex, ey) for ex, ey in zip(eta_x, eta_y)]
@@ -162,7 +159,8 @@ def test_trace_trial_decreases_with_copies_on_average():
     means = []
     for n in (1, 3):
         values = [
-            run_trace_trial(n, 0.2, t, trial_rng(5, "trace-distance", n, 0, t)).metrics["trace_distance"][0]
+            run_cell("trace-distance", 0.2, sample_reflectivity(trial_rng(5, "trace-distance", n, 0, t), 0.2, (1, 2, n)))
+            .metrics["trace_distance"][0]
             for t in range(60)
         ]
         means.append(np.mean(values))
@@ -336,6 +334,24 @@ def test_cell_rows_match_one_trial_cells(experiment):
         single = run_cell(experiment, 0.4, etas[s : s + 1])
         for key, values in cell.metrics.items():
             assert values[s] == single.metrics[key][0], key
+
+
+@pytest.mark.parametrize(
+    "experiment, runner",
+    [("fusion", "run_fusion_trial"), ("bsm", "run_bsm_trial"), ("trace-distance", "run_trace_trial")],
+)
+def test_single_trial_runner_equals_run_cell_on_the_same_draw(experiment, runner):
+    """The warm-up trial of perfbench/setup_probe.py, called as the probe does,
+    gives the bits of run_cell on the same draw."""
+    seed = 1001
+    got = getattr(sweep, runner)(1, 0.1, 0, trial_rng(seed, experiment, 1, 0, 0))
+    want = run_cell(experiment, 0.1, sample_reflectivity(trial_rng(seed, experiment, 1, 0, 0), 0.1, (1, 2, 1)))
+    assert (got.n_copies, got.m) == (want.n_copies, want.m)
+    assert _same_bits(got.etas, want.etas)
+    assert got.metrics.keys() == want.metrics.keys() == set(METRIC_COLUMNS[experiment])
+    for col in want.metrics:
+        assert _same_bits(got.metrics[col], want.metrics[col]), col
+        assert _same_bits(got.mean[col], want.mean[col]) and _same_bits(got.std[col], want.std[col]), col
 
 
 _VALID_ETAS = np.full((2, 2, 3), 0.4)
@@ -719,23 +735,7 @@ def test_sweeps_call_the_names_perfbench_patches_as_sweep_globals(monkeypatch, t
     assert len(calls) == {"run_sweep": 1, "trial_rng": cells, "sample_reflectivity": cells}.get(name, 1)
 
 
-@pytest.mark.parametrize("undefined", [False, True], ids=["defined", "one-nan"])
-@pytest.mark.parametrize("samples", [1, 2, 7, 8, 9, 127, 128, 129, 200])
-def test_cell_stats_equal_per_column_mean_std(samples, undefined):
-    """The stacked stats pass gives _mean_std's bits for every column, also
-    when one column holds an undefined (NaN) trial and the others do not."""
-    rng = np.random.default_rng(samples)
-    columns = {f"c{k}": rng.uniform(0.0, 1.0, samples) * 10.0 ** (k - 2) for k in range(5)}
-    if undefined:
-        columns["c2"][samples // 2] = math.nan
-    cell = sweep.Cell(1, 0.1, np.full((samples, 2, 1), 0.5), columns)
-    for col, values in columns.items():
-        mean, std = sweep._mean_std(values)
-        assert _same_bits(cell.mean[col], mean) and _same_bits(cell.std[col], std), col
-    assert math.isnan(cell.mean["c2"]) == (undefined and samples == 1)
-
-
-@pytest.mark.parametrize("samples", [1, 2, 9, 128, 129, 20_000])
+@pytest.mark.parametrize("samples", [1, 2, 7, 8, 9, 127, 128, 129, 200, 20_000])
 def test_stacked_stats_equal_per_column_mean_std(samples):
     """One pass over a (columns, cells, S) table gives each row the bits of
     _mean_std on that row alone, rows with a NaN and S = 1 included."""
@@ -752,14 +752,15 @@ def test_stacked_stats_equal_per_column_mean_std(samples):
 
 
 def test_cell_stats_are_fixed_when_the_cell_is_made():
-    """mean and std are computed by the constructor, not on first read, so a
-    later in-place write to a metric column does not reach them."""
-    values = np.random.default_rng(5).uniform(0.0, 1.0, 9)
+    """mean and std are computed by the stats pass that makes the cell, not on
+    first read, so a later in-place write to a metric column does not reach them."""
+    etas = sample_reflectivity(np.random.default_rng(5), 0.3, (9, 2, 1))
+    cell = run_cell("trace-distance", 0.3, etas)
+    values = cell.metrics["trace_distance"]
     mean, std = sweep._mean_std(values)
-    cell = sweep.Cell(1, 0.1, np.full((9, 2, 1), 0.5), {"c": values})
     values[0] = 7.0
-    assert cell.metrics["c"][0] == 7.0
-    assert _same_bits(cell.mean["c"], mean) and _same_bits(cell.std["c"], std)
+    assert cell.metrics["trace_distance"][0] == 7.0
+    assert _same_bits(cell.mean["trace_distance"], mean) and _same_bits(cell.std["trace_distance"], std)
 
 
 def test_undefined_conditional_fidelity_is_nan_and_left_out_of_the_stats():
@@ -846,12 +847,12 @@ def _scripted_result(experiment: str) -> SweepResult:
     m_grid = (0.2,) if experiment == "trace-distance" else (0.0, 0.25, 0.5)
     cfg = SweepConfig(experiment, tuple(series), m_grid, samples=2, master_seed=0)
     metric = sweep.DEFAULT_PLOT_METRIC[experiment]
-    cells = tuple(
-        sweep.Cell(n, m, np.full((2, 2, n), 0.5), {metric: np.array(values)})
-        for n, rows in series.items()
-        for m, values in zip(m_grid, rows, strict=True)
-    )
-    return SweepResult(cfg, cells)
+    cells = []
+    for n, rows in series.items():
+        for m, values in zip(m_grid, rows, strict=True):
+            mean, std = sweep._mean_std(np.array(values))
+            cells.append(sweep.Cell(n, m, np.full((2, 2, n), 0.5), {metric: np.array(values)}, {metric: mean}, {metric: std}))
+    return SweepResult(cfg, tuple(cells))
 
 
 @pytest.mark.parametrize("experiment", ["fusion", "bsm", "trace-distance"])
