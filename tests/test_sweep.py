@@ -735,6 +735,22 @@ def test_sweeps_call_the_names_perfbench_patches_as_sweep_globals(monkeypatch, t
     assert len(calls) == {"run_sweep": 1, "trial_rng": cells, "sample_reflectivity": cells}.get(name, 1)
 
 
+@pytest.mark.parametrize("undefined", [False, True], ids=["defined", "one-nan"])
+@pytest.mark.parametrize("samples", [1, 2, 7, 8, 9, 127, 128, 129, 200])
+def test_cell_stats_equal_per_column_mean_std(samples, undefined):
+    """A cell from run_cell holds _mean_std's bits for every metric column,
+    also when one trial's F_HH_norm is undefined (NaN) and the others are not."""
+    etas = sample_reflectivity(np.random.default_rng(samples), 0.3, (samples, 2, 1))
+    if undefined:
+        etas[samples // 2] = [[0.0], [1.0]]  # N = 1: the HH pattern never fires
+    cell = run_cell("fusion", 0.3, etas)
+    assert np.isnan(cell.metrics["F_HH_norm"]).sum() == undefined
+    for col, values in cell.metrics.items():
+        mean, std = sweep._mean_std(values)
+        assert _same_bits(cell.mean[col], mean) and _same_bits(cell.std[col], std), col
+    assert math.isnan(cell.mean["F_HH_norm"]) == (undefined and samples == 1)
+
+
 @pytest.mark.parametrize("samples", [1, 2, 7, 8, 9, 127, 128, 129, 200, 20_000])
 def test_stacked_stats_equal_per_column_mean_std(samples):
     """One pass over a (columns, cells, S) table gives each row the bits of
