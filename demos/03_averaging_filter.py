@@ -20,7 +20,6 @@ from avgfusion import (
     effective_average,
     fusion_gate,
     norm_sq,
-    postselect_vacuum_ancilla,
     run_averaged,
     trace_distance,
 )
@@ -39,7 +38,7 @@ def noisy_copy():
 copies = [noisy_copy() for _ in range(3)]
 net = build_averaged_network(copies)
 state_in = bell_state("phi+")
-kept = postselect_vacuum_ancilla(run_averaged(net, state_in), net.layout)
+kept = run_averaged(net, state_in)
 
 direct = apply_transfer(effective_average(copies), state_in)
 

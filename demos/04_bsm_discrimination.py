@@ -26,7 +26,6 @@ from avgfusion import (
     fidelity,
     norm_sq,
     pattern_probabilities,
-    postselect_vacuum_ancilla,
     run_averaged,
 )
 from avgfusion.detection import BSM_MAP_TARGETS
@@ -50,7 +49,7 @@ for n in (1, 2, 3):
     eta_h = tuple(rng.uniform(0.3, 0.7, size=n))
     eta_v = tuple(rng.uniform(0.3, 0.7, size=n))
     net = build_averaged_network([bsm_matrix(eh, ev) for eh, ev in zip(eta_h, eta_v)])
-    kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
+    kept = run_averaged(net, bell_state("psi+"))
     p_sim = norm_sq(kept)
     f_norm_sim = fidelity(kept, StateVec(4, BSM_MAP_TARGETS["psi+"])) / p_sim
     _, p_closed, f_norm_closed = bsm_closed_forms(eta_h, eta_v)

@@ -5,7 +5,8 @@ N-1 vacuum ancillas by an N-mode DFT, copy r of the gate acts on the r-th
 replica of every logical mode, and the DFT is reapplied (not inverted) to
 decode. Post-selecting vacuum on all replicas r != 0 leaves the logical modes
 evolved by the non-unitary average M_N = (1/N) sum_r U_r; the reapplied DFT
-only reverses replica labels, which the post-selection erases.
+only reverses replica labels, which the post-selection erases. `run_averaged`
+returns the post-selected state, on the input's modes; its squared norm is its probability.
 
 Physical layout is logical-major: replica r of logical mode j sits at index
 j*N + r, so each per-mode DFT is a contiguous block. Unencoded passthrough
@@ -19,7 +20,6 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .detection import DetectionPattern, project_pattern
 from .fock import StateVec, TransferMatrix, _int_tuple, apply_transfer
 from .interferometers import dft_matrix, direct_sum
 
@@ -88,36 +88,21 @@ def build_averaged_network(copies, n_passthrough: int = 0) -> AveragedNetwork:
 
 
 def run_averaged(net: AveragedNetwork, input_primary: StateVec) -> StateVec:
-    """Feed a (logical + passthrough)-mode state through the network.
+    """Feed a (logical + passthrough)-mode state through the network and
+    post-select vacuum on every ancilla replica.
 
     The input occupies the primary (replica-0) and passthrough modes; all
-    ancilla replicas start in vacuum. Returns the full output state.
+    ancilla replicas start in vacuum. Returns the unnormalized state on the
+    input's modes; its squared norm is the post-selection probability.
     """
     lay = net.layout
     if input_primary.mode_count != lay.n_logical + lay.n_passthrough:
-        raise ValueError(
-            f"input has {input_primary.mode_count} modes, "
-            f"expected {lay.n_logical + lay.n_passthrough}"
-        )
-    m, enc = lay.n_logical, lay.encoded_modes
+        raise ValueError(f"input has {input_primary.mode_count} modes, expected {lay.n_logical + lay.n_passthrough}")
+    kept = (*range(0, lay.encoded_modes, lay.n_copies), *range(lay.encoded_modes, lay.total_modes))
     amp = {}
     for ket, a in input_primary.items():
         full = [0] * lay.total_modes
-        full[:enc:lay.n_copies] = ket[:m]
-        full[enc:] = ket[m:]
+        for i, n in zip(kept, ket):
+            full[i] = n
         amp[tuple(full)] = a
-    return apply_transfer(net.total, StateVec(lay.total_modes, amp))
-
-
-def postselect_vacuum_ancilla(full_state: StateVec, layout: NetworkLayout) -> StateVec:
-    """Keep only kets with empty ancilla replicas; drop the ancilla modes.
-
-    Returns the unnormalized state on the primary + passthrough modes; its
-    squared norm is the post-selection probability (for a normalized input).
-    """
-    if full_state.mode_count != layout.total_modes:
-        raise ValueError(
-            f"state has {full_state.mode_count} modes, layout expects {layout.total_modes}"
-        )
-    ancillas = layout.ancilla_modes()
-    return project_pattern(full_state, DetectionPattern(ancillas, (0,) * len(ancillas)))[0]
+    return apply_transfer(net.total, StateVec(lay.total_modes, amp), modes=kept)

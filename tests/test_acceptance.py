@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
+from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.cli import main as cli_main
 from avgfusion.detection import BSM_MAP_TARGETS, BSM_PATTERNS, DetectionPattern, fusion_outcomes, project_pattern
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
@@ -58,7 +58,7 @@ def test_01_perfect_fusion_values(capsys):
 
         copies = [fusion_gate(0.5, 0.5)] * n
         net = build_averaged_network(copies, n_passthrough=4)
-        kept = postselect_vacuum_ancilla(run_averaged(net, _fusion_input()), net.layout)
+        kept = run_averaged(net, _fusion_input())
         outcomes = fusion_outcomes(kept, (0, 1, 2, 3))
         even_target = bell_state("phi+")  # (|HH> + |VV>)/sqrt(2) in dual rail
         for label in ("HH", "VV"):
@@ -214,7 +214,7 @@ def _fidelity_rootsum(n, eta_h, eta_v):
 def _simulate_bsm(eta_h, eta_v):
     copies = [bsm_matrix(eh, ev) for eh, ev in zip(eta_h, eta_v)]
     net = build_averaged_network(copies)
-    kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
+    kept = run_averaged(net, bell_state("psi+"))
     return fidelity(kept, StateVec(4, BSM_MAP_TARGETS["psi+"])), norm_sq(kept)
 
 
@@ -252,7 +252,7 @@ def test_06_average_operator_oracle(capsys):
             etas = rng.uniform(0.2, 0.8, size=(n, 2))
             copies = [fusion_gate(ex, ey) for ex, ey in etas]
             net = build_averaged_network(copies, n_passthrough=4)
-            kept = postselect_vacuum_ancilla(run_averaged(net, state_in), net.layout)
+            kept = run_averaged(net, state_in)
             oracle = apply_transfer(
                 direct_sum([effective_average(copies), passthrough]), state_in
             )

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from avgfusion.averaging import (
     NetworkLayout,
     build_averaged_network,
-    postselect_vacuum_ancilla,
     run_averaged,
 )
+from avgfusion.detection import DetectionPattern, project_pattern
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
 from avgfusion.interferometers import dft_matrix, direct_sum, effective_average, fusion_gate, permutation_matrix
 from avgfusion.metrics import bell_state
@@ -62,7 +62,7 @@ def test_single_copy_network_is_the_bare_gate():
     np.testing.assert_allclose(net.total.entries[:4, :4], gate.entries, atol=1e-12)
     np.testing.assert_allclose(net.total.entries[4:, 4:], np.eye(2), atol=1e-12)
     state = StateVec(6, {(1, 0, 1, 0, 1, 0): 1.0})
-    out = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
+    out = run_averaged(net, state)
     direct = apply_transfer(net.total, state)
     assert_states_close(out, direct, atol=1e-12)
 
@@ -72,10 +72,11 @@ def test_identical_copies_pass_postselection_with_certainty():
     u = random_unitary(rng, 4)
     net = build_averaged_network([u, u, u])
     state = bell_state("phi+")
-    full = run_averaged(net, state)
+    placed = StateVec(net.layout.total_modes, {_copy_major_input(net.layout, ket): a for ket, a in state.items()})
+    full = apply_transfer(net.total, placed)
     for ket in full.kets():
         assert all(ket[i] == 0 for i in net.layout.ancilla_modes())
-    kept = postselect_vacuum_ancilla(full, net.layout)
+    kept = run_averaged(net, state)
     assert norm_sq(kept) == pytest.approx(1.0, abs=1e-12)
     assert_states_close(kept, apply_transfer(u, state), atol=1e-10)
 
@@ -84,7 +85,7 @@ def test_opposite_sign_copies_interfere_to_zero():
     plus = TransferMatrix(np.array([[1.0]]))
     minus = TransferMatrix(np.array([[-1.0]]))
     net = build_averaged_network([plus, minus])
-    out = postselect_vacuum_ancilla(run_averaged(net, StateVec.from_ket((1,))), net.layout)
+    out = run_averaged(net, StateVec.from_ket((1,)))
     assert len(out) == 0
 
 
@@ -128,7 +129,7 @@ def test_postselected_network_equals_mean_gate_evolution(copies):
     net = build_averaged_network(copies)
     mean_gate = effective_average(copies)
     for state in inputs:
-        kept = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
+        kept = run_averaged(net, state)
         assert_states_close(kept, apply_transfer(mean_gate, state), atol=1e-10)
 
 
@@ -161,7 +162,7 @@ def test_one_copy_network_equals_direct_evolution_bit_for_bit(case):
     net = build_averaged_network([gate], n_passthrough=k)
     direct = direct_sum([gate, TransferMatrix(np.eye(k))] if k else [gate])
     for state in states:
-        kept = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
+        kept = run_averaged(net, state)
         assert list(kept.items()) == list(apply_transfer(direct, state).items())
         assert kept.mode_count == 4 + k
 
@@ -171,10 +172,10 @@ def test_postselection_probability_is_one_only_for_equal_copies():
     u = random_unitary(rng, 4)
     state = bell_state("psi-")
     same = build_averaged_network([u, u])
-    kept = postselect_vacuum_ancilla(run_averaged(same, state), same.layout)
+    kept = run_averaged(same, state)
     assert norm_sq(kept) == pytest.approx(1.0, abs=1e-12)
     different = build_averaged_network([u, random_unitary(rng, 4)])
-    kept = postselect_vacuum_ancilla(run_averaged(different, state), different.layout)
+    kept = run_averaged(different, state)
     assert 0.0 < norm_sq(kept) < 1.0 - 1e-6
 
 
@@ -183,7 +184,7 @@ def test_passthrough_modes_are_untouched():
     copies = [random_unitary(rng, 2) for _ in range(2)]
     net = build_averaged_network(copies, n_passthrough=2)
     state = StateVec(4, {(1, 0, 0, 1): 1.0})
-    kept = postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
+    kept = run_averaged(net, state)
     mean_gate = effective_average(copies)
     expected = {}
     evolved = apply_transfer(mean_gate, StateVec.from_ket((1, 0)))
@@ -196,8 +197,6 @@ def test_run_averaged_validates_mode_count():
     net = build_averaged_network([fusion_gate(0.5, 0.5)], n_passthrough=1)
     with pytest.raises(ValueError):
         run_averaged(net, bell_state("phi+"))
-    with pytest.raises(ValueError):
-        postselect_vacuum_ancilla(bell_state("phi+"), net.layout)
 
 
 def _copy_major_network(copies, n_passthrough):
@@ -230,14 +229,14 @@ def _copy_major_input(layout, ket):
 @st.composite
 def network_cases(draw):
     """1-6 Haar or fusion copies of a 1-, 2- or 4-mode gate, 0-4 passthrough
-    modes and a 1-3 ket input of up to two photons."""
+    modes and a 1-3 ket input of up to three photons."""
     m = draw(st.sampled_from([1, 2, 4]))
     haar = st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: random_unitary(np.random.default_rng(seed), m))
     copy = st.one_of(haar, st.tuples(_eta, _eta).map(lambda etas: fusion_gate(*etas))) if m == 4 else haar
     copies = draw(st.lists(copy, min_size=1, max_size=6))
     k = draw(st.integers(min_value=0, max_value=4))
     mode = st.integers(min_value=0, max_value=m + k - 1)
-    kets = draw(st.lists(st.lists(mode, min_size=1, max_size=2), min_size=1, max_size=3))
+    kets = draw(st.lists(st.lists(mode, min_size=1, max_size=3), min_size=1, max_size=3))
     amp = {tuple(photons.count(j) for j in range(m + k)): 1.0 + i for i, photons in enumerate(kets)}
     return copies, k, StateVec(m + k, amp)
 
@@ -246,8 +245,9 @@ def network_cases(draw):
 @given(network_cases())
 def test_network_equals_copy_major_reference(case):
     """The replica-diagonal build is the copy-major permutation round trip,
-    and run_averaged places every input ket exactly where the per-mode
-    placement does: same output kets, order and amplitudes.
+    and run_averaged is the full network output, from the per-mode
+    placement, projected onto vacuum on every ancilla replica: same kets on
+    the input's modes, same order and == amplitudes.
 
     The matrices agree to rounding, not always to the bit: each entry of
     encode @ gates is one complex product, and a BLAS kernel may order the
@@ -258,4 +258,8 @@ def test_network_equals_copy_major_reference(case):
     reference = _copy_major_network(copies, k)
     np.testing.assert_allclose(net.total.entries, reference.entries, rtol=0, atol=1e-15)
     placed = StateVec(net.layout.total_modes, {_copy_major_input(net.layout, ket): a for ket, a in state.items()})
-    assert list(run_averaged(net, state).items()) == list(apply_transfer(net.total, placed).items())
+    ancillas = net.layout.ancilla_modes()
+    projected = project_pattern(apply_transfer(net.total, placed), DetectionPattern(ancillas, (0,) * len(ancillas)))[0]
+    kept = run_averaged(net, state)
+    assert list(kept.items()) == list(projected.items())
+    assert kept.mode_count == projected.mode_count == state.mode_count

@@ -12,7 +12,7 @@ import pytest
 
 from avgfusion.closed_form import bsm_closed_forms
 
-from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
+from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.detection import BSM_MAP_TARGETS
 from avgfusion.fock import StateVec, norm_sq
 from avgfusion.interferometers import bsm_matrix
@@ -173,7 +173,7 @@ def test_normalized_form_bounded_by_one():
 def simulate_bsm(eta_h, eta_v):
     copies = [bsm_matrix(eh, ev) for eh, ev in zip(eta_h, eta_v)]
     net = build_averaged_network(copies)
-    kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
+    kept = run_averaged(net, bell_state("psi+"))
     return fidelity(kept, StateVec(4, BSM_MAP_TARGETS["psi+"])), norm_sq(kept)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
+from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.detection import (
     BSM_PATTERNS,
     FUSION_PATTERNS,
@@ -31,7 +31,7 @@ def fused_two_pair_state(eta_x, eta_y):
     raw = tensor(bell_state("phi+"), bell_state("phi+"))
     order = (2, 3, 4, 5, 0, 1, 6, 7)
     state = StateVec(8, {tuple(k[i] for i in order): a for k, a in raw.items()})
-    return postselect_vacuum_ancilla(run_averaged(net, state), net.layout)
+    return run_averaged(net, state)
 
 
 def test_detection_pattern_validation():

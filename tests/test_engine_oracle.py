@@ -2,7 +2,7 @@
 
 Sweeps compute each trial from the mean matrix M_N by 2x2 permanents. These
 property tests recompute single trials through the (4N+4)-mode averaging
-network (build_averaged_network -> run_averaged -> postselect_vacuum_ancilla)
+network (build_averaged_network -> run_averaged, which post-selects ancilla vacuum)
 for N from 1 to 6 and reflectivities anywhere on [0, 1], endpoints included.
 """
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
+from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.detection import BSM_MAP_TARGETS, fusion_outcomes
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
 from avgfusion.interferometers import bsm_matrix, effective_average, fusion_gate
@@ -99,7 +99,7 @@ def test_fusion_trial_matches_fock_network(case):
 
     copies = [fusion_gate(ex, ey) for ex, ey in zip(etas[:n], etas[n:])]
     net = build_averaged_network(copies, n_passthrough=4)
-    kept = postselect_vacuum_ancilla(run_averaged(net, _fusion_input()), net.layout)
+    kept = run_averaged(net, _fusion_input())
     outcomes = fusion_outcomes(kept, (0, 1, 2, 3))
     f_hh = fidelity(outcomes["HH"].residual, bell_state("phi+"))
     p_hh = outcomes["HH"].probability
@@ -122,7 +122,7 @@ def test_bsm_trial_matches_fock_network_and_closed_form(case):
 
     copies = [bsm_matrix(eh, ev) for eh, ev in zip(etas[:n], etas[n:])]
     net = build_averaged_network(copies)
-    kept = postselect_vacuum_ancilla(run_averaged(net, bell_state("psi+")), net.layout)
+    kept = run_averaged(net, bell_state("psi+"))
     f, p = fidelity(kept, StateVec(4, BSM_MAP_TARGETS["psi+"])), norm_sq(kept)
     _compare(cell, {"F": f, "P_success": p, "F_norm": f / p})
 

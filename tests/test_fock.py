@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgfusion.averaging import build_averaged_network
+from avgfusion.detection import DetectionPattern, project_pattern
 from avgfusion.fock import (
     StateVec,
     TransferMatrix,
@@ -229,6 +230,38 @@ def test_apply_transfer_rejects_dim_mismatch():
         apply_transfer(beamsplitter(0.5), StateVec.from_ket((1, 0, 0)))
 
 
+@pytest.mark.parametrize(
+    "modes,match",
+    [
+        ((0, 0), "not strictly ascending"),
+        ((1, 0), "not strictly ascending"),
+        ((0, 2, 1), "not strictly ascending"),
+        ((3,), "not strictly ascending within"),
+        ((-1, 0), "not strictly ascending within"),
+        ((0.5, 1), "non-integral"),
+        ((0, math.nan), "non-integral"),
+    ],
+    ids=["repeated", "descending", "unsorted", "past-end", "negative", "fractional", "nan"],
+)
+def test_apply_transfer_rejects_bad_kept_modes(modes, match):
+    with pytest.raises(ValueError, match=match):
+        apply_transfer(TransferMatrix(np.eye(3)), StateVec.from_ket((1, 0, 0)), modes=modes)
+
+
+def test_apply_transfer_accepts_integral_kept_modes_of_any_type():
+    out = apply_transfer(TransferMatrix(np.eye(3)), StateVec.from_ket((0, 1, 1)), modes=np.array([1.0, 2.0]))
+    assert list(out.items()) == [((1, 1), 1 + 0j)]
+
+
+def test_non_finite_entry_raises_only_on_a_kept_row():
+    """The kept-mode walk never reads a dropped row, so its NaN cannot reach
+    a kept ket; a NaN on a kept row still raises."""
+    t = TransferMatrix([[math.nan, 0], [0.6, 1]])
+    assert len(apply_transfer(t, StateVec.from_ket((1, 0)), modes=(1,))) == 1
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        apply_transfer(t, StateVec.from_ket((1, 0)), modes=(0,))
+
+
 @st.composite
 def transfer_cases(draw):
     """Random complex non-unitary matrix on 1-5 modes, some columns zeroed,
@@ -405,6 +438,41 @@ def test_apply_transfer_equals_occupation_keyed_reference_bit_for_bit(case):
     ref = occupation_keyed_apply_transfer(t, state)
     assert list(out.items()) == list(ref.items())
     assert out.mode_count == ref.mode_count
+
+
+@st.composite
+def kept_mode_cases(draw):
+    """A dense Haar unitary, or a dense or sparse complex non-unitary matrix
+    with zeroed columns, on 1-7 modes; a superposition of 1-4 kets of 0-3
+    photons; and a kept mode set anywhere from empty to every mode."""
+    n_modes = draw(st.integers(min_value=1, max_value=7))
+    mode = st.integers(min_value=0, max_value=n_modes - 1)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        t = random_unitary(rng, n_modes)
+    else:
+        shape = (n_modes, n_modes)
+        entries = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        entries[:, sorted(draw(st.sets(mode)))] = 0.0
+        entries[rng.random(shape) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+        t = TransferMatrix(entries)
+    amp = {}
+    for photons in draw(st.lists(st.lists(mode, max_size=3), min_size=1, max_size=4)):
+        amp[tuple(photons.count(j) for j in range(n_modes))] = complex(rng.standard_normal(), rng.standard_normal())
+    return t, StateVec(n_modes, amp), tuple(sorted(draw(st.sets(mode))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kept_mode_cases())
+def test_apply_transfer_onto_kept_modes_equals_vacuum_projection_bit_for_bit(case):
+    """Evolving onto `modes` is projecting the full output onto vacuum on
+    every other mode: same kets in the same order with == amplitudes."""
+    t, state, kept = case
+    dropped = tuple(i for i in range(t.dim) if i not in kept)
+    out = apply_transfer(t, state, modes=kept)
+    ref = project_pattern(apply_transfer(t, state), DetectionPattern(dropped, (0,) * len(dropped)))[0]
+    assert list(out.items()) == list(ref.items())
+    assert out.mode_count == ref.mode_count == len(kept)
 
 
 def test_one_matrix_evolves_several_states_like_fresh_matrices():

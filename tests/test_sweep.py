@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgfusion import cli, sweep
-from avgfusion.averaging import build_averaged_network, postselect_vacuum_ancilla, run_averaged
+from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.closed_form import bsm_closed_forms
 from avgfusion.detection import FUSION_PATTERNS, fusion_outcomes
 from avgfusion.fock import TransferMatrix, apply_transfer
