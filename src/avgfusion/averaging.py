@@ -6,7 +6,8 @@ replica of every logical mode, and the DFT is reapplied (not inverted) to
 decode. Post-selecting vacuum on all replicas r != 0 leaves the logical modes
 evolved by the non-unitary average M_N = (1/N) sum_r U_r; the reapplied DFT
 only reverses replica labels, which the post-selection erases. `run_averaged`
-returns the post-selected state, on the input's modes; its squared norm is its probability.
+returns the post-selected state, on the input's modes; its squared norm is its
+probability. It is the input evolved by the kept block of the network matrix.
 
 Physical layout is logical-major: replica r of logical mode j sits at index
 j*N + r, so each per-mode DFT is a contiguous block. Unencoded passthrough
@@ -45,9 +46,6 @@ class NetworkLayout:
     @property
     def total_modes(self) -> int:
         return self.encoded_modes + self.n_passthrough
-
-    def ancilla_modes(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.encoded_modes) if i % self.n_copies)
 
 
 @dataclass(frozen=True)
@@ -91,18 +89,14 @@ def run_averaged(net: AveragedNetwork, input_primary: StateVec) -> StateVec:
     """Feed a (logical + passthrough)-mode state through the network and
     post-select vacuum on every ancilla replica.
 
-    The input occupies the primary (replica-0) and passthrough modes; all
-    ancilla replicas start in vacuum. Returns the unnormalized state on the
-    input's modes; its squared norm is the post-selection probability.
+    The input occupies the kept (replica-0 and passthrough) modes and every
+    ancilla starts in vacuum, so the post-selected map is the kept block
+    T[kept, kept], exact to the bit: an output term with no ancilla photon is
+    fed by kept terms alone, in the same order, and numbering the kept modes
+    by rank keeps their order, so the sorted photon keys and sqrt(n!) factors
+    of `apply_transfer` match. Returns the unnormalized state on the input's
+    modes; its squared norm is the post-selection probability.
     """
     lay = net.layout
-    if input_primary.mode_count != lay.n_logical + lay.n_passthrough:
-        raise ValueError(f"input has {input_primary.mode_count} modes, expected {lay.n_logical + lay.n_passthrough}")
     kept = (*range(0, lay.encoded_modes, lay.n_copies), *range(lay.encoded_modes, lay.total_modes))
-    amp = {}
-    for ket, a in input_primary.items():
-        full = [0] * lay.total_modes
-        for i, n in zip(kept, ket):
-            full[i] = n
-        amp[tuple(full)] = a
-    return apply_transfer(net.total, StateVec(lay.total_modes, amp), modes=kept)
+    return apply_transfer(TransferMatrix(net.total.entries[np.ix_(kept, kept)]), input_primary)

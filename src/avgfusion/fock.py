@@ -15,12 +15,6 @@ and sqrt(prod n!) is read from a bounded memo keyed by the photon modes. A
 one-photon key takes the next photon with one compare, which places it exactly
 where the general `bisect_right` insertion would.
 
-With `modes=kept`, `apply_transfer` walks only the (l, T[l, j]) pairs with l in
-`kept`, renumbered monotonically to l's rank there, so no term with a photon on
-a dropped mode is built; kept terms, fed by kept terms alone in the same order,
-give the full output's vacuum projection to the bit. A non-finite entry on a
-dropped row does not raise; averaging networks, of unitary copies, hold none.
-
 Kets are validated once, where they enter from outside: `StateVec(...)` checks
 each ket's length, sign and integrality. States this module and `detection`
 build from kets they derived themselves skip that check, but still drop
@@ -241,28 +235,19 @@ def _occupations(modes: tuple[int, ...], m: int) -> FockKet:
     return tuple(occ)
 
 
-def apply_transfer(T: TransferMatrix, s: StateVec, *, modes=None) -> StateVec:
+def apply_transfer(T: TransferMatrix, s: StateVec) -> StateVec:
     """Evolve a state through a transfer matrix.
 
     Each creation operator is substituted, a_j^dag -> sum_l T[l, j] a_l^dag,
     one photon at a time, and the resulting operator polynomial applied to
     vacuum is collected back into Fock amplitudes with exact sqrt(n!) factors.
     Unitary T preserves the squared norm; a general T may scale it.
-
-    With strictly ascending `modes`, returns the state left on them by vacuum on all others.
     """
     if T.dim != s.mode_count:
         raise ValueError(f"matrix dim {T.dim} != state mode count {s.mode_count}")
     m = s.mode_count
     # Nonzero (l, T[l, j]) pairs of each column j; a zero column yields no terms.
     columns = T._nonzero_columns()
-    if modes is not None:
-        modes = _int_tuple(modes, "modes")
-        if any(a >= b for a, b in zip((-1, *modes), (*modes, m))):
-            raise ValueError(f"modes {modes} are not strictly ascending within 0..{m - 1}")
-        rank = {l: i for i, l in enumerate(modes)}
-        columns = [[(rank[l], t) for l, t in col if l in rank] for col in columns]
-        m = len(modes)
     # Terms are keyed by their sorted photon modes (see the module docstring);
     # after the n-th substitution every key holds n photons.
     acc: dict[tuple[int, ...], complex] = {}

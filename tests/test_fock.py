@@ -230,38 +230,6 @@ def test_apply_transfer_rejects_dim_mismatch():
         apply_transfer(beamsplitter(0.5), StateVec.from_ket((1, 0, 0)))
 
 
-@pytest.mark.parametrize(
-    "modes,match",
-    [
-        ((0, 0), "not strictly ascending"),
-        ((1, 0), "not strictly ascending"),
-        ((0, 2, 1), "not strictly ascending"),
-        ((3,), "not strictly ascending within"),
-        ((-1, 0), "not strictly ascending within"),
-        ((0.5, 1), "non-integral"),
-        ((0, math.nan), "non-integral"),
-    ],
-    ids=["repeated", "descending", "unsorted", "past-end", "negative", "fractional", "nan"],
-)
-def test_apply_transfer_rejects_bad_kept_modes(modes, match):
-    with pytest.raises(ValueError, match=match):
-        apply_transfer(TransferMatrix(np.eye(3)), StateVec.from_ket((1, 0, 0)), modes=modes)
-
-
-def test_apply_transfer_accepts_integral_kept_modes_of_any_type():
-    out = apply_transfer(TransferMatrix(np.eye(3)), StateVec.from_ket((0, 1, 1)), modes=np.array([1.0, 2.0]))
-    assert list(out.items()) == [((1, 1), 1 + 0j)]
-
-
-def test_non_finite_entry_raises_only_on_a_kept_row():
-    """The kept-mode walk never reads a dropped row, so its NaN cannot reach
-    a kept ket; a NaN on a kept row still raises."""
-    t = TransferMatrix([[math.nan, 0], [0.6, 1]])
-    assert len(apply_transfer(t, StateVec.from_ket((1, 0)), modes=(1,))) == 1
-    with pytest.raises(ValueError, match="non-finite amplitude"):
-        apply_transfer(t, StateVec.from_ket((1, 0)), modes=(0,))
-
-
 @st.composite
 def transfer_cases(draw):
     """Random complex non-unitary matrix on 1-5 modes, some columns zeroed,
@@ -443,8 +411,9 @@ def test_apply_transfer_equals_occupation_keyed_reference_bit_for_bit(case):
 @st.composite
 def kept_mode_cases(draw):
     """A dense Haar unitary, or a dense or sparse complex non-unitary matrix
-    with zeroed columns, on 1-7 modes; a superposition of 1-4 kets of 0-3
-    photons; and a kept mode set anywhere from empty to every mode."""
+    with zeroed columns, on 1-7 modes; a kept mode set anywhere from empty to
+    every mode; and the photon modes of 1-4 kets of 0-3 photons, all kept,
+    with their amplitudes."""
     n_modes = draw(st.integers(min_value=1, max_value=7))
     mode = st.integers(min_value=0, max_value=n_modes - 1)
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -456,21 +425,25 @@ def kept_mode_cases(draw):
         entries[:, sorted(draw(st.sets(mode)))] = 0.0
         entries[rng.random(shape) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
         t = TransferMatrix(entries)
-    amp = {}
-    for photons in draw(st.lists(st.lists(mode, max_size=3), min_size=1, max_size=4)):
-        amp[tuple(photons.count(j) for j in range(n_modes))] = complex(rng.standard_normal(), rng.standard_normal())
-    return t, StateVec(n_modes, amp), tuple(sorted(draw(st.sets(mode))))
+    kept = tuple(sorted(draw(st.sets(mode))))
+    photons = st.lists(st.sampled_from(kept), max_size=3) if kept else st.just([])
+    terms = [(p, complex(rng.standard_normal(), rng.standard_normal())) for p in draw(st.lists(photons, min_size=1, max_size=4))]
+    return t, kept, terms
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(kept_mode_cases())
 def test_apply_transfer_onto_kept_modes_equals_vacuum_projection_bit_for_bit(case):
-    """Evolving onto `modes` is projecting the full output onto vacuum on
-    every other mode: same kets in the same order with == amplitudes."""
-    t, state, kept = case
+    """A state on the kept modes evolved by the kept block T[kept, kept] is
+    the full output of the state embedded in all modes, projected onto
+    vacuum on every other mode: same kets in the same order with ==
+    amplitudes. `run_averaged` post-selects by this identity."""
+    t, kept, terms = case
     dropped = tuple(i for i in range(t.dim) if i not in kept)
-    out = apply_transfer(t, state, modes=kept)
-    ref = project_pattern(apply_transfer(t, state), DetectionPattern(dropped, (0,) * len(dropped)))[0]
+    state = StateVec(len(kept), {tuple(p.count(l) for l in kept): a for p, a in terms})
+    embedded = StateVec(t.dim, {tuple(p.count(i) for i in range(t.dim)): a for p, a in terms})
+    out = apply_transfer(TransferMatrix(t.entries[np.ix_(kept, kept)]), state)
+    ref = project_pattern(apply_transfer(t, embedded), DetectionPattern(dropped, (0,) * len(dropped)))[0]
     assert list(out.items()) == list(ref.items())
     assert out.mode_count == ref.mode_count == len(kept)
 
