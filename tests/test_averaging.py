@@ -197,6 +197,36 @@ def test_run_averaged_validates_mode_count():
         run_averaged(net, bell_state("phi+"))
 
 
+@pytest.mark.parametrize(
+    "n_copies, n_passthrough, mode_count",
+    [(2, 0, 3), (2, 0, 5), (2, 0, 8), (3, 4, 7), (3, 4, 9), (3, 4, 16)],
+)
+def test_run_averaged_takes_only_states_on_the_kept_modes(n_copies, n_passthrough, mode_count):
+    """The input lives on the m + k kept modes: one mode short, one over, or
+    already placed on every mode of the network, it raises ValueError."""
+    net = build_averaged_network([fusion_gate(0.5, 0.5)] * n_copies, n_passthrough=n_passthrough)
+    with pytest.raises(ValueError, match="mode count"):
+        run_averaged(net, StateVec.from_ket((1,) + (0,) * (mode_count - 1)))
+
+
+@pytest.mark.parametrize("n_copies", [1, 2, 3, 4])
+def test_fusion_input_post_selects_like_the_projected_full_network(n_copies):
+    """The fusion input (four fused rails, four passthrough spectators)
+    through N fusion gates of different efficiencies: run_averaged is the
+    full network output projected onto vacuum on every ancilla, bit for bit,
+    and its squared norm is that projection's probability."""
+    copies = [fusion_gate(1.0 - 0.1 * r, 1.0 - 0.05 * r) for r in range(n_copies)]
+    net = build_averaged_network(copies, n_passthrough=4)
+    state = _fusion_input()
+    placed = StateVec(net.layout.total_modes, {_copy_major_input(net.layout, ket): a for ket, a in state.items()})
+    ancillas = _ancilla_modes(net.layout)
+    projected, prob = project_pattern(apply_transfer(net.total, placed), DetectionPattern(ancillas, (0,) * len(ancillas)))
+    kept = run_averaged(net, state)
+    assert list(kept.items()) == list(projected.items())
+    assert norm_sq(kept) == pytest.approx(prob, rel=1e-12)
+    assert (prob == pytest.approx(1.0, abs=1e-12)) == (n_copies == 1)
+
+
 def _copy_major_network(copies, n_passthrough):
     """Reference builder: the gates as a direct sum in copy-major order
     (index r*m + j), conjugated into the logical-major layout by a

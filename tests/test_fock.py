@@ -448,6 +448,21 @@ def test_apply_transfer_onto_kept_modes_equals_vacuum_projection_bit_for_bit(cas
     assert out.mode_count == ref.mode_count == len(kept)
 
 
+def test_empty_kept_block_carries_the_vacuum_amplitude():
+    """With no kept mode the block is 0 x 0, and the zero-mode vacuum keeps
+    its amplitude: the post-selection of a photon-free input always succeeds."""
+    out = apply_transfer(TransferMatrix(np.zeros((0, 0), dtype=complex)), StateVec(0, {(): 0.5 - 0.25j}))
+    assert list(out.items()) == [((), 0.5 - 0.25j)]
+    assert out.mode_count == 0
+
+
+def test_apply_transfer_has_no_kept_mode_option():
+    """Post-selection onto kept modes is the caller's kept block, not an
+    option of the evolution."""
+    with pytest.raises(TypeError):
+        apply_transfer(beamsplitter(0.5), StateVec.from_ket((1, 0)), modes=(0,))
+
+
 def test_one_matrix_evolves_several_states_like_fresh_matrices():
     """The column lists a matrix keeps after its first evolution give the
     same items, in order, as a fresh matrix for each state."""
