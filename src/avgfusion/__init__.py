@@ -14,8 +14,9 @@ oracle
     averaging network of :mod:`averaging`, the detection patterns of
     :mod:`detection`, and the self-check suites of :mod:`verify`.
 output
-    the CSV writer of :mod:`sweep`, the SVG plots of :mod:`svgplot` and the
-    command line of :mod:`cli`.
+    the CSV writer of :mod:`sweep` with the rows and float kernel of
+    :mod:`g17`, the SVG plots of :mod:`svgplot` and the command line of
+    :mod:`cli`.
 
 Every public name is importable from the package, but a submodule is loaded
 only when one of its names, or the submodule itself, is first used: a sweep

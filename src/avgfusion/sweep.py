@@ -34,6 +34,9 @@ the mean and std the engine's one stats pass took, so the CSV and the plots
 only format it. This module builds no Fock state: the Fock network and
 its input states belong to the oracle that ``verify`` and the tests check
 this engine against.
+
+CSV: :func:`write_csv` spells every float ``"%.17g" % v`` (:func:`_fmt`);
+:mod:`g17` makes its rows, and is loaded on the first CSV.
 """
 
 from __future__ import annotations
@@ -438,12 +441,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(cfg, tuple(_run_cells(cfg.experiment, cfg.m_grid, *stacks)))
 
 
-_FLOAT = "%.17g"
-
-
 def _fmt(x: float) -> str:
-    """Round-trip (17-significant-digit) float serialization."""
-    return _FLOAT % x
+    """``x`` as the CSV spells a float: ``"%.17g" % x``, 17 significant digits
+    rounded half-even (not the shortest repr), fixed notation from 1e-4 up to
+    1e17 and exponent notation outside. :mod:`g17` spells the trial, mean
+    and std rows with the same bytes."""
+    return "%.17g" % x
 
 
 def write_text_atomic(path, chunks) -> None:
@@ -474,19 +477,6 @@ def write_csv(result: SweepResult, path) -> None:
     go through :func:`write_text_atomic`, so a failed write leaves any
     previous file as it was.
     """
-    write_text_atomic(path, _csv_chunks(result))
+    from . import g17  # the CSV rows and their float kernel, loaded on the first CSV
 
-
-def _csv_chunks(result: SweepResult):
-    cfg = result.config
-    columns = METRIC_COLUMNS[cfg.experiment]
-    yield ",".join(["experiment", "N", "m", "trial", "eta", *columns, "row_kind"]) + "\n"
-    for cell in result.cells:
-        key = f"{cfg.experiment},{cell.n_copies},{_fmt(cell.m)}"
-        eta_fmt = ";".join([_FLOAT] * cell.etas[0].size)
-        row_fmt = f"{key},%d,{eta_fmt}," + ",".join([_FLOAT] * len(columns)) + ",trial\n"
-        draws = cell.etas.reshape(len(cell.etas), -1).tolist()
-        values = zip(*(cell.metrics[c].tolist() for c in columns))
-        yield "".join(row_fmt % (t, *d, *v) for t, (d, v) in enumerate(zip(draws, values)))
-        for kind, stats in (("mean", cell.mean), ("std", cell.std)):
-            yield f"{key},,," + ",".join(_fmt(stats[c]) for c in columns) + f",{kind}\n"
+    write_text_atomic(path, g17.chunks(result))

@@ -49,7 +49,7 @@ for experiment in sweep.EXPERIMENTS:
 """
     loaded = fresh(code, tmp_path)
     assert "avgfusion.sweep" in loaded
-    assert not set(loaded) & {*ORACLE, "avgfusion.svgplot", "avgfusion.cli"}
+    assert not set(loaded) & {*ORACLE, "avgfusion.svgplot", "avgfusion.cli", "avgfusion.g17"}
 
 
 @pytest.mark.parametrize("command", ["fusion-sweep", "bsm-sweep", "trace-distance"])

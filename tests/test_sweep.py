@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgfusion import cli, sweep
+from avgfusion import cli, g17, sweep
 from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.closed_form import bsm_closed_forms
 from avgfusion.detection import FUSION_PATTERNS, fusion_outcomes
@@ -1011,17 +1011,19 @@ def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
     write_csv(result, path)
     before = path.read_bytes()
     calls = []
+    words = g17.words
 
-    def failing_fmt(x):
-        calls.append(x)
-        if len(calls) > 20:
+    def failing_words(values):
+        calls.append(len(values))
+        if len(calls) > 2:
             raise OSError("disk full")
-        return "%.17g" % x
+        return words(values)
 
-    monkeypatch.setattr(sweep, "_fmt", failing_fmt)
+    monkeypatch.setattr(g17, "_BLOCK", 16)  # a few trial rows per block
+    monkeypatch.setattr(g17, "words", failing_words)
     with pytest.raises(OSError, match="disk full"):
         write_csv(result, path)
-    assert len(calls) > 20  # the failure hit part-way through the rows
+    assert len(calls) > 2  # the failure hit part-way through the rows
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
