@@ -1,0 +1,128 @@
+"""Show that tier-1 fails on each mutant of a fixed set.
+
+Run from anywhere, with the test dependencies installed:
+
+    python .github/mutants.py
+
+Each mutant replaces one line of ``src/avgfusion`` with a wrong one. For each,
+the script copies what tier-1 reads (``src/``, ``tests/``, ``demos/``,
+``README.md``, ``pyproject.toml``) to a temporary directory, applies the
+replacement there, and runs tier-1 (``python -m pytest -q``) on the copy. The
+run must exit 1: failures found and reported. Exit 0 means no test catches the
+mutant; 3 means pytest stopped with an internal error before it reported them
+all. The unmutated copy must exit 0. The script exits 1 if any run does not
+exit as it must, or if a mutant's line is no longer in its file exactly once.
+A full tier-1 run takes about 30 s, so the set runs outside tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
+
+#: (name, module file, the line as it is, the line as the mutant has it)
+MUTANTS = (
+    (
+        "sweep._BUNCHING without the 1/sqrt(2) of a double click",
+        "sweep.py",
+        "_BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], _SQRT_HALF, 1.0)",
+        "_BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], 1.0, 1.0)",
+    ),
+    (
+        "one row sign of interferometers._V_SIGNS flipped",
+        "interferometers.py",
+        "_V_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]",
+        "_V_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])[:, None]",
+    ),
+    (
+        "trial_rng advancing one draw too many",
+        "sweep.py",
+        "rng.bit_generator.advance(trial * 2 * operator.index(n_copies))",
+        "rng.bit_generator.advance(trial * 2 * operator.index(n_copies) + 1)",
+    ),
+    (
+        "_bsm_closed dividing by n**3",
+        "closed_form.py",
+        "n4 = (n * n) ** 2",
+        "n4 = n * n * n",
+    ),
+    (
+        "the two layers swapped in _fusion_products",
+        "interferometers.py",
+        "f = _features(eta_x, eta_y)",
+        "f = _features(eta_y, eta_x)",
+    ),
+    (
+        "the mean and std rows swapped in g17.chunks",
+        "g17.py",
+        "mean, std = stat_rows[2 * i : 2 * i + 2]",
+        "std, mean = stat_rows[2 * i : 2 * i + 2]",
+    ),
+)
+
+
+def _copy(to: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, to / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy(source, to / name)
+
+
+def _mutate(copy: Path, file: str, line: str, mutant: str) -> str | None:
+    """Apply one mutant to ``copy``; the reason it cannot be applied, or None."""
+    path = copy / "src" / "avgfusion" / file
+    text = path.read_text(encoding="utf-8")
+    if text.count(line) != 1:
+        return f"{line!r} occurs {text.count(line)} times in {file}, not once"
+    path.write_text(text.replace(line, mutant), encoding="utf-8")
+    return None
+
+
+def _tier1(copy: Path) -> tuple[int, str]:
+    """Tier-1's exit code on ``copy`` and its last lines of output."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    where = subprocess.run(
+        [sys.executable, "-c", "import avgfusion; print(avgfusion.__file__)"],
+        cwd=copy, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).is_relative_to(copy):
+        raise RuntimeError(f"the copy imports avgfusion from {where}, not from its own src/")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    return run.returncode, "\n".join((run.stdout + run.stderr).strip().splitlines()[-3:])
+
+
+def _run(change) -> tuple[int | None, str]:
+    """Tier-1 on a fresh copy, with the (file, line, mutant) ``change`` if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp).resolve()
+        _copy(copy)
+        problem = change and _mutate(copy, *change)
+        return (None, problem) if problem else _tier1(copy)
+
+
+def main() -> int:
+    runs = [("unmutated", None, 0), *((name, change, 1) for name, *change in MUTANTS)]
+    wrong = 0
+    for name, change, expected in runs:
+        code, tail = _run(change)
+        wrong += code != expected
+        print(f"{'ok ' if code == expected else 'BAD'} exit {code} (want {expected}): {name}")
+        print("    " + tail.replace("\n", "\n    "), flush=True)
+    print(f"{wrong} of {len(runs)} runs did not exit as they must")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,18 +1,23 @@
 """The CSV rows of a sweep, and the float kernel that spells them.
 
-:func:`chunks` makes the text that :func:`avgfusion.sweep.write_csv` writes,
-every float in it ``"%.17g" % v``. CPython's ``%`` takes the bignum path of
+:func:`chunks` makes the bytes that :func:`avgfusion.sweep.write_csv` writes,
+every float in them ``"%.17g" % v``. CPython's ``%`` takes the bignum path of
 its dtoa for every 17-digit float, at about 0.8 µs each, which made
 formatting most of what writing a sweep's CSV cost. :func:`words` does the
 same work in numpy arithmetic on a block of values at once and gives the
 same bytes. ``sweep`` loads this module when it first writes a CSV, so a
 sweep that writes none neither compiles it nor builds its tables.
 
-Rows. The trial rows go out in blocks of whole rows that cross cells, up to
-``_BLOCK`` values: one call of :func:`words` spells all of a block's floats
-(the first block's call also every cell's mean and std), and the block's
-rows are joined as NUL-padded words and compacted with one
-``bytes.translate``. The (experiment, N, m) keys go through ``sweep._fmt``.
+Rows. This module alone knows the CSV layout: the header
+``experiment,N,m,trial,eta,<metric columns>,row_kind``, then per cell its
+trial rows, then a mean and a std row, which leave the trial and eta fields
+empty; row_kind says which a row is. A row's key is ``b"%s,%d,%.17g" %
+(experiment, N, m)``, the eta field joins the trial's 2N reflectivities with
+``;``, and an undefined metric is ``nan``; no field needs quoting. The trial
+rows go out in blocks of whole rows that cross cells, up to ``_BLOCK``
+values: one call of :func:`words` spells all of a block's floats (the first
+block's call also every cell's mean and std), and the block's rows are
+joined as NUL-padded words and compacted with one ``bytes.translate``.
 
 Method. A v with 1e-4 <= |v| < 1e16 and E = floor(log10 |v|) has the 17
 significant digits D = |v| * 10**p rounded half-even, p = 16 - E, written
@@ -40,7 +45,7 @@ import itertools
 
 import numpy as np
 
-from .sweep import METRIC_COLUMNS, _fmt
+from .sweep import METRIC_COLUMNS
 
 _SPLIT = 2.0**27 + 1  # Veltkamp's factor: splits a double into two halves of 26 bits
 _POW10 = np.array([float(10**p) for p in range(21)])  # exact
@@ -193,14 +198,16 @@ def _blocks(cells, columns: int):
 
 
 def chunks(result):
-    """The CSV text of the :class:`~avgfusion.sweep.SweepResult` ``result``:
+    """The CSV bytes of the :class:`~avgfusion.sweep.SweepResult` ``result``:
     the header, then one chunk per block of trial rows, each cell's mean and
     std rows after its last trial row."""
     cfg = result.config
     columns = METRIC_COLUMNS[cfg.experiment]
     cells = result.cells
-    yield ",".join(["experiment", "N", "m", "trial", "eta", *columns, "row_kind"]) + "\n"
-    keys = [f"{cfg.experiment},{cell.n_copies},{_fmt(cell.m)}" for cell in cells]
+    yield ",".join(["experiment", "N", "m", "trial", "eta", *columns, "row_kind"]).encode() + b"\n"
+    if not cells:
+        return
+    keys = [b"%s,%d,%.17g" % (cfg.experiment.encode(), cell.n_copies, cell.m) for cell in cells]
     key_words = _key_words(keys)
     trials = np.arange(max(len(cell.etas) for cell in cells), dtype=float)
     # every cell's mean and std values join the first block's kernel call
@@ -218,7 +225,7 @@ def chunks(result):
         if stat_rows is None:
             stat_words = spelled[:, spelled.shape[1] - stats.size :]
             stat_words[0, :: len(columns)] ^= _COMMA ^ _NEWLINE  # one line per mean or std row
-            stat_rows = stat_words.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[1:]
+            stat_rows = stat_words.T.tobytes().translate(None, b"\0").split(b"\n")[1:]
         pieces, done = [], 0
         for run, v in zip(runs, values):
             width, count = v.shape
@@ -233,14 +240,14 @@ def chunks(result):
                 start += rows
                 if b == len(cells[i].etas):
                     mean, std = stat_rows[2 * i : 2 * i + 2]
-                    pieces.append(f"{keys[i]},,,{mean},mean\n{keys[i]},,,{std},std\n".encode())
-        yield b"".join(pieces).translate(None, b"\0").decode("ascii")
+                    pieces.append(b"%s,,,%s,mean\n%s,,,%s,std\n" % (keys[i], mean, keys[i], std))
+        yield b"".join(pieces).translate(None, b"\0")
 
 
-def _key_words(keys: list[str]) -> np.ndarray:
-    """The ASCII bytes of each key as a row of NUL-padded little-endian words."""
+def _key_words(keys: list[bytes]) -> np.ndarray:
+    """The bytes of each key as a row of NUL-padded little-endian words."""
     size = -(-max(map(len, keys)) // 8) * 8
-    return np.array([key.encode() for key in keys], f"S{size}").view("<u8").reshape(len(keys), -1)
+    return np.array(keys, f"S{size}").view("<u8").reshape(len(keys), -1)
 
 
 def _trial_values(cells, run, columns, trials) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from html import escape
 
-from .sweep import DEFAULT_PLOT_METRIC, SweepResult, write_text_atomic
+from .sweep import DEFAULT_PLOT_METRIC, SweepResult, write_atomic
 
 _WIDTH, _HEIGHT = 640, 440
 _LEFT, _RIGHT, _TOP, _BOTTOM = 64, 150, 40, 48
@@ -107,4 +107,4 @@ def render_sweep_svg(result: SweepResult) -> str:
 
 def write_svg(result: SweepResult, path) -> None:
     """Render, then write atomically: an unplottable sweep or a failed write leaves ``path`` as it was."""
-    write_text_atomic(path, [render_sweep_svg(result)])
+    write_atomic(path, [render_sweep_svg(result).encode()])

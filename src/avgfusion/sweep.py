@@ -35,8 +35,7 @@ only format it. This module builds no Fock state: the Fock network and
 its input states belong to the oracle that ``verify`` and the tests check
 this engine against.
 
-CSV: :func:`write_csv` spells every float ``"%.17g" % v`` (:func:`_fmt`);
-:mod:`g17` makes its rows, and is loaded on the first CSV.
+CSV: :mod:`g17` owns the layout and spelling of :func:`write_csv`'s rows.
 """
 
 from __future__ import annotations
@@ -441,24 +440,17 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(cfg, tuple(_run_cells(cfg.experiment, cfg.m_grid, *stacks)))
 
 
-def _fmt(x: float) -> str:
-    """``x`` as the CSV spells a float: ``"%.17g" % x``, 17 significant digits
-    rounded half-even (not the shortest repr), fixed notation from 1e-4 up to
-    1e17 and exponent notation outside. :mod:`g17` spells the trial, mean
-    and std rows with the same bytes."""
-    return "%.17g" % x
+def write_atomic(path, chunks) -> None:
+    """Write the bytes ``chunks`` to ``path`` as they are; a file has LF line
+    endings only because its chunks contain no other.
 
-
-def write_text_atomic(path, chunks) -> None:
-    """Write the text ``chunks`` to ``path`` (UTF-8, no newline translation).
-
-    The text goes to a temporary file in the target directory, which is then
+    The bytes go to a temporary file in the target directory, which is then
     renamed over ``path``, so a failed write leaves any previous file as it
     was and no temporary file behind.
     """
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as f:
+        with open(tmp, "xb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -468,15 +460,12 @@ def write_text_atomic(path, chunks) -> None:
 
 
 def write_csv(result: SweepResult, path) -> None:
-    """Write per-trial rows plus mean/std rows per cell (UTF-8, LF endings).
+    """Write the CSV of ``result``: a header, then per cell its trial rows and
+    a mean and a std row, in the layout :mod:`g17` gives.
 
-    An undefined metric of a trial is written as ``nan``. Aggregate rows leave
-    the trial and eta columns empty and set row_kind to ``mean`` or ``std``;
-    trial rows set it to ``trial``. No field needs CSV quoting: names, numbers
-    and ``;``-joined reflectivities hold no comma, quote or newline. The rows
-    go through :func:`write_text_atomic`, so a failed write leaves any
+    The bytes go through :func:`write_atomic`, so a failed write leaves any
     previous file as it was.
     """
     from . import g17  # the CSV rows and their float kernel, loaded on the first CSV
 
-    write_text_atomic(path, g17.chunks(result))
+    write_atomic(path, g17.chunks(result))

@@ -107,6 +107,13 @@ def test_csv_writes_an_undefined_metric_as_nan(tmp_path):
 
 
 @pytest.mark.parametrize("experiment", ["fusion", "bsm", "trace-distance"])
+def test_csv_of_a_result_without_cells_is_the_header_alone(tmp_path, experiment):
+    result = SweepResult(SweepConfig(experiment, (1,), (0.0,), 1, 0), ())
+    text = _assert_reference_bytes(result, tmp_path / "empty.csv")
+    assert text.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment", ["fusion", "bsm", "trace-distance"])
 def test_csv_matches_the_per_row_writer_with_zeros_and_values_below_1e_4(tmp_path, experiment):
     # m = 0 cells hold exact zeros (and std rows of 0); m = 0.5 draws spell
     # values below 1e-4 in exponent form, which the kernel leaves to "%"

@@ -906,7 +906,7 @@ def test_failed_svg_write_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "open", lambda *a, **k: FailingFile(real_open(*a, **k)), raising=False)
     with pytest.raises(OSError, match="disk full"):
         write_svg(_scripted_result("fusion"), path)
-    assert written and written[0].startswith("<?xml")  # the document reached the temporary file
+    assert written and written[0].startswith(b"<?xml")  # the document reached the temporary file
     assert path.read_text(encoding="utf-8") == "previous"
     assert [p.name for p in tmp_path.iterdir()] == ["plot.svg"]
 
@@ -1026,6 +1026,16 @@ def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
     assert len(calls) > 2  # the failure hit part-way through the rows
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_csv_chunks_are_bytes_that_join_to_the_written_file(tmp_path, monkeypatch):
+    path = tmp_path / "sweep.csv"
+    result = run_sweep(_tiny_config())
+    monkeypatch.setattr(g17, "_BLOCK", 16)  # a few trial rows per block
+    chunks = list(g17.chunks(result))
+    assert len(chunks) > 3 and all(type(chunk) is bytes for chunk in chunks)
+    write_csv(result, path)
+    assert b"".join(chunks) == path.read_bytes()
 
 
 def test_write_csv_rejects_unwritable_path(tmp_path):
