@@ -65,6 +65,24 @@ MUTANTS = (
         "mean, std = stat_rows[2 * i : 2 * i + 2]",
         "std, mean = stat_rows[2 * i : 2 * i + 2]",
     ),
+    (
+        "the kept modes on replica 1 instead of replica 0",
+        "averaging.py",
+        "kept = [*range(0, enc, n), *range(enc, enc + k)]",
+        "kept = [*range(1, enc, n), *range(enc, enc + k)]",
+    ),
+    (
+        "one passthrough mode dropped from the kept modes",
+        "averaging.py",
+        "kept = [*range(0, enc, n), *range(enc, enc + k)]",
+        "kept = [*range(0, enc, n), *range(enc, enc + k - 1)]",
+    ),
+    (
+        "sweep._blocks resuming one row past a block boundary",
+        "sweep.py",
+        "take, part = part[: size - count], part[size - count :]",
+        "take, part = part[: size - count], part[size - count + 1 :]",
+    ),
 )
 
 

@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 #: The public names of each submodule; each is loaded on first use.
 _EXPORTS = {
-    "averaging": ("AveragedNetwork", "NetworkLayout", "build_averaged_network", "run_averaged"),
+    "averaging": ("AveragedNetwork", "build_averaged_network", "run_averaged"),
     "closed_form": ("bsm_closed_forms",),
     "detection": ("DetectionPattern", "FusionOutcome", "fusion_outcomes", "pattern_probabilities", "pattern_support", "project_pattern"),
     "fock": ("FockKet", "StateVec", "TransferMatrix", "apply_transfer", "inner_product", "norm_sq", "tensor"),

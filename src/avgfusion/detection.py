@@ -110,10 +110,11 @@ def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[s
 
     Sends the Bell state through a single Bell-state analyzer with the given
     beam-splitter reflectivities; keys are the labels of :data:`BSM_PATTERNS`.
+    The analyzer measures every mode, so each probability is the squared
+    modulus of one output amplitude.
     """
     out = apply_transfer(bsm_matrix(eta_h, eta_v), bell_state(bell_label))
-    projections = _project_each(out, DetectionPattern((0, 1, 2, 3), BSM_PATTERNS["a2"]), BSM_PATTERNS.values())
-    return {label: prob for label, (_, prob) in zip(BSM_PATTERNS, projections)}
+    return {label: abs(out.amplitude(pattern)) ** 2 for label, pattern in BSM_PATTERNS.items()}
 
 
 #: Click probability above which a pattern counts as possible.

@@ -63,7 +63,7 @@ def max_amplitude_deviation(state: StateVec, reference) -> float:
 
     ``reference`` may be a StateVec or a raw ket->amplitude mapping.
     """
-    ref = dict(reference.items()) if isinstance(reference, StateVec) else dict(reference)
+    ref = dict(reference.items())
     kets = set(ref) | set(state.kets())
     return max((abs(state.amplitude(k) - ref.get(k, 0.0)) for k in kets), default=0.0)
 

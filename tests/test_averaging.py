@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avgfusion import averaging
 from avgfusion.averaging import (
-    NetworkLayout,
     build_averaged_network,
     run_averaged,
 )
@@ -28,30 +28,76 @@ def assert_states_close(a, b, atol=1e-10):
         assert a.amplitude(ket) == pytest.approx(b.amplitude(ket), abs=atol)
 
 
-def test_layout_index_map():
-    layout = NetworkLayout(n_copies=2, n_logical=4, n_passthrough=3)
-    assert layout.encoded_modes == 8
-    assert layout.total_modes == 11
+def test_network_records_its_sizes():
+    net = build_averaged_network([fusion_gate(0.5, 0.5)] * 2, n_passthrough=3)
+    assert (net.n_copies, net.n_logical, net.n_passthrough) == (2, 4, 3)
+    assert net.total.dim == 11
+    assert net.kept_block.dim == 7
 
 
-@pytest.mark.parametrize("sizes", [(2.5, 4), (2, 4.5), (2, 4, 0.5), (2, 4, np.nan), (2, 4, np.inf)])
-def test_layout_rejects_non_integral_sizes(sizes):
-    """NetworkLayout(2.5, 4) used to give encoded_modes == 10.0."""
+@pytest.mark.parametrize("n_passthrough", [2.5, 0.5, np.nan, np.inf])
+def test_build_rejects_a_non_integral_passthrough_count(n_passthrough):
+    """2.5, NaN or infinitely many passthrough modes size no network."""
     with pytest.raises(ValueError, match="non-integral"):
-        NetworkLayout(*sizes)
+        build_averaged_network([fusion_gate(0.5, 0.5)] * 2, n_passthrough=n_passthrough)
 
 
-@pytest.mark.parametrize("sizes", [(0, 4), (2, 0), (2, 4, -1)])
-def test_layout_rejects_sizes_below_their_minimum(sizes):
-    with pytest.raises(ValueError, match="invalid layout"):
-        NetworkLayout(*sizes)
+@pytest.mark.parametrize(
+    "copies, n_passthrough",
+    [([], 0), ([TransferMatrix(np.zeros((0, 0)))] * 2, 0), ([fusion_gate(0.5, 0.5)] * 2, -1)],
+    ids=["no-copies", "0-mode-copies", "negative-passthrough"],
+)
+def test_build_rejects_sizes_below_their_minimum(copies, n_passthrough):
+    with pytest.raises(ValueError):
+        build_averaged_network(copies, n_passthrough=n_passthrough)
 
 
-def test_layout_normalizes_integral_sizes_to_int():
-    layout = NetworkLayout(np.int64(3), 2.0, np.float64(1))
-    assert layout == NetworkLayout(3, 2, 1)
-    for size in (layout.n_copies, layout.n_logical, layout.n_passthrough, layout.encoded_modes, layout.total_modes):
+@pytest.mark.parametrize("n_passthrough", [np.int64(1), 1.0, np.float64(1)], ids=["int64", "float", "float64"])
+def test_build_stores_an_integral_passthrough_count_as_int(n_passthrough):
+    net = build_averaged_network([fusion_gate(0.5, 0.5)] * 3, n_passthrough=n_passthrough)
+    assert (net.n_copies, net.n_logical, net.n_passthrough) == (3, 4, 1)
+    for size in (net.n_copies, net.n_logical, net.n_passthrough, net.total.dim, net.kept_block.dim):
         assert type(size) is int
+
+
+@pytest.mark.parametrize("n_copies, n_passthrough", [(1, 0), (2, 3), (3, 4)])
+def test_run_averaged_evolves_by_the_kept_block_built_once(monkeypatch, n_copies, n_passthrough):
+    """The record's kept block is total[kept, kept] on the replica-0 and
+    passthrough modes, bit for bit, and run_averaged evolves each of three
+    inputs by that one block object, building no matrix per call."""
+    rng = np.random.default_rng(40 + n_copies)
+    net = build_averaged_network([random_unitary(rng, 4) for _ in range(n_copies)], n_passthrough=n_passthrough)
+    kept = [j * n_copies for j in range(4)] + [4 * n_copies + i for i in range(n_passthrough)]
+    want = net.total.entries[np.ix_(kept, kept)]
+    assert net.kept_block.entries.shape == want.shape
+    assert net.kept_block.entries.tobytes() == want.tobytes()
+
+    pad = (0,) * n_passthrough
+    inputs = [
+        StateVec.from_ket((1, 0, 0, 1) + pad),
+        StateVec(4 + n_passthrough, {(2, 0, 0, 0) + pad: 0.6, (0, 1, 1, 0) + pad: -0.8j}),
+        StateVec.from_ket((0, 1, 0, 1) + (1,) * n_passthrough),
+    ]
+    expected = [list(apply_transfer(net.kept_block, state).items()) for state in inputs]
+    evolved_by, built = [], []
+
+    def spy(matrix, state):
+        evolved_by.append(matrix)
+        return apply_transfer(matrix, state)
+
+    class Counted(TransferMatrix):
+        __slots__ = ()
+
+        def __init__(self, entries):
+            built.append(entries)
+            super().__init__(entries)
+
+    monkeypatch.setattr(averaging, "apply_transfer", spy)
+    monkeypatch.setattr(averaging, "TransferMatrix", Counted)
+    for state, want_items in zip(inputs, expected, strict=True):
+        assert list(run_averaged(net, state).items()) == want_items
+    assert built == []
+    assert len(evolved_by) == 3 and all(matrix is net.kept_block for matrix in evolved_by)
 
 
 def test_single_copy_network_is_the_bare_gate():
@@ -70,10 +116,10 @@ def test_identical_copies_pass_postselection_with_certainty():
     u = random_unitary(rng, 4)
     net = build_averaged_network([u, u, u])
     state = bell_state("phi+")
-    placed = StateVec(net.layout.total_modes, {_copy_major_input(net.layout, ket): a for ket, a in state.items()})
+    placed = StateVec(net.total.dim, {_copy_major_input(net, ket): a for ket, a in state.items()})
     full = apply_transfer(net.total, placed)
     for ket in full.kets():
-        assert all(ket[i] == 0 for i in _ancilla_modes(net.layout))
+        assert all(ket[i] == 0 for i in _ancilla_modes(net))
     kept = run_averaged(net, state)
     assert norm_sq(kept) == pytest.approx(1.0, abs=1e-12)
     assert_states_close(kept, apply_transfer(u, state), atol=1e-10)
@@ -218,8 +264,8 @@ def test_fusion_input_post_selects_like_the_projected_full_network(n_copies):
     copies = [fusion_gate(1.0 - 0.1 * r, 1.0 - 0.05 * r) for r in range(n_copies)]
     net = build_averaged_network(copies, n_passthrough=4)
     state = _fusion_input()
-    placed = StateVec(net.layout.total_modes, {_copy_major_input(net.layout, ket): a for ket, a in state.items()})
-    ancillas = _ancilla_modes(net.layout)
+    placed = StateVec(net.total.dim, {_copy_major_input(net, ket): a for ket, a in state.items()})
+    ancillas = _ancilla_modes(net)
     projected, prob = project_pattern(apply_transfer(net.total, placed), DetectionPattern(ancillas, (0,) * len(ancillas)))
     kept = run_averaged(net, state)
     assert list(kept.items()) == list(projected.items())
@@ -243,20 +289,20 @@ def _copy_major_network(copies, n_passthrough):
     return direct_sum([core, TransferMatrix(np.eye(n_passthrough))]) if n_passthrough else core
 
 
-def _copy_major_input(layout, ket):
+def _copy_major_input(net, ket):
     """Reference placement: logical mode j onto index j * N, replica 0 of the
     module docstring's layout, then the passthrough modes after the encoded block."""
-    full = [0] * layout.total_modes
-    for j in range(layout.n_logical):
-        full[j * layout.n_copies] = ket[j]
-    for i in range(layout.n_passthrough):
-        full[layout.encoded_modes + i] = ket[layout.n_logical + i]
+    full = [0] * net.total.dim
+    for j in range(net.n_logical):
+        full[j * net.n_copies] = ket[j]
+    for i in range(net.n_passthrough):
+        full[net.n_logical * net.n_copies + i] = ket[net.n_logical + i]
     return tuple(full)
 
 
-def _ancilla_modes(layout):
+def _ancilla_modes(net):
     """Reference ancillas: replicas r = 1..N-1 of each logical mode j, at j * N + r."""
-    return [j * layout.n_copies + r for j in range(layout.n_logical) for r in range(1, layout.n_copies)]
+    return [j * net.n_copies + r for j in range(net.n_logical) for r in range(1, net.n_copies)]
 
 
 @st.composite
@@ -290,8 +336,8 @@ def test_network_equals_copy_major_reference(case):
     net = build_averaged_network(copies, n_passthrough=k)
     reference = _copy_major_network(copies, k)
     np.testing.assert_allclose(net.total.entries, reference.entries, rtol=0, atol=1e-15)
-    placed = StateVec(net.layout.total_modes, {_copy_major_input(net.layout, ket): a for ket, a in state.items()})
-    ancillas = _ancilla_modes(net.layout)
+    placed = StateVec(net.total.dim, {_copy_major_input(net, ket): a for ket, a in state.items()})
+    ancillas = _ancilla_modes(net)
     projected = project_pattern(apply_transfer(net.total, placed), DetectionPattern(ancillas, (0,) * len(ancillas)))[0]
     kept = run_averaged(net, state)
     assert list(kept.items()) == list(projected.items())
