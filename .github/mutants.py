@@ -30,10 +30,10 @@ COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 #: (name, module file, the line as it is, the line as the mutant has it)
 MUTANTS = (
     (
-        "sweep._BUNCHING without the 1/sqrt(2) of a double click",
+        "sweep._pattern_modes without the 1/sqrt(2) bunching factor of a double click",
         "sweep.py",
-        "_BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], _SQRT_HALF, 1.0)",
-        "_BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], 1.0, 1.0)",
+        "return modes, np.where(modes[0] == modes[1], _SQRT_HALF, 1.0)",
+        "return modes, np.where(modes[0] == modes[1], 1.0, 1.0)",
     ),
     (
         "one row sign of interferometers._V_SIGNS flipped",
@@ -78,10 +78,10 @@ MUTANTS = (
         "kept = [*range(0, enc, n), *range(enc, enc + k - 1)]",
     ),
     (
-        "sweep._blocks resuming one row past a block boundary",
+        "a block's stage-1 slice of a copy count starting one trial late",
         "sweep.py",
-        "take, part = part[: size - count], part[size - count :]",
-        "take, part = part[: size - count], part[size - count + 1 :]",
+        "part = etas[max(lo - start, 0) : hi - start]",
+        "part = etas[max(lo - start, 0) + 1 : hi - start]",
     ),
 )
 

@@ -130,17 +130,6 @@ def bsm_matrix(eta_h: float, eta_v: float) -> TransferMatrix:
     return TransferMatrix(_bsm_matrices(_features(eta_h, eta_v)))
 
 
-def permutation_matrix(perm) -> TransferMatrix:
-    """Mode relabeling: a photon in mode j moves to mode perm[j]."""
-    perm = _int_tuple(perm, "perm")
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm must be a bijection on 0..{n - 1}, got {perm}")
-    t = np.zeros((n, n), dtype=complex)
-    t[perm, np.arange(n)] = 1.0
-    return TransferMatrix(t)
-
-
 def direct_sum(blocks) -> TransferMatrix:
     """Block-diagonal concatenation of transfer matrices."""
     blocks = list(blocks)

@@ -15,17 +15,17 @@ at any trial; a sweep draws each cell in one call from trial 0.
 Stages: the engine evaluates the mean matrix M_N = (1/N) sum_r U_r, which
 the post-selected N-copy network applies to the gate modes, and M_N is
 linear in the copy means of the per-copy features (:mod:`interferometers`
-derives both). Stage 1 runs once per copy count N on the (S, 2, N) draws of
-all its cells and takes those copy means: mean(f f^T) for fusion and
-trace-distance, the feature sums and N for bsm. It is the only step that
-reads the copy axis. Stage 2 builds M_N from them and every metric column of
-every cell, from the 2x2 permanents of M_N per click pattern.
+derives both). Stage 1 takes those copy means from the (B, 2, N) draws of
+one block and one copy count N: mean(f f^T) for fusion and trace-distance,
+the feature sums and N for bsm. It is the only step that reads the copy
+axis. Stage 2 builds M_N from them and every metric column of a block, from
+the 2x2 permanents of M_N per click pattern the experiment reads.
 
-Blocks: stage 2 runs over fixed blocks of ``_BLOCK`` trials that cross copy
-counts, into one (columns, trials) table, and one stacked pass over that
-table takes every cell's mean and std. Each metric is computed trial by
-trial, so neither blocks nor stacking change a bit, and the largest arrays
-the engine holds are those stage 1 makes for one N.
+Blocks: both stages run over fixed blocks of ``_BLOCK`` trials that cross
+cells and copy counts (stage 1 once per copy count in a block) into one
+(columns, trials) table, and one stacked pass over that table takes every
+cell's mean and std. Each metric is computed trial by trial, so neither
+blocks nor stacking change a bit; the largest arrays are one block's.
 
 Boundary: :func:`run_cell` checks outside input; :func:`run_sweep` draws
 from a :class:`SweepConfig` that has already checked its own, so nothing
@@ -223,11 +223,17 @@ def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, tr
     return rng
 
 
-#: Every two-photon click pattern on the four gate modes, and the two modes
-#: each one fills (the same mode twice for a double click).
-_PATTERNS = tuple(BSM_PATTERNS.values())
-_PATTERN_MODES = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in _PATTERNS]).T
-_BUNCHING = np.where(_PATTERN_MODES[0] == _PATTERN_MODES[1], _SQRT_HALF, 1.0)
+def _pattern_modes(patterns) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, P) table of the two modes each two-photon click pattern on the
+    four gate modes fills (the same mode twice for a double click), and the
+    (P,) bunching factor of each pattern, 1/sqrt(2) for a double click."""
+    modes = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in patterns]).T
+    return modes, np.where(modes[0] == modes[1], _SQRT_HALF, 1.0)
+
+
+#: The fusion reads its four success patterns, HH first; the analyzer all ten.
+_FUSION_MODES = _pattern_modes(FUSION_PATTERNS.values())
+_BSM_MODES = _pattern_modes(BSM_PATTERNS.values())
 
 #: The balanced gate under the row signs that make every fusion M_N symmetric,
 #: so ``trace_distance`` takes its symmetric-eigenvalue path.
@@ -235,48 +241,49 @@ _SIGNED_BALANCED = _V_SIGNS * _fusion_gates([0.5], [0.5])
 
 #: phi+ on a fusion Kraus block's diagonal (HH, VV); the analyzer's psi+ image per pattern.
 _PHI_PLUS_DIAGONAL = np.full(2, _SQRT_HALF)
-_BSM_TARGET = np.array([BSM_MAP_TARGETS["psi+"].get(p, 0.0) for p in _PATTERNS])
+_BSM_TARGET = np.array([BSM_MAP_TARGETS["psi+"].get(p, 0.0) for p in BSM_PATTERNS.values()])
 
 
-def _pair_amplitudes(mean: np.ndarray, i, j) -> np.ndarray:
+def _pair_amplitudes(mean: np.ndarray, modes, i, j) -> np.ndarray:
     """Click amplitudes of one photon entering mode i and one entering mode j.
 
-    ``mean`` has shape (S, 4, 4) and the mode indices broadcast to a shape B.
-    Entry (s, p, *b) is the permanent M[k,i]M[l,j] + M[l,i]M[k,j] of trial s
-    for the modes (k, l) of pattern p of ``_PATTERNS``, over sqrt(2) if k = l.
+    ``mean`` has shape (S, 4, 4), ``modes`` is a :func:`_pattern_modes` table
+    of P patterns, and the mode indices broadcast to a shape B. Entry
+    (s, p, *b) is the permanent M[k,i]M[l,j] + M[l,i]M[k,j] of trial s for
+    the modes (k, l) of pattern p, times its bunching factor.
     """
     shape = (-1,) + (1,) * np.broadcast(i, j).ndim
-    k, l = _PATTERN_MODES.reshape(2, *shape)
+    pairs, bunching = modes
+    k, l = pairs.reshape(2, *shape)
     m = mean.transpose(1, 2, 0).copy()  # trials last: each product runs along contiguous trials
-    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * _BUNCHING.reshape(*shape, 1)
+    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * bunching.reshape(*shape, 1)
     return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
 
 
 def _fusion_metrics(products: np.ndarray) -> tuple[np.ndarray, ...]:
     """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of the (B, 16) copy means.
 
-    Each phi+ (x) phi+ ket has amplitude 1/sqrt(2) * 1/sqrt(2), so pattern p heralds
-    the spectators in the Kraus block ``kraus[:, p]``, rows (V1, H1) and columns
-    (V4, H4): the sorted spectator-ket order, which fixes how P_HH and P_single sum.
+    Each phi+ (x) phi+ ket has amplitude 1/sqrt(2) * 1/sqrt(2), so success pattern p
+    of ``FUSION_PATTERNS`` (HH first) heralds the spectators in the Kraus block
+    ``kraus[:, p]`` of the (B, 4, 2, 2) table, rows (V1, H1) and columns (V4, H4):
+    the sorted spectator-ket order, which fixes how P_HH and P_single sum.
     """
     mean = _fusion_matrices(products)
-    kraus = _SQRT_HALF * _SQRT_HALF * _pair_amplitudes(mean, [[1], [0]], [[3, 2]])
+    kraus = _SQRT_HALF * _SQRT_HALF * _pair_amplitudes(mean, _FUSION_MODES, [[1], [0]], [[3, 2]])
     prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
-    hh = _PATTERNS.index(FUSION_PATTERNS["HH"])
-    f_hh = fidelity(np.diagonal(kraus[:, hh], axis1=-2, axis2=-1), _PHI_PLUS_DIAGONAL)
-    p_hh = prob[:, hh]
+    f_hh = fidelity(np.diagonal(kraus[:, 0], axis1=-2, axis2=-1), _PHI_PLUS_DIAGONAL)
+    p_hh = prob[:, 0]
     heralded = p_hh > 0
     f_hh_norm = np.full(len(p_hh), math.nan)
     f_hh_norm[heralded] = normalized_fidelity(f_hh[heralded], p_hh[heralded])
-    p_single = sum(prob[:, _PATTERNS.index(p)] for p in FUSION_PATTERNS.values())
-    return f_hh, p_hh, f_hh_norm, p_single, trace_distance(_V_SIGNS * mean, _SIGNED_BALANCED)
+    return f_hh, p_hh, f_hh_norm, prob.sum(axis=1), trace_distance(_V_SIGNS * mean, _SIGNED_BALANCED)
 
 
 def _bsm_metrics(sums_n: np.ndarray) -> tuple[np.ndarray, ...]:
     """Bell-state analyzer on a psi+ input, one trial per row of the (B, 5)
     feature copy sums, each followed by its copy count N."""
     sums, n = sums_n[:, :4], sums_n[:, 4]
-    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums / n[:, None]), [0, 1], [3, 2])
+    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums / n[:, None]), _BSM_MODES, [0, 1], [3, 2])
     out = amp[..., 0] + amp[..., 1]
     f = fidelity(out, _BSM_TARGET)
     p_success = np.sum(np.abs(out) ** 2, axis=-1)
@@ -294,8 +301,8 @@ def _feature_sums(eta_1: np.ndarray, eta_2: np.ndarray) -> np.ndarray:
     return np.concatenate((sums, np.full((len(sums), 1), float(eta_1.shape[-1]))), axis=1)
 
 
-#: Stage 1, once per copy count N, on the two layers' (S, N) reflectivities:
-#: the only step that reads the copy axis.
+#: Stage 1, per block and copy count N, on the two layers' (B, N)
+#: reflectivities: the only step that reads the copy axis.
 _COPY_MEANS = {
     "fusion": _fusion_products,
     "bsm": _feature_sums,
@@ -310,53 +317,34 @@ _METRICS = {
     "trace-distance": _trace_metrics,
 }
 
-#: Trials per stage-2 call, not a knob. On a 600k-trial sweep, blocks of
-#: 2**12 to 2**16 trials kept ``run_sweep``'s peak RSS at 130-220 MB where one
-#: pass over every trial took 470-920 MB; 2**12 and 2**13 were the fastest
-#: and smallest, within noise of each other, and 2**13 makes half the calls.
-_BLOCK = 1 << 13
-
-
-def _blocks(parts, size: int):
-    """The rows of the arrays ``parts``, in order, cut into blocks of ``size``
-    rows (the last block may be shorter); a block may span several parts.
-
-    No reference to a part is left when the next one is requested: a tail
-    that waits for it is copied, so it holds only its own rows.
-    """
-    held, count = [], 0
-    for part in parts:
-        while len(part):
-            take, part = part[: size - count], part[size - count :]
-            held.append(take)
-            count += len(take)
-            if count == size:
-                yield held[0] if len(held) == 1 else np.concatenate(held)
-                held, count = [], 0
-        part = take = None
-        if held:
-            held = [np.concatenate(held)]
-    if held:
-        yield held[0] if len(held) == 1 else np.concatenate(held)
+#: Trials per block, not a knob. On a 600k-trial sweep, 2**12 took 18 % (fusion)
+#: and 41 % (bsm) less time than 2**13, and trace-distance within noise, with a
+#: peak RSS at most 3 MB higher (``BENCH_stage_blocks.json``).
+_BLOCK = 1 << 12
 
 
 def _metric_table(experiment: str, stacks) -> np.ndarray:
     """Every metric column over every trial of the (C, S, 2, N) ``stacks``,
     unchecked: a (columns, trials) array, trials in stack then C then S order.
 
-    Stage 1 takes each stack's copy means in one call, when stage 2 first
-    needs them; stage 2 reads them in blocks of ``_BLOCK`` trials that run
-    across copy counts, and writes each block's columns into the table.
+    A block of ``_BLOCK`` trials runs stage 1 on its slice of each stack it
+    overlaps, then stage 2 once, and writes its columns into the table.
     """
     copy_means, metrics = _COPY_MEANS[experiment], _METRICS[experiment]
     trials = [etas.reshape(-1, *etas.shape[-2:]) for etas in stacks]
-    table = np.empty((len(METRIC_COLUMNS[experiment]), sum(map(len, trials))))
-    done = 0
-    for block in _blocks((copy_means(etas[:, 0], etas[:, 1]) for etas in trials), _BLOCK):
-        for row, values in zip(table[:, done : done + len(block)], metrics(block), strict=True):
+    starts = np.cumsum([0, *map(len, trials)]).tolist()
+    table = np.empty((len(METRIC_COLUMNS[experiment]), starts[-1]))
+    for lo in range(0, starts[-1], _BLOCK):
+        hi = min(lo + _BLOCK, starts[-1])
+        parts = []
+        for etas, start in zip(trials, starts):
+            if start < hi and lo < start + len(etas):
+                part = etas[max(lo - start, 0) : hi - start]
+                parts.append(copy_means(part[:, 0], part[:, 1]))
+        block = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for row, values in zip(table[:, lo:hi], metrics(block), strict=True):
             row[...] = values
-        done += len(block)
-        del block  # the next block may run the next stage 1
+        del parts, block  # the next block's stage 1 runs with no stage-1 rows held
     return table
 
 

@@ -12,7 +12,7 @@ from avgfusion.averaging import (
 )
 from avgfusion.detection import DetectionPattern, project_pattern
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
-from avgfusion.interferometers import dft_matrix, direct_sum, effective_average, fusion_gate, permutation_matrix
+from avgfusion.interferometers import dft_matrix, direct_sum, effective_average, fusion_gate
 from avgfusion.metrics import bell_state
 from avgfusion.verify import _fusion_input
 
@@ -283,8 +283,8 @@ def _copy_major_network(copies, n_passthrough):
     for j in range(m):
         for r in range(n):
             to_copy_major[j * n + r] = r * m + j
-    p = permutation_matrix(to_copy_major)
-    p_inv = permutation_matrix(np.argsort(to_copy_major))
+    p = TransferMatrix(np.eye(m * n)[:, to_copy_major])  # a photon in mode i moves to to_copy_major[i]
+    p_inv = TransferMatrix(np.eye(m * n)[:, np.argsort(to_copy_major)])
     core = encode @ p_inv @ direct_sum(copies) @ p @ encode
     return direct_sum([core, TransferMatrix(np.eye(n_passthrough))]) if n_passthrough else core
 

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.detection import BSM_MAP_TARGETS, fusion_outcomes
 from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
-from avgfusion.interferometers import bsm_matrix, effective_average, fusion_gate
-from avgfusion.metrics import _SQRT_HALF, bell_state, fidelity, trace_distance
+from avgfusion.interferometers import _bsm_matrices, bsm_matrix, effective_average, fusion_gate
+from avgfusion.metrics import _SQRT_HALF, BSM_PATTERNS, FUSION_PATTERNS, bell_state, fidelity, trace_distance
 from avgfusion.sweep import (
-    _PATTERNS,
+    _BSM_MODES,
+    _FUSION_MODES,
+    _feature_sums,
     _pair_amplitudes,
     run_cell,
     sample_reflectivity,
@@ -48,27 +50,65 @@ def reflectivity_draws(draw):
     return n, draw(st.lists(eta, min_size=2 * n, max_size=2 * n))
 
 
+@pytest.mark.parametrize(
+    "modes, patterns", [(_BSM_MODES, BSM_PATTERNS), (_FUSION_MODES, FUSION_PATTERNS)], ids=["bsm", "fusion"]
+)
 @PROPERTY
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_pair_amplitudes_match_apply_transfer(seed):
-    """Every click pattern, doubles included, for all six input mode pairs on
-    a stack of random non-unitary matrices, in both index shapes the engine
-    uses: a (2, 1) x (1, 2) block and a (2,) x (2,) list of pairs."""
+def test_pair_amplitudes_match_apply_transfer(modes, patterns, seed):
+    """Every click pattern of each mode table, the analyzer's doubles included,
+    for all six input mode pairs on a stack of random non-unitary matrices, in
+    both index shapes the engine uses: a (2, 1) x (1, 2) block and a (2,) x (2,)
+    list of pairs. The analyzer's ten patterns hold the whole output state."""
     rng = np.random.default_rng(seed)
     mean = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     pairs = set()
     for i, j in (([[0], [1]], [[2, 3]]), ([0, 2], [1, 3])):
-        out = _pair_amplitudes(mean, i, j)
+        out = _pair_amplitudes(mean, modes, i, j)
         i, j = np.broadcast_arrays(i, j)
-        assert out.shape == (3, len(_PATTERNS), *i.shape)
+        assert out.shape == (3, len(patterns), *i.shape)
         for s, b in itertools.product(range(3), np.ndindex(i.shape)):
             pairs.add((i[b], j[b]))
             ket = tuple(int(mode in (i[b], j[b])) for mode in range(4))
             expected = apply_transfer(TransferMatrix(mean[s]), StateVec.from_ket(ket))
-            for p, pattern in enumerate(_PATTERNS):
+            for p, pattern in enumerate(patterns.values()):
                 assert out[(s, p, *b)] == pytest.approx(expected.amplitude(pattern), abs=TOL)
-            assert np.sum(np.abs(out[(s, slice(None), *b)]) ** 2) == pytest.approx(norm_sq(expected), rel=1e-12)
+            if patterns is BSM_PATTERNS:
+                assert np.sum(np.abs(out[(s, slice(None), *b)]) ** 2) == pytest.approx(norm_sq(expected), rel=1e-12)
     assert pairs == set(itertools.combinations(range(4), 2))
+
+
+def test_fusion_mode_table_is_four_columns_of_the_analyzers():
+    """The fusion's four-pattern amplitudes, HH first, are the analyzer table's
+    columns of those patterns bit for bit, on the fusion's Kraus index block."""
+    mean = np.random.default_rng(5).standard_normal((50, 4, 4))
+    labels = list(BSM_PATTERNS.values())
+    columns = [labels.index(pattern) for pattern in FUSION_PATTERNS.values()]
+    assert list(FUSION_PATTERNS)[0] == "HH"
+    four = _pair_amplitudes(mean, _FUSION_MODES, [[1], [0]], [[3, 2]])
+    ten = _pair_amplitudes(mean, _BSM_MODES, [[1], [0]], [[3, 2]])
+    assert four.shape == (50, 4, 2, 2)
+    assert four.tobytes() == np.ascontiguousarray(ten[:, columns]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_psi_plus_never_reaches_six_analyzer_patterns(n):
+    """psi+ holds one H and one V photon, and the analyzer mixes H rails with H
+    and V with V, so its amplitude is exactly 0 on the doubles a2, b2, c2, d2
+    and on ac and bd, in the engine and in the Fock network. No CSV column
+    reads a double click, so only test_pair_amplitudes_match_apply_transfer
+    sees their 1/sqrt(2); a phi input reaches them."""
+    etas = sample_reflectivity(np.random.default_rng(n), 0.5, (2000, 2, n))
+    sums_n = _feature_sums(etas[:, 0], etas[:, 1])
+    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums_n[:, :4] / n), _BSM_MODES, [0, 1], [3, 2])
+    out = amp[..., 0] + amp[..., 1]  # the analyzer's psi+ image, as _bsm_metrics forms it
+    never = ["a2", "b2", "c2", "d2", "ac", "bd"]
+    labels = list(BSM_PATTERNS)
+    assert not out[:, [labels.index(label) for label in never]].any()
+    assert out[:, [labels.index(label) for label in labels if label not in never]].any(axis=0).all()
+    for eta_h, eta_v in etas[:20]:
+        kept = run_averaged(build_averaged_network(map(bsm_matrix, eta_h, eta_v)), bell_state("psi+"))
+        assert all(kept.amplitude(BSM_PATTERNS[label]) == 0 for label in never)
 
 
 def _compare(cell, oracle: dict) -> None:

@@ -20,7 +20,6 @@ from avgfusion.interferometers import (
     direct_sum,
     effective_average,
     fusion_gate,
-    permutation_matrix,
 )
 from avgfusion.metrics import bell_state, trace_distance
 
@@ -60,8 +59,8 @@ def test_dft_unitary(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_dft_squared_is_mode_reversal(n):
     twice = dft_matrix(n) @ dft_matrix(n)
-    reversal = permutation_matrix([(-r) % n for r in range(n)])
-    np.testing.assert_allclose(twice.entries, reversal.entries, atol=1e-12)
+    reversal = np.eye(n)[:, [(-r) % n for r in range(n)]]  # a photon in mode r moves to mode -r
+    np.testing.assert_allclose(twice.entries, reversal, atol=1e-12)
 
 
 def test_constructors_reject_out_of_range():
@@ -122,7 +121,7 @@ def test_swap_matrix():
 def test_fusion_gate_structure():
     """B * SWAP * B with B built from the printed block by ``np.kron``, not
     from the feature basis the gate itself is built from."""
-    swap = permutation_matrix([0, 3, 2, 1]).entries
+    swap = np.eye(4)[:, [0, 3, 2, 1]]
     np.testing.assert_allclose(fusion_gate(1.0, 1.0).entries, swap, atol=1e-15)
     b = np.kron(np.diag([1.0, 0.0]), _printed_block(0.37)) + np.kron(np.diag([0.0, 1.0]), _printed_block(0.62))
     np.testing.assert_allclose(fusion_gate(0.37, 0.62).entries, b @ swap @ b, atol=1e-15)
@@ -226,32 +225,6 @@ def test_bsm_leaves_psi_minus_invariant_for_any_common_reflectivity():
             assert out.amplitude(ket) == pytest.approx(psi_minus.amplitude(ket), abs=1e-12)
 
 
-def test_permutation_matrix():
-    np.testing.assert_allclose(permutation_matrix([0, 1, 2]).entries, np.eye(3))
-    two_cycle = permutation_matrix([1, 0, 2])
-    np.testing.assert_allclose((two_cycle @ two_cycle).entries, np.eye(3))
-    perm = [2, 0, 3, 1]
-    forward = permutation_matrix(perm)
-    inverse = permutation_matrix(np.argsort(perm))
-    np.testing.assert_allclose((inverse @ forward).entries, np.eye(4))
-    moved = apply_transfer(forward, StateVec.from_ket((1, 0, 0, 0)))
-    assert moved.amplitude((0, 0, 1, 0)) == pytest.approx(1)  # a photon in mode j moves to perm[j]
-    with pytest.raises(ValueError):
-        permutation_matrix([0, 0, 1])
-
-
-@pytest.mark.parametrize("perm", [[0.5, 1], [1, 0.5], [0, 1.5, 2]])
-def test_permutation_matrix_rejects_non_integral_labels(perm):
-    """[0.5, 1] used to truncate to the identity."""
-    with pytest.raises(ValueError, match="non-integral"):
-        permutation_matrix(perm)
-
-
-@pytest.mark.parametrize("perm", [np.argsort([3, 1, 2, 0]), [3.0, 1.0, 2.0, 0.0], np.array([3, 1, 2, 0], dtype=np.int64)])
-def test_permutation_matrix_accepts_integral_labels_of_any_type(perm):
-    np.testing.assert_array_equal(permutation_matrix(perm).entries, permutation_matrix([3, 1, 2, 0]).entries)
-
-
 def test_direct_sum():
     both = direct_sum([dft_matrix(2), dft_matrix(3)])
     assert both.dim == 5
@@ -259,7 +232,7 @@ def test_direct_sum():
     np.testing.assert_allclose(both.entries[:2, :2], dft_matrix(2).entries)
     np.testing.assert_allclose(both.entries[2:, 2:], dft_matrix(3).entries)
     np.testing.assert_allclose(both.entries[:2, 2:], 0)
-    eye8 = direct_sum([permutation_matrix([0, 1])] * 4)
+    eye8 = direct_sum([TransferMatrix(np.eye(2))] * 4)
     np.testing.assert_allclose(eye8.entries, np.eye(8))
 
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import weakref
 from unittest import mock
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from avgfusion import cli, g17, sweep
 from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.closed_form import bsm_closed_forms
-from avgfusion.detection import FUSION_PATTERNS, fusion_outcomes
+from avgfusion.detection import BSM_PATTERNS, FUSION_PATTERNS, fusion_outcomes
 from avgfusion.fock import TransferMatrix, apply_transfer
 from avgfusion.interferometers import _ANALYZER, _FUSION, _V_SIGNS, _linear, direct_sum, effective_average, fusion_gate
 from avgfusion.metrics import _SQRT_HALF, bell_state, fidelity, normalized_fidelity, trace_distance
@@ -504,11 +505,18 @@ def _ref_bsm_closed(sums, n):
     return num / n**4, den / n**4, num / den
 
 
+# The reference forms every one of the ten two-photon patterns, from its own
+# mode and bunching table, where the engine's fusion forms only its four.
+_REF_PATTERNS = tuple(BSM_PATTERNS.values())
+_REF_PATTERN_MODES = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in _REF_PATTERNS]).T
+_REF_BUNCHING = np.where(_REF_PATTERN_MODES[0] == _REF_PATTERN_MODES[1], _SQRT_HALF, 1.0)
+
+
 def _ref_pair_amplitudes(mean, i, j):
     shape = (-1,) + (1,) * np.broadcast(i, j).ndim
-    k, l = sweep._PATTERN_MODES.reshape(2, *shape)
+    k, l = _REF_PATTERN_MODES.reshape(2, *shape)
     m = mean.transpose(1, 2, 0).copy()  # trials last: each product runs along contiguous trials
-    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * sweep._BUNCHING.reshape(*shape, 1)
+    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * _REF_BUNCHING.reshape(*shape, 1)
     return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
 
 
@@ -516,13 +524,13 @@ def _ref_fusion_metrics(etas):
     mean = _ref_fusion_gates(etas[:, 0], etas[:, 1])
     kraus = _SQRT_HALF * _SQRT_HALF * _ref_pair_amplitudes(mean, [[1], [0]], [[3, 2]])
     prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
-    hh = sweep._PATTERNS.index(FUSION_PATTERNS["HH"])
+    hh = _REF_PATTERNS.index(FUSION_PATTERNS["HH"])
     f_hh = fidelity(np.diagonal(kraus[:, hh], axis1=-2, axis2=-1), sweep._PHI_PLUS_DIAGONAL)
     p_hh = prob[:, hh]
     heralded = p_hh > 0
     f_hh_norm = np.full(len(p_hh), math.nan)
     f_hh_norm[heralded] = normalized_fidelity(f_hh[heralded], p_hh[heralded])
-    p_single = sum(prob[:, sweep._PATTERNS.index(p)] for p in FUSION_PATTERNS.values())
+    p_single = sum(prob[:, _REF_PATTERNS.index(p)] for p in FUSION_PATTERNS.values())
     return f_hh, p_hh, f_hh_norm, p_single, trace_distance(_V_SIGNS * mean, sweep._SIGNED_BALANCED)
 
 
@@ -634,66 +642,64 @@ def _count_stage_calls(monkeypatch, experiment):
     return stage1, stage2
 
 
-@pytest.mark.parametrize("block", [None, 7, 60, 61], ids=["default-block", "block-7", "block-60", "block-61"])
+@pytest.mark.parametrize("block", [None, 7, 20, 61], ids=["default-block", "block-7", "block-20", "block-61"])
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_run_sweep_takes_copy_means_once_per_copy_count_and_metrics_once_per_block(monkeypatch, experiment, block):
-    """Stage 1 runs once per copy count on all its cells; stage 2 runs once per
-    block of trials, blocks cut across copy counts; the blocks do not change a bit."""
+def test_run_sweep_takes_copy_means_once_per_copy_count_in_a_block_and_metrics_once_per_block(
+    monkeypatch, experiment, block
+):
+    """Each block of trials runs stage 1 once per copy count it holds, on that
+    copy count's trials in the block, then stage 2 once; blocks cut across cells
+    and copy counts, and they do not change a bit."""
     cfg = SweepConfig(experiment, (1, 3, 2), (0.0, 0.1, 0.2, 0.4), samples=5, master_seed=7)
     want = run_sweep(cfg)
     if block is not None:
         monkeypatch.setattr(sweep, "_BLOCK", block)
     stage1, stage2 = _count_stage_calls(monkeypatch, experiment)
     result = run_sweep(cfg)
-    total = len(cfg.n_copies_list) * len(cfg.m_grid) * cfg.samples
     size = sweep._BLOCK
-    assert stage1 == [((len(cfg.m_grid) * cfg.samples, n),) * 2 for n in cfg.n_copies_list]
-    assert len(stage2) == -(-total // size)
+    copy_count = [n for n in cfg.n_copies_list for _ in range(len(cfg.m_grid) * cfg.samples)]
+    total = len(copy_count)
+    runs = [
+        (len(list(trials)), n)
+        for lo in range(0, total, size)
+        for n, trials in itertools.groupby(copy_count[lo : lo + size])
+    ]
+    assert stage1 == [(run, run) for run in runs]
     assert [shape[0] for (shape,) in stage2] == [min(size, total - lo) for lo in range(0, total, size)]
     assert len(result.cells) == len(cfg.n_copies_list) * len(cfg.m_grid)
     for got, ref in zip(result.cells, want.cells, strict=True):
         _assert_cells_identical(got, ref)
 
 
-def test_blocks_let_go_of_a_part_before_the_next_is_made():
-    """No view of a used part, a waiting tail included, outlives it."""
-    made = []
-
-    def parts():
-        for rows in (5, 7, 3, 1, 6):
-            assert all(ref() is None for ref in made)
-            part = np.arange(2.0 * rows).reshape(rows, 2) + len(made)
-            made.append(weakref.ref(part))
-            yield part
-            del part
-
-    want = np.concatenate([np.arange(2.0 * rows).reshape(rows, 2) + k for k, rows in enumerate((5, 7, 3, 1, 6))])
-    got = []
-    for block in sweep._blocks(parts(), 4):
-        got.append(block.copy())
-        del block
-    assert [len(b) for b in got] == [4] * 5 + [2]
-    np.testing.assert_array_equal(np.concatenate(got), want)
-
-
+@pytest.mark.parametrize("block", [7, 11])
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_stage_1_of_a_copy_count_starts_after_the_last_one_is_let_go(monkeypatch, experiment):
-    """The engine holds one copy count's stage-1 rows at a time, with blocks that cross copy counts."""
-    made = []
-    stage1 = sweep._COPY_MEANS[experiment]
+def test_stage_1_of_a_block_starts_after_the_last_block_is_let_go(monkeypatch, experiment, block):
+    """The engine holds one block's stage-1 rows at a time, its stage-2 input
+    included, with blocks that cross copy counts."""
+    held, let_go = [], []
+    stage1, stage2 = sweep._COPY_MEANS[experiment], sweep._METRICS[experiment]
+
+    def owner(rows):
+        return weakref.ref(rows if rows.base is None else rows.base)  # views keep their owner alive
 
     def copy_means(eta_1, eta_2):
-        assert all(ref() is None for ref in made)
+        assert all(ref() is None for ref in let_go)
         rows = stage1(eta_1, eta_2)
-        made.append(weakref.ref(rows if rows.base is None else rows.base))  # views keep their owner alive
+        held.append(owner(rows))
         return rows
+
+    def metrics(rows):
+        let_go.extend([*held, owner(rows)])
+        held.clear()
+        return stage2(rows)
 
     cfg = SweepConfig(experiment, (1, 3, 2), (0.0, 0.2), samples=5, master_seed=3)
     want = run_sweep(cfg)
-    monkeypatch.setattr(sweep, "_BLOCK", 7)
+    monkeypatch.setattr(sweep, "_BLOCK", block)
     monkeypatch.setitem(sweep._COPY_MEANS, experiment, copy_means)
+    monkeypatch.setitem(sweep._METRICS, experiment, metrics)
     result = run_sweep(cfg)
-    assert len(made) == len(cfg.n_copies_list)
+    assert len(let_go) > 2 * -(-30 // block)  # some block runs stage 1 on two copy counts
     for got, ref in zip(result.cells, want.cells, strict=True):
         _assert_cells_identical(got, ref)
 
