@@ -83,6 +83,12 @@ MUTANTS = (
         "part = etas[max(lo - start, 0) : hi - start]",
         "part = etas[max(lo - start, 0) + 1 : hi - start]",
     ),
+    (
+        "verify.check_closed_form comparing each simulated column with itself",
+        "verify.py",
+        'np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))',
+        "np.max(np.abs(cell.metrics[sim] - cell.metrics[sim]))",
+    ),
 )
 
 

@@ -29,11 +29,12 @@ blocks nor stacking change a bit; the largest arrays are one block's.
 
 Boundary: :func:`run_cell` checks outside input; :func:`run_sweep` draws
 from a :class:`SweepConfig` that has already checked its own, so nothing
-below these two checks again. A :class:`Cell` keeps its trial axis next to
-the mean and std the engine's one stats pass took, so the CSV and the plots
-only format it. This module builds no Fock state: the Fock network and
-its input states belong to the oracle that ``verify`` and the tests check
-this engine against.
+below these two checks again. Both, and the engine suites of ``verify``, go
+through :func:`_run_cells`, the engine's one walker from (C, S, 2, N) draws
+to cells. A :class:`Cell` keeps its trial axis next to the mean and std the
+engine's one stats pass took, so the CSV and the plots only format it. This
+module builds no Fock state: the Fock network and its input states belong to
+the oracle that ``verify`` and the tests check this engine against.
 
 CSV: :mod:`g17` owns the layout and spelling of :func:`write_csv`'s rows.
 """
@@ -323,36 +324,6 @@ _METRICS = {
 _BLOCK = 1 << 12
 
 
-def _metric_table(experiment: str, stacks) -> np.ndarray:
-    """Every metric column over every trial of the (C, S, 2, N) ``stacks``,
-    unchecked: a (columns, trials) array, trials in stack then C then S order.
-
-    A block of ``_BLOCK`` trials runs stage 1 on its slice of each stack it
-    overlaps, then stage 2 once, and writes its columns into the table.
-    """
-    copy_means, metrics = _COPY_MEANS[experiment], _METRICS[experiment]
-    trials = [etas.reshape(-1, *etas.shape[-2:]) for etas in stacks]
-    starts = np.cumsum([0, *map(len, trials)]).tolist()
-    table = np.empty((len(METRIC_COLUMNS[experiment]), starts[-1]))
-    for lo in range(0, starts[-1], _BLOCK):
-        hi = min(lo + _BLOCK, starts[-1])
-        parts = []
-        for etas, start in zip(trials, starts):
-            if start < hi and lo < start + len(etas):
-                part = etas[max(lo - start, 0) : hi - start]
-                parts.append(copy_means(part[:, 0], part[:, 1]))
-        block = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for row, values in zip(table[:, lo:hi], metrics(block), strict=True):
-            row[...] = values
-        del parts, block  # the next block's stage 1 runs with no stage-1 rows held
-    return table
-
-
-def _metric_columns(experiment: str, etas: np.ndarray) -> dict[str, np.ndarray]:
-    """Each metric column of ``experiment`` over the trials of ``etas`` (S, 2, N), unchecked."""
-    return dict(zip(METRIC_COLUMNS[experiment], _metric_table(experiment, (etas[None],))))
-
-
 def run_cell(experiment: str, m: float, etas: np.ndarray) -> Cell:
     """Every trial of one (N, m) cell from its reflectivities ``etas``.
 
@@ -378,9 +349,26 @@ def _run_cells(experiment: str, ms, *stacks: np.ndarray) -> list[Cell]:
     Each (C, S, 2, N) stack holds the cells of one copy count: cell i has m
     ``ms[i]`` and the reflectivities ``stack[i]``. Every stack has C = len(ms)
     and one S. Cells come out stack by stack, then in ``ms`` order.
+
+    Blocks run in stack, then C, then S order, as the module docstring says.
     """
     columns = METRIC_COLUMNS[experiment]
-    table = _metric_table(experiment, stacks).reshape(len(columns), -1, stacks[0].shape[1])
+    copy_means, metrics = _COPY_MEANS[experiment], _METRICS[experiment]
+    trials = [etas.reshape(-1, *etas.shape[-2:]) for etas in stacks]
+    starts = np.cumsum([0, *map(len, trials)]).tolist()
+    table = np.empty((len(columns), starts[-1]))
+    for lo in range(0, starts[-1], _BLOCK):
+        hi = min(lo + _BLOCK, starts[-1])
+        parts = []
+        for etas, start in zip(trials, starts):
+            if start < hi and lo < start + len(etas):
+                part = etas[max(lo - start, 0) : hi - start]
+                parts.append(copy_means(part[:, 0], part[:, 1]))
+        block = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for row, values in zip(table[:, lo:hi], metrics(block), strict=True):
+            row[...] = values
+        del parts, block  # the next block's stage 1 runs with no stage-1 rows held
+    table = table.reshape(len(columns), -1, stacks[0].shape[1])
     means, stds = _stats(table)
     cells = [(etas[i], m) for etas in stacks for i, m in enumerate(ms)]
     return [

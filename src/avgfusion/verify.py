@@ -20,7 +20,7 @@ from .detection import SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
 from .fock import StateVec, TransferMatrix, apply_transfer, tensor
 from .interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
 from .metrics import _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
-from .sweep import _metric_columns, sample_reflectivity
+from .sweep import _run_cells, sample_reflectivity
 
 FUSION_TABLE_GRID = 5  # points per reflectivity axis that check_fusion_table scans
 
@@ -58,6 +58,17 @@ class SuiteResult:
         return line
 
 
+def _worst(deviations: list) -> float:
+    """The largest deviation, 0.0 if none; NaN if any is NaN, which ``max`` may skip."""
+    return math.nan if any(map(math.isnan, deviations)) else float(max(deviations, default=0.0))
+
+
+def _result(name: str, deviations: list, threshold: float, detail: str = "") -> SuiteResult:
+    """A suite's result from its deviations; a NaN among them fails the suite."""
+    dev = _worst(deviations)
+    return SuiteResult(name, dev < threshold and not detail, dev, threshold, detail)
+
+
 def max_amplitude_deviation(state: StateVec, reference) -> float:
     """Largest |amplitude difference| between a state and a reference.
 
@@ -65,7 +76,7 @@ def max_amplitude_deviation(state: StateVec, reference) -> float:
     """
     ref = dict(reference.items())
     kets = set(ref) | set(state.kets())
-    return max((abs(state.amplitude(k) - ref.get(k, 0.0)) for k in kets), default=0.0)
+    return _worst([abs(state.amplitude(k) - ref.get(k, 0.0)) for k in kets])
 
 
 def phase_aligned_deviation(state: StateVec, reference: dict) -> float:
@@ -102,7 +113,7 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
         StateVec(4, {(2, 0, 0, 0): _SQRT_HALF, (0, 1, 0, 1): -0.5j, (0, 0, 1, 1): 0.5}),
     ]
     sets = max(2, samples // 5)
-    dev = 0.0
+    devs = []
     for n_copies in (2, 3):
         for k in range(sets):
             if k % 2 == 0:
@@ -114,18 +125,19 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
             mean_gate = effective_average(copies)
             for state in inputs:
                 kept = run_averaged(net, state)
-                dev = max(dev, max_amplitude_deviation(kept, apply_transfer(mean_gate, state)))
-    return SuiteResult("M_N-equivalence", dev < 1e-10, dev, 1e-10)
+                devs.append(max_amplitude_deviation(kept, apply_transfer(mean_gate, state)))
+    return _result("M_N-equivalence", devs, 1e-10)
 
 
 def check_closed_form(samples: int, rng: np.random.Generator) -> SuiteResult:
-    """Sweep-engine analyzer metrics vs their closed forms, random draws."""
-    dev = 0.0
-    for n_copies in (1, 2, 3):
-        metrics = _metric_columns("bsm", sample_reflectivity(rng, 0.3, (samples, 2, n_copies)))
-        for sim in ("F", "P_success", "F_norm"):
-            dev = max(dev, float(np.max(np.abs(metrics[sim] - metrics[f"{sim}_closed"]))))
-    return SuiteResult("closed-form-vs-simulator", dev < 1e-10, dev, 1e-10)
+    """Sweep-engine analyzer metrics vs their closed forms, random draws, one engine call."""
+    stacks = [sample_reflectivity(rng, 0.3, (1, samples, 2, n_copies)) for n_copies in (1, 2, 3)]
+    devs = [
+        np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))
+        for cell in _run_cells("bsm", (0.3,), *stacks)
+        for sim in ("F", "P_success", "F_norm")
+    ]
+    return _result("closed-form-vs-simulator", devs, 1e-10)
 
 
 def check_fusion_table() -> SuiteResult:
@@ -141,21 +153,21 @@ def check_fusion_table() -> SuiteResult:
     is 1 and post-selection over no ancillas keeps every ket), which
     `tests/test_averaging.py` pins.
     """
-    dev = 0.0
+    devs = []
     perfect = _fusion_patterns_at(0.5, 0.5)
     targets = {"HH": "phi+", "VV": "phi+", "HV": "psi+", "VH": "psi+"}
     for label, bell in targets.items():
         outcome = perfect[label]
-        dev = max(dev, abs(outcome.probability - 0.125))
+        devs.append(abs(outcome.probability - 0.125))
         conditional = fidelity(outcome.residual, bell_state(bell)) / outcome.probability
-        dev = max(dev, abs(1.0 - conditional))
+        devs.append(abs(1.0 - conditional))
     for ex in np.linspace(0.05, 0.95, FUSION_TABLE_GRID):
         for ey in np.linspace(0.05, 0.95, FUSION_TABLE_GRID):
             out = _fusion_patterns_at(float(ex), float(ey))
             p = {lbl: o.probability for lbl, o in out.items()}
-            dev = max(dev, abs(sum(p.values()) - 0.5))
-            dev = max(dev, abs(p["HH"] - p["VV"]), abs(p["HV"] - p["VH"]))
-    return SuiteResult("fusion-pattern-table", dev < 1e-12, dev, 1e-12)
+            devs.append(abs(sum(p.values()) - 0.5))
+            devs += [abs(p["HH"] - p["VV"]), abs(p["HV"] - p["VH"])]
+    return _result("fusion-pattern-table", devs, 1e-12)
 
 
 @cache
@@ -180,15 +192,15 @@ def _fusion_patterns_at(eta_x: float, eta_y: float):
 
 def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Balanced-analyzer Bell-state images, plus psi- invariance off balance."""
-    dev = 0.0
+    devs = []
     for label in BELL_LABELS:
         out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state(label))
-        dev = max(dev, phase_aligned_deviation(out, BSM_MAP_TARGETS[label]))
+        devs.append(phase_aligned_deviation(out, BSM_MAP_TARGETS[label]))
     psi_minus = bell_state("psi-")
     for eta in rng.uniform(0.0, 1.0, size=samples):
         out = apply_transfer(bsm_matrix(float(eta), float(eta)), psi_minus)
-        dev = max(dev, max_amplitude_deviation(out, psi_minus))
-    return SuiteResult("bsm-state-maps", dev < 1e-12, dev, 1e-12)
+        devs.append(max_amplitude_deviation(out, psi_minus))
+    return _result("bsm-state-maps", devs, 1e-12)
 
 
 def check_table2() -> SuiteResult:
@@ -197,33 +209,32 @@ def check_table2() -> SuiteResult:
     The deviation is the largest click probability on any blank cell, i.e.
     on a pattern outside the expected support.
     """
-    dev = 0.0
+    devs = []
     mismatches = []
     for label in BELL_LABELS:
         for eta, expected in ((0.5, TABLE2_TICKS[label]), (0.3, TABLE2_TICKS[label] | TABLE2_CROSSES[label])):
             probs = pattern_probabilities(label, eta, eta)
             support = {pat for pat, prob in probs.items() if prob > SUPPORT_THRESHOLD}
-            dev = max(dev, max(prob for pat, prob in probs.items() if pat not in expected))
+            devs += [prob for pat, prob in probs.items() if pat not in expected]
             if support != expected:
                 mismatches.append(f"{label}@{eta}: {sorted(support)} != {sorted(expected)}")
-    passed = not mismatches and dev < 1e-12
-    return SuiteResult("table2-support", passed, dev, 1e-12, "; ".join(mismatches))
+    return _result("table2-support", devs, 1e-12, "; ".join(mismatches))
 
 
 def check_perfect_sweep() -> SuiteResult:
-    """Noise-free trials land exactly on the analytic values for N up to 3."""
-    dev = 0.0
-    for n_copies in (1, 2, 3):
-        balanced = np.full((1, 2, n_copies), 0.5)
-        fusion = _metric_columns("fusion", balanced)
-        dev = max(dev, abs(fusion["P_HH"][0] - 0.125))
-        dev = max(dev, abs(fusion["P_single"][0] - 0.5))
-        dev = max(dev, abs(fusion["F_HH_norm"][0] - 1.0))
-        dev = max(dev, fusion["trace_distance"][0])
-        bsm = _metric_columns("bsm", balanced)
-        dev = max(dev, abs(bsm["P_success"][0] - 1.0))
-        dev = max(dev, abs(bsm["F_norm"][0] - 1.0))
-    return SuiteResult("perfect-point-values", dev < 1e-10, dev, 1e-10)
+    """Noise-free trials land exactly on the analytic values for N up to 3, one engine call each."""
+    stacks = [np.full((1, 1, 2, n_copies), 0.5) for n_copies in (1, 2, 3)]
+    values = {
+        "fusion": {"P_HH": 0.125, "P_single": 0.5, "F_HH_norm": 1.0, "trace_distance": 0.0},
+        "bsm": {"P_success": 1.0, "F_norm": 1.0},
+    }
+    devs = [
+        abs(cell.metrics[column][0] - value)
+        for experiment, columns in values.items()
+        for cell in _run_cells(experiment, (0.0,), *stacks)
+        for column, value in columns.items()
+    ]
+    return _result("perfect-point-values", devs, 1e-10)
 
 
 def run_all(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> list[SuiteResult]:

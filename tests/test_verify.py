@@ -1,0 +1,158 @@
+"""The self-check suites: each can fail, a NaN fails them, and the engine
+suites reach the sweep engine once per experiment."""
+
+import math
+
+import numpy as np
+import pytest
+
+from avgfusion import cli, sweep, verify
+from avgfusion.fock import StateVec, TransferMatrix
+from avgfusion.sweep import METRIC_COLUMNS, run_cell, sample_reflectivity
+
+
+def _patch_column(monkeypatch, experiment, column, change):
+    """Pass the engine's ``column`` of ``experiment`` through ``change``."""
+    metrics, index = sweep._METRICS[experiment], METRIC_COLUMNS[experiment].index(column)
+
+    def patched(block):
+        values = list(metrics(block))
+        values[index] = change(values[index])
+        return tuple(values)
+
+    monkeypatch.setitem(sweep._METRICS, experiment, patched)
+
+
+def _scaled_gate(build):
+    """``build`` with every matrix entry 1e-6 too large."""
+    return lambda *etas: TransferMatrix(build(*etas).entries * (1 + 1e-6))
+
+
+def _with_rng(check):
+    """``check`` as a suite of five draws from a fixed stream."""
+    return lambda: check(5, np.random.default_rng(1))
+
+
+def _assert_fails(result, name):
+    assert result.passed is False
+    assert result.report_line().startswith(f"{name}: FAIL (max dev ")
+
+
+@pytest.mark.parametrize(
+    "experiment, columns, name, suite",
+    [
+        ("bsm", ("F_closed",), "closed-form-vs-simulator", _with_rng(verify.check_closed_form)),
+        ("fusion", ("P_HH", "P_single"), "perfect-point-values", verify.check_perfect_sweep),
+    ],
+    ids=["closed-form", "perfect-point"],
+)
+def test_a_nan_engine_column_fails_its_suite_and_verify_exits_1(monkeypatch, capsys, experiment, columns, name, suite):
+    """A NaN is no deviation below any threshold: the suite that reads the
+    column fails, and so does the ``verify`` command."""
+    for column in columns:
+        _patch_column(monkeypatch, experiment, column, lambda v: np.full_like(v, math.nan))
+    result = suite()
+    _assert_fails(result, name)
+    assert math.isnan(result.max_deviation)
+    assert cli.main(["verify", "--samples", "40", "--seed", "1"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if ": PASS" not in line]
+    assert failed == [f"{name}: FAIL (max dev nan >= 1e-10)"]
+
+
+def test_max_amplitude_deviation_propagates_a_nan_reference():
+    state = StateVec(2, {(1, 0): 1.0, (0, 1): 0.5})
+    for reference in ({(1, 0): math.nan, (0, 1): 0.0}, {(1, 0): 0.0, (0, 1): math.nan}):
+        assert math.isnan(verify.max_amplitude_deviation(state, reference))
+
+
+def _scaled_run_averaged(monkeypatch):
+    run_averaged = verify.run_averaged
+
+    def scaled(net, state):
+        kept = run_averaged(net, state)
+        return StateVec(kept.mode_count, {ket: a * (1 + 1e-6) for ket, a in kept.items()})
+
+    monkeypatch.setattr(verify, "run_averaged", scaled)
+
+
+def _raised_probabilities(monkeypatch):
+    pattern_probabilities = verify.pattern_probabilities
+
+    def raised(*args):
+        return {pat: p + 1e-6 for pat, p in pattern_probabilities(*args).items()}
+
+    monkeypatch.setattr(verify, "pattern_probabilities", raised)
+
+
+@pytest.mark.parametrize(
+    "name, inject, suite",
+    [
+        ("M_N-equivalence", _scaled_run_averaged, _with_rng(verify.check_averaging_equivalence)),
+        (
+            "closed-form-vs-simulator",
+            lambda mp: _patch_column(mp, "bsm", "F", lambda v: v + 1e-6),
+            _with_rng(verify.check_closed_form),
+        ),
+        (
+            "fusion-pattern-table",
+            lambda mp: mp.setattr(verify, "fusion_gate", _scaled_gate(verify.fusion_gate)),
+            verify.check_fusion_table,
+        ),
+        (
+            "bsm-state-maps",
+            lambda mp: mp.setattr(verify, "bsm_matrix", _scaled_gate(verify.bsm_matrix)),
+            _with_rng(verify.check_bsm_maps),
+        ),
+        ("table2-support", _raised_probabilities, verify.check_table2),
+        (
+            "perfect-point-values",
+            lambda mp: _patch_column(mp, "fusion", "P_HH", lambda v: v + 1e-6),
+            verify.check_perfect_sweep,
+        ),
+    ],
+    ids=["M_N-equivalence", "closed-form", "fusion-table", "bsm-maps", "table2", "perfect-point"],
+)
+def test_every_suite_fails_on_a_finite_error(monkeypatch, name, inject, suite):
+    """An error of about 1e-6 in what a suite checks makes it fail."""
+    assert suite().passed
+    inject(monkeypatch)
+    _assert_fails(suite(), name)
+
+
+def test_engine_suites_make_one_engine_call_per_experiment_on_the_same_draws(monkeypatch):
+    """``check_closed_form`` runs the analyzer engine once over N = 1, 2, 3
+    and ``check_perfect_sweep`` each experiment once; every cell they read
+    equals ``run_cell`` on its draws, and the draws are the suite's own."""
+    calls, runs = [], []
+    for experiment in ("fusion", "bsm"):
+
+        def counted(block, experiment=experiment, metrics=sweep._METRICS[experiment]):
+            calls.append(experiment)
+            return metrics(block)
+
+        monkeypatch.setitem(sweep._METRICS, experiment, counted)
+
+    def recorded(experiment, ms, *stacks, run_cells=verify._run_cells):
+        cells = run_cells(experiment, ms, *stacks)
+        runs.append((experiment, cells))
+        return cells
+
+    monkeypatch.setattr(verify, "_run_cells", recorded)
+    assert verify.check_closed_form(40, np.random.default_rng(1)).passed
+    assert calls == ["bsm"]
+    assert verify.check_perfect_sweep().passed
+    assert calls == ["bsm", "fusion", "bsm"]
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(1)
+    closed = [sample_reflectivity(rng, 0.3, (40, 2, n)) for n in (1, 2, 3)]
+    perfect = [np.full((1, 2, n), 0.5) for n in (1, 2, 3)]
+    assert [experiment for experiment, _ in runs] == ["bsm", "fusion", "bsm"]
+    for (experiment, cells), want in zip(runs, (closed, perfect, perfect), strict=True):
+        assert [cell.n_copies for cell in cells] == [1, 2, 3]
+        for cell, etas in zip(cells, want, strict=True):
+            assert cell.etas.tobytes() == etas.tobytes() and cell.etas.shape == etas.shape
+            ref = run_cell(experiment, cell.m, etas)
+            assert cell.metrics.keys() == ref.metrics.keys()
+            for column, values in ref.metrics.items():
+                assert cell.metrics[column].tobytes() == values.tobytes(), (experiment, column)
