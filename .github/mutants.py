@@ -84,6 +84,12 @@ MUTANTS = (
         "part = etas[max(lo - start, 0) + 1 : hi - start]",
     ),
     (
+        "a stacked evolution walking only the first matrix's nonzero entries",
+        "fock.py",
+        "support = (stack != 0).any(axis=0)",
+        "support = stack[0] != 0",
+    ),
+    (
         "verify.check_closed_form comparing each simulated column with itself",
         "verify.py",
         'np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))',

@@ -49,13 +49,16 @@ print()
 # --- 2. error filtering and its cost ----------------------------------------
 # Section 1 shows the post-selected network applies the mean matrix, so the
 # success probability is the squared norm of the state evolved under it.
+# apply_transfer takes a (K, d, d) stack too: one evolution per N gives the
+# states of all 200 mean matrices.
 print(f"{'N':>3} {'mean trace distance':>20} {'mean success prob':>19}")
 for n in (1, 2, 3, 4, 6, 8):
-    distances, probs = [], []
+    distances, mean_gates = [], []
     for _ in range(200):
         mean_gate = effective_average([noisy_copy() for _ in range(n)])
         distances.append(trace_distance(mean_gate, ideal))
-        probs.append(norm_sq(apply_transfer(mean_gate, state_in)))
+        mean_gates.append(mean_gate.entries)
+    probs = [norm_sq(out) for out in apply_transfer(np.array(mean_gates), state_in)]
     print(f"{n:3d} {np.mean(distances):20.4f} {np.mean(probs):19.4f}")
 
 print()

@@ -25,6 +25,16 @@ pairs of each column, which `apply_transfer` walks, are likewise built on a
 matrix's first evolution and kept with it; `entries` and `dim` are read-only
 properties over a read-only copy, so they cannot go stale, and a matrix that
 evolves several states builds them once.
+
+One input can also go through a (K, d, d) stack of matrices in one
+expansion: the loop is the same, but a term's coefficient is a (K,) array,
+one entry per matrix, and each column walks the union of the stack's nonzero
+entries, so a row that is zero in one matrix adds exactly 0 to its terms. The
+finiteness check and the prune then run on the (K, kets) array of the output.
+Each state matches the state its matrix alone gives to a few ulps, not bit
+for bit: numpy's vectorized complex multiply may fuse a multiply-add that
+Python's scalar one rounds twice. Where the matrices share their support, as
+samples of one gate family do, the states also keep its ket order.
 """
 
 from __future__ import annotations
@@ -235,19 +245,52 @@ def _occupations(modes: tuple[int, ...], m: int) -> FockKet:
     return tuple(occ)
 
 
-def apply_transfer(T: TransferMatrix, s: StateVec) -> StateVec:
-    """Evolve a state through a transfer matrix.
+def apply_transfer(T: TransferMatrix | np.ndarray, s: StateVec) -> StateVec | list[StateVec]:
+    """Evolve a state through a transfer matrix, or through each of a stack.
 
     Each creation operator is substituted, a_j^dag -> sum_l T[l, j] a_l^dag,
     one photon at a time, and the resulting operator polynomial applied to
     vacuum is collected back into Fock amplitudes with exact sqrt(n!) factors.
     Unitary T preserves the squared norm; a general T may scale it.
+
+    ``T`` is a `TransferMatrix`, giving one state, or a (K, d, d) array of K
+    matrices of one size, giving the list of K evolved states in stack order
+    from one expansion (see the module docstring); a (0, d, d) stack gives
+    ``[]``. A stacked state matches the state of its matrix alone to a few
+    ulps: numpy's vectorized complex multiply may fuse a multiply-add that
+    Python's scalar one rounds twice.
     """
-    if T.dim != s.mode_count:
-        raise ValueError(f"matrix dim {T.dim} != state mode count {s.mode_count}")
-    m = s.mode_count
-    # Nonzero (l, T[l, j]) pairs of each column j; a zero column yields no terms.
-    columns = T._nonzero_columns()
+    if isinstance(T, TransferMatrix):
+        _check_dim(T.dim, s)
+        acc = _expand(T._nonzero_columns(), s)
+        return StateVec._built(s.mode_count, {_occupations(key, s.mode_count): c for key, c in acc.items()})
+    stack = np.asarray(T, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"transfer matrix stack must have shape (K, d, d), got {stack.shape}")
+    _check_dim(stack.shape[2], s)
+    if not len(stack):
+        return []
+    acc = _expand(_stack_columns(stack), s)
+    return _split(acc, len(stack), s.mode_count)
+
+
+def _check_dim(dim: int, s: StateVec) -> None:
+    if dim != s.mode_count:
+        raise ValueError(f"matrix dim {dim} != state mode count {s.mode_count}")
+
+
+def _stack_columns(stack: np.ndarray) -> list[list[tuple[int, np.ndarray]]]:
+    """(l, stack[:, l, j]) pairs of each column j, over every row l that is
+    nonzero in some matrix of the (K, d, d) stack: the union of their supports."""
+    support = (stack != 0).any(axis=0)
+    by_column = np.ascontiguousarray(stack.transpose(2, 1, 0))  # [j, l] is the (K,) entry vector
+    return [[(l, by_column[j, l]) for l in np.flatnonzero(support[:, j]).tolist()] for j in range(len(support))]
+
+
+def _expand(columns, s: StateVec) -> dict:
+    """Sorted photon-mode key -> coefficient of the output, from the nonzero
+    (l, T[l, j]) pairs of each column j; a coefficient is a complex, or a
+    (K,) array when the entries are."""
     # Terms are keyed by their sorted photon modes (see the module docstring);
     # after the n-th substitution every key holds n photons.
     acc: dict[tuple[int, ...], complex] = {}
@@ -271,4 +314,26 @@ def apply_transfer(T: TransferMatrix, s: StateVec) -> StateVec:
             terms = expanded
         for key, c in terms.items():
             acc[key] = acc.get(key, 0j) + c * _sqrt_fact_prod(key)
-    return StateVec._built(m, {_occupations(key, m): c for key, c in acc.items()})
+    return acc
+
+
+def _split(acc: dict, k: int, m: int) -> list[StateVec]:
+    """The K states of a stacked expansion's coefficients, each pruned and
+    checked for finiteness on the (K, kets) array as `StateVec._built` would."""
+    kets = [_occupations(key, m) for key in acc]
+    amps = np.empty((len(kets), k), dtype=complex)
+    for i, c in enumerate(acc.values()):
+        amps[i] = c  # a photon-free ket's coefficient is one complex for every matrix
+    amps = amps.T
+    bad = np.argwhere(~np.isfinite(amps))
+    if len(bad):
+        row, i = bad[0]
+        raise ValueError(f"non-finite amplitude {complex(amps[row, i])} for ket {kets[i]}")
+    kept = (np.abs(amps) > PRUNE_TOL).tolist()
+    states = []
+    for row, keep in zip(amps.tolist(), kept):
+        state = object.__new__(StateVec)
+        state.mode_count = m
+        state._amp = {ket: a for ket, a, ok in zip(kets, row, keep) if ok}
+        states.append(state)
+    return states

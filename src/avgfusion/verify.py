@@ -14,11 +14,11 @@ from functools import cache
 
 import numpy as np
 
-from .averaging import build_averaged_network, run_averaged
+from .averaging import build_averaged_network
 from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
 from .detection import SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
 from .fock import StateVec, TransferMatrix, apply_transfer, tensor
-from .interferometers import bsm_matrix, direct_sum, effective_average, fusion_gate
+from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix, effective_average, fusion_gate
 from .metrics import _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
 from .sweep import _run_cells, sample_reflectivity
 
@@ -106,6 +106,10 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
 
     Exercised on Haar-random 4-mode unitaries and on fusion gates at random
     reflectivities, with two-photon inputs: psi+, phi- and a bunched superposition.
+    Per copy count, every sampled network is built by `build_averaged_network`
+    first, in the order the draws come; then each input goes once through the
+    stack of their kept blocks, which is `run_averaged` on each, and once
+    through the stack of their copy averages.
     """
     inputs = [
         bell_state("psi+"),
@@ -115,17 +119,18 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
     sets = max(2, samples // 5)
     devs = []
     for n_copies in (2, 3):
+        kept_blocks, mean_gates = [], []
         for k in range(sets):
             if k % 2 == 0:
                 copies = [_haar_unitary(rng, 4) for _ in range(n_copies)]
             else:
                 etas = rng.uniform(0.2, 0.8, size=(n_copies, 2))
                 copies = [fusion_gate(ex, ey) for ex, ey in etas]
-            net = build_averaged_network(copies)
-            mean_gate = effective_average(copies)
-            for state in inputs:
-                kept = run_averaged(net, state)
-                devs.append(max_amplitude_deviation(kept, apply_transfer(mean_gate, state)))
+            kept_blocks.append(build_averaged_network(copies).kept_block.entries)
+            mean_gates.append(effective_average(copies).entries)
+        for state in inputs:
+            pairs = zip(apply_transfer(np.array(kept_blocks), state), apply_transfer(np.array(mean_gates), state))
+            devs += [max_amplitude_deviation(kept, direct) for kept, direct in pairs]
     return _result("M_N-equivalence", devs, 1e-10)
 
 
@@ -151,22 +156,27 @@ def check_fusion_table() -> SuiteResult:
     Each point evolves the 8-mode input through gate (+) identity directly:
     the one-copy averaging network is that matrix bit for bit (a size-1 DFT
     is 1 and post-selection over no ancillas keeps every ket), which
-    `tests/test_averaging.py` pins.
+    `tests/test_averaging.py` pins. The perfect gate and the grid's gates
+    come from one `_fusion_gates` call, the same bits as `fusion_gate` at
+    each point, and the input goes once through the stack of the 26.
     """
+    grid = np.linspace(0.05, 0.95, FUSION_TABLE_GRID)
+    eta_x, eta_y = (np.concatenate(([0.5], axis.ravel())) for axis in np.meshgrid(grid, grid, indexing="ij"))
+    gates = np.zeros((len(eta_x), 8, 8))
+    gates[:, :4, :4] = _fusion_gates(eta_x[:, None], eta_y[:, None])
+    gates[:, 4:, 4:] = np.eye(4)
+    perfect, *points = (fusion_outcomes(out, (0, 1, 2, 3)) for out in apply_transfer(gates, _fusion_input()))
     devs = []
-    perfect = _fusion_patterns_at(0.5, 0.5)
     targets = {"HH": "phi+", "VV": "phi+", "HV": "psi+", "VH": "psi+"}
     for label, bell in targets.items():
         outcome = perfect[label]
         devs.append(abs(outcome.probability - 0.125))
         conditional = fidelity(outcome.residual, bell_state(bell)) / outcome.probability
         devs.append(abs(1.0 - conditional))
-    for ex in np.linspace(0.05, 0.95, FUSION_TABLE_GRID):
-        for ey in np.linspace(0.05, 0.95, FUSION_TABLE_GRID):
-            out = _fusion_patterns_at(float(ex), float(ey))
-            p = {lbl: o.probability for lbl, o in out.items()}
-            devs.append(abs(sum(p.values()) - 0.5))
-            devs += [abs(p["HH"] - p["VV"]), abs(p["HV"] - p["VH"])]
+    for out in points:
+        p = {lbl: o.probability for lbl, o in out.items()}
+        devs.append(abs(sum(p.values()) - 0.5))
+        devs += [abs(p["HH"] - p["VV"]), abs(p["HV"] - p["VH"])]
     return _result("fusion-pattern-table", devs, 1e-12)
 
 
@@ -185,21 +195,21 @@ def _fusion_input() -> StateVec:
     return StateVec(8, amp)
 
 
-def _fusion_patterns_at(eta_x: float, eta_y: float):
-    gate = direct_sum([fusion_gate(eta_x, eta_y), TransferMatrix(np.eye(4))])
-    return fusion_outcomes(apply_transfer(gate, _fusion_input()), (0, 1, 2, 3))
-
-
 def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
-    """Balanced-analyzer Bell-state images, plus psi- invariance off balance."""
+    """Balanced-analyzer Bell-state images, plus psi- invariance off balance.
+
+    The off-balance analyzers come from one `_bsm_matrices` call on the drawn
+    reflectivities, the same bits as `bsm_matrix` at each, and psi- goes once
+    through their stack.
+    """
     devs = []
     for label in BELL_LABELS:
         out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state(label))
         devs.append(phase_aligned_deviation(out, BSM_MAP_TARGETS[label]))
     psi_minus = bell_state("psi-")
-    for eta in rng.uniform(0.0, 1.0, size=samples):
-        out = apply_transfer(bsm_matrix(float(eta), float(eta)), psi_minus)
-        devs.append(max_amplitude_deviation(out, psi_minus))
+    eta = rng.uniform(0.0, 1.0, size=samples)
+    analyzers = _bsm_matrices(_features(eta, eta))
+    devs += [max_amplitude_deviation(out, psi_minus) for out in apply_transfer(analyzers, psi_minus)]
     return _result("bsm-state-maps", devs, 1e-12)
 
 

@@ -97,7 +97,7 @@ def test_psi_plus_never_reaches_six_analyzer_patterns(n):
     and V with V, so its amplitude is exactly 0 on the doubles a2, b2, c2, d2
     and on ac and bd, in the engine and in the Fock network. No CSV column
     reads a double click, so only test_pair_amplitudes_match_apply_transfer
-    sees their 1/sqrt(2); a phi input reaches them."""
+    and the phi test below see their 1/sqrt(2); a phi input reaches them."""
     etas = sample_reflectivity(np.random.default_rng(n), 0.5, (2000, 2, n))
     sums_n = _feature_sums(etas[:, 0], etas[:, 1])
     amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums_n[:, :4] / n), _BSM_MODES, [0, 1], [3, 2])
@@ -109,6 +109,28 @@ def test_psi_plus_never_reaches_six_analyzer_patterns(n):
     for eta_h, eta_v in etas[:20]:
         kept = run_averaged(build_averaged_network(map(bsm_matrix, eta_h, eta_v)), bell_state("psi+"))
         assert all(kept.amplitude(BSM_PATTERNS[label]) == 0 for label in never)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("label, sign", [("phi+", 1.0), ("phi-", -1.0)])
+def test_phi_inputs_through_the_averaged_analyzer_match_the_fock_network(n, label, sign):
+    """phi+- put both photons on one polarization, so the analyzer sends them
+    to the double clicks a2, b2, c2, d2 that psi+ never reaches, where the
+    engine's 1/sqrt(2) bunching factor meets the network's sqrt(2!). Per
+    trial, the engine's click amplitudes of phi+- (modes 0, 2 and 1, 3)
+    against the Fock network: one stacked evolution of the kept blocks of
+    the sampled averaging networks."""
+    etas = sample_reflectivity(np.random.default_rng(100 + n), 0.5, (20, 2, n))
+    sums_n = _feature_sums(etas[:, 0], etas[:, 1])
+    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums_n[:, :4] / n), _BSM_MODES, [0, 1], [2, 3])
+    out = amp[..., 0] + sign * amp[..., 1]
+    blocks = [build_averaged_network(map(bsm_matrix, eta_h, eta_v)).kept_block.entries for eta_h, eta_v in etas]
+    kept = apply_transfer(np.array(blocks), bell_state(label))
+    labels = list(BSM_PATTERNS)
+    assert np.abs(out[:, [labels.index(d) for d in ("a2", "b2", "c2", "d2")]]).max() > 0.1
+    for row, state in zip(out, kept, strict=True):
+        assert row.tolist() == pytest.approx([state.amplitude(p) for p in BSM_PATTERNS.values()], abs=TOL)
+        assert np.sum(np.abs(row) ** 2) == pytest.approx(norm_sq(state), rel=1e-12)  # the ten patterns hold it all
 
 
 def _compare(cell, oracle: dict) -> None:

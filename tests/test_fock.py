@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from avgfusion.averaging import build_averaged_network
 from avgfusion.detection import DetectionPattern, project_pattern
+from avgfusion.interferometers import bsm_matrix, fusion_gate
 from avgfusion.fock import (
     StateVec,
     TransferMatrix,
@@ -491,3 +492,107 @@ def test_mutating_the_source_array_changes_nothing(evolve_first):
     expected = apply_transfer(TransferMatrix(original), state)
     assert list(apply_transfer(t, state).items()) == list(expected.items())
     np.testing.assert_array_equal(t.entries, original)
+
+
+#: Tolerance of a stacked state against its matrix alone, in units of the
+#: double-precision epsilon times the ket's absolute evolution (below).
+STACK_ULPS = 4
+
+
+def absolute_evolution(entries, state):
+    """The state with every amplitude and matrix entry replaced by its modulus,
+    evolved: per output ket, a bound on the sum of the moduli of its
+    contributions, the scale of its rounding error."""
+    moduli = StateVec(state.mode_count, {ket: abs(a) for ket, a in state.items()})
+    return apply_transfer(TransferMatrix(np.abs(entries)), moduli)
+
+
+@st.composite
+def stack_cases(draw):
+    """A stack of 1-6 matrices of one family: Haar unitaries, fusion gates,
+    analyzers (both at reflectivities that include 0 and 1, where entries
+    vanish), or complex non-unitary matrices with independently zeroed
+    entries; in some stacks only a later matrix has entries the first lacks.
+    The input is a superposition of 1-3 kets of 0-3 photons, bunched ones included."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    family = draw(st.sampled_from(["haar", "fusion", "analyzer", "non-unitary"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if family in ("fusion", "analyzer"):
+        eta = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+        build = fusion_gate if family == "fusion" else bsm_matrix
+        stack = np.array([build(draw(eta), draw(eta)).entries for _ in range(k)])
+    else:
+        n_modes = draw(st.integers(min_value=1, max_value=6))
+        if family == "haar":
+            stack = np.array([random_unitary(rng, n_modes).entries for _ in range(k)])
+        else:
+            shape = (k, n_modes, n_modes)
+            stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+            stack[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if draw(st.booleans()):
+        stack[0][rng.random(stack[0].shape) < 0.5] = 0.0
+    mode = st.integers(min_value=0, max_value=stack.shape[-1] - 1)
+    amp = {}
+    for photons in draw(st.lists(st.lists(mode, max_size=3), min_size=1, max_size=3)):
+        amp[tuple(photons.count(j) for j in range(stack.shape[-1]))] = complex(rng.standard_normal(), rng.standard_normal())
+    return stack, StateVec(stack.shape[-1], amp)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stack_cases())
+def test_stacked_evolution_matches_one_matrix_at_a_time(case):
+    """Each state of a stacked evolution is its matrix's own state to
+    STACK_ULPS ulps of the ket's absolute evolution; a stack of one support
+    also keeps its kets in the same order."""
+    stack, state = case
+    outs = apply_transfer(stack, state)
+    assert isinstance(outs, list) and len(outs) == len(stack)
+    one_support = all(((m != 0) == (stack[0] != 0)).all() for m in stack)
+    for entries, out in zip(stack, outs):
+        ref = apply_transfer(TransferMatrix(entries), state)
+        scale = absolute_evolution(entries, state)
+        assert out.mode_count == ref.mode_count
+        assert set(out.kets()) | set(ref.kets()) <= set(scale.kets())
+        for ket in set(out.kets()) | set(ref.kets()):
+            tol = STACK_ULPS * np.finfo(float).eps * scale.amplitude(ket).real
+            assert abs(out.amplitude(ket) - ref.amplitude(ket)) <= tol, (ket, out.amplitude(ket), ref.amplitude(ket))
+        if one_support:
+            assert list(out.kets()) == list(ref.kets())
+
+
+def test_stack_walks_entries_only_a_later_matrix_has():
+    """A column's support is the union over the stack, not the first matrix's."""
+    stack = np.array([np.eye(2), beamsplitter(0.5).entries])
+    first, second = apply_transfer(stack, StateVec.from_ket((1, 0)))
+    assert list(first.items()) == [((1, 0), 1.0)]
+    assert list(second.items()) == list(apply_transfer(beamsplitter(0.5), StateVec.from_ket((1, 0))).items())
+
+
+def test_empty_stack_gives_no_states():
+    assert apply_transfer(np.zeros((0, 3, 3)), StateVec.from_ket((1, 0, 1))) == []
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2), (1, 2, 3), (2,)], ids=["2-D", "4-D", "non-square", "1-D"])
+def test_stack_of_the_wrong_shape_raises(shape):
+    with pytest.raises(ValueError, match=r"stack must have shape \(K, d, d\)"):
+        apply_transfer(np.ones(shape), StateVec.from_ket((1, 0)))
+
+
+def test_stack_dimension_mismatch_names_both_sizes():
+    with pytest.raises(ValueError, match="matrix dim 3 != state mode count 2"):
+        apply_transfer(np.ones((2, 3, 3)), StateVec.from_ket((1, 0)))
+
+
+def test_stack_with_a_nan_in_one_matrix_raises_like_that_matrix():
+    stack = np.array([np.eye(2), [[math.nan, 0], [0, 1]], np.eye(2)])
+    state = StateVec.from_ket((1, 0))
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        apply_transfer(TransferMatrix(stack[1]), state)
+    with pytest.raises(ValueError, match=r"non-finite amplitude .* for ket \(1, 0\)"):
+        apply_transfer(stack, state)
+
+
+def test_photon_free_input_through_a_stack():
+    """The vacuum's amplitude is one complex for every matrix of the stack."""
+    outs = apply_transfer(np.zeros((3, 2, 2)), StateVec(2, {(0, 0): 0.5j}))
+    assert [list(out.items()) for out in outs] == [[((0, 0), 0.5j)]] * 3

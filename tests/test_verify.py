@@ -1,12 +1,14 @@
-"""The self-check suites: each can fail, a NaN fails them, and the engine
-suites reach the sweep engine once per experiment."""
+"""The self-check suites: each can fail, a NaN fails them, the engine suites
+reach the sweep engine once per experiment, and the Fock suites evolve each
+input once per stack of matrices."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from avgfusion import cli, sweep, verify
+from avgfusion import cli, detection, sweep, verify
 from avgfusion.fock import StateVec, TransferMatrix
 from avgfusion.sweep import METRIC_COLUMNS, run_cell, sample_reflectivity
 
@@ -26,6 +28,11 @@ def _patch_column(monkeypatch, experiment, column, change):
 def _scaled_gate(build):
     """``build`` with every matrix entry 1e-6 too large."""
     return lambda *etas: TransferMatrix(build(*etas).entries * (1 + 1e-6))
+
+
+def _scaled_stack(build):
+    """``build`` of a matrix stack with every entry 1e-6 too large."""
+    return lambda *args: build(*args) * (1 + 1e-6)
 
 
 def _with_rng(check):
@@ -65,14 +72,15 @@ def test_max_amplitude_deviation_propagates_a_nan_reference():
         assert math.isnan(verify.max_amplitude_deviation(state, reference))
 
 
-def _scaled_run_averaged(monkeypatch):
-    run_averaged = verify.run_averaged
+def _scaled_kept_blocks(monkeypatch):
+    """Every network the suite builds with its kept block 1e-6 too large."""
+    build = verify.build_averaged_network
 
-    def scaled(net, state):
-        kept = run_averaged(net, state)
-        return StateVec(kept.mode_count, {ket: a * (1 + 1e-6) for ket, a in kept.items()})
+    def scaled(copies):
+        net = build(copies)
+        return dataclasses.replace(net, kept_block=TransferMatrix(net.kept_block.entries * (1 + 1e-6)))
 
-    monkeypatch.setattr(verify, "run_averaged", scaled)
+    monkeypatch.setattr(verify, "build_averaged_network", scaled)
 
 
 def _raised_probabilities(monkeypatch):
@@ -87,7 +95,7 @@ def _raised_probabilities(monkeypatch):
 @pytest.mark.parametrize(
     "name, inject, suite",
     [
-        ("M_N-equivalence", _scaled_run_averaged, _with_rng(verify.check_averaging_equivalence)),
+        ("M_N-equivalence", _scaled_kept_blocks, _with_rng(verify.check_averaging_equivalence)),
         (
             "closed-form-vs-simulator",
             lambda mp: _patch_column(mp, "bsm", "F", lambda v: v + 1e-6),
@@ -95,12 +103,17 @@ def _raised_probabilities(monkeypatch):
         ),
         (
             "fusion-pattern-table",
-            lambda mp: mp.setattr(verify, "fusion_gate", _scaled_gate(verify.fusion_gate)),
+            lambda mp: mp.setattr(verify, "_fusion_gates", _scaled_stack(verify._fusion_gates)),
             verify.check_fusion_table,
         ),
         (
             "bsm-state-maps",
             lambda mp: mp.setattr(verify, "bsm_matrix", _scaled_gate(verify.bsm_matrix)),
+            _with_rng(verify.check_bsm_maps),
+        ),
+        (
+            "bsm-state-maps",
+            lambda mp: mp.setattr(verify, "_bsm_matrices", _scaled_stack(verify._bsm_matrices)),
             _with_rng(verify.check_bsm_maps),
         ),
         ("table2-support", _raised_probabilities, verify.check_table2),
@@ -110,7 +123,7 @@ def _raised_probabilities(monkeypatch):
             verify.check_perfect_sweep,
         ),
     ],
-    ids=["M_N-equivalence", "closed-form", "fusion-table", "bsm-maps", "table2", "perfect-point"],
+    ids=["M_N-equivalence", "closed-form", "fusion-table", "bsm-maps", "bsm-maps-off-balance", "table2", "perfect-point"],
 )
 def test_every_suite_fails_on_a_finite_error(monkeypatch, name, inject, suite):
     """An error of about 1e-6 in what a suite checks makes it fail."""
@@ -156,3 +169,48 @@ def test_engine_suites_make_one_engine_call_per_experiment_on_the_same_draws(mon
             assert cell.metrics.keys() == ref.metrics.keys()
             for column, values in ref.metrics.items():
                 assert cell.metrics[column].tobytes() == values.tobytes(), (experiment, column)
+
+
+def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
+    """``verify --samples 40`` makes 26 Fock evolutions: 12 for the M_N
+    suite (two stacks per input and copy count), 1 for the fusion table,
+    5 for the analyzer maps and 8 for Table 2, one per (label, eta)."""
+    calls = []
+    for module in (verify, detection):
+        apply = module.apply_transfer
+
+        def counted(t, s, apply=apply, where=module.__name__):
+            calls.append((where, len(t) if isinstance(t, np.ndarray) else None))
+            return apply(t, s)
+
+        monkeypatch.setattr(module, "apply_transfer", counted)
+    assert all(result.passed for result in verify.run_all(40, 1001))
+    assert len(calls) == 26
+    stacked = [k for _, k in calls if k is not None]
+    assert stacked == [8] * 12 + [26, 40]
+    assert [where for where, k in calls if k is None] == ["avgfusion.verify"] * 4 + ["avgfusion.detection"] * 8
+
+
+def test_averaging_equivalence_builds_every_network_from_the_same_draws(monkeypatch):
+    """Each copy set goes through ``build_averaged_network`` in the order the
+    draws come, Haar and fusion sets alternating, and the suite compares
+    2 x sets x 3 (network, input) pairs."""
+    built, compared = [], []
+    build, deviation = verify.build_averaged_network, verify.max_amplitude_deviation
+    monkeypatch.setattr(verify, "build_averaged_network", lambda copies: built.append(copies) or build(copies))
+    monkeypatch.setattr(verify, "max_amplitude_deviation", lambda *a: compared.append(a) or deviation(*a))
+    samples, sets = 23, 4
+    assert verify.check_averaging_equivalence(samples, np.random.default_rng(5)).passed
+    assert len(compared) == 2 * sets * 3
+
+    rng = np.random.default_rng(5)
+    want = []
+    for n_copies in (2, 3):
+        for k in range(sets):
+            if k % 2 == 0:
+                want.append([verify._haar_unitary(rng, 4) for _ in range(n_copies)])
+            else:
+                want.append([verify.fusion_gate(ex, ey) for ex, ey in rng.uniform(0.2, 0.8, size=(n_copies, 2))])
+    assert [[c.entries.tobytes() for c in copies] for copies in built] == [
+        [c.entries.tobytes() for c in copies] for copies in want
+    ]
