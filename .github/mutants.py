@@ -95,6 +95,12 @@ MUTANTS = (
         'np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))',
         "np.max(np.abs(cell.metrics[sim] - cell.metrics[sim]))",
     ),
+    (
+        "verify._haar_unitaries fixing the QR phases on rows instead of columns (still unitary)",
+        "verify.py",
+        "return q * (d / np.abs(d))[..., None, :]",
+        "return q * (d / np.abs(d))[..., :, None]",
+    ),
 )
 
 

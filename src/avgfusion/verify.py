@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .averaging import build_averaged_network
 from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
 from .detection import SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
 from .fock import StateVec, TransferMatrix, apply_transfer, tensor
-from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix, effective_average, fusion_gate
+from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix, effective_average
 from .metrics import _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
 from .sweep import _run_cells, sample_reflectivity
 
@@ -94,11 +95,12 @@ def phase_aligned_deviation(state: StateVec, reference: dict) -> float:
     return max_amplitude_deviation(state, aligned)
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> TransferMatrix:
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return TransferMatrix(q * (d / np.abs(d)))
+def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from standard normals (..., 2, d, d), the real and
+    imaginary parts of each; one stacked QR, the same bits as one per matrix."""
+    q, r = np.linalg.qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> SuiteResult:
@@ -106,10 +108,18 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
 
     Exercised on Haar-random 4-mode unitaries and on fusion gates at random
     reflectivities, with two-photon inputs: psi+, phi- and a bunched superposition.
-    Per copy count, every sampled network is built by `build_averaged_network`
-    first, in the order the draws come; then each input goes once through the
-    stack of their kept blocks, which is `run_averaged` on each, and once
-    through the stack of their copy averages.
+    For N = 2 and then 3, the copy sets alternate Haar and fusion. The suite
+    runs in three passes:
+
+    1. Draw: every set's draws come from ``rng`` in set order, (N, 2, 4, 4)
+       standard normals for a Haar set and (N, 2) reflectivities for a fusion set.
+    2. Build: every Haar copy comes from one stacked QR and every fusion copy
+       from one `_fusion_gates` call, the same bits as `fusion_gate`; then each
+       set's network is built by `build_averaged_network`, in draw order.
+    3. Evolve: a kept block has 4 modes whatever N is, so each input goes once
+       through one stack of every set's kept block, which is `run_averaged` on
+       each, followed by every set's copy average; the two halves are compared
+       pair by pair.
     """
     inputs = [
         bell_state("psi+"),
@@ -117,20 +127,21 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
         StateVec(4, {(2, 0, 0, 0): _SQRT_HALF, (0, 1, 0, 1): -0.5j, (0, 0, 1, 1): 0.5}),
     ]
     sets = max(2, samples // 5)
+    kinds = [(n_copies, k % 2 == 0) for n_copies in (2, 3) for k in range(sets)]
+    draws = [rng.standard_normal((n, 2, 4, 4)) if haar else rng.uniform(0.2, 0.8, size=(n, 2)) for n, haar in kinds]
+    normals = np.concatenate([d for d, (_, haar) in zip(draws, kinds) if haar])
+    etas = np.concatenate([d for d, (_, haar) in zip(draws, kinds) if not haar])
+    haar_gates, fusion_gates = iter(_haar_unitaries(normals)), iter(_fusion_gates(etas[:, :1], etas[:, 1:]))
+    kept_blocks, mean_gates = [], []
+    for n, haar in kinds:
+        copies = [TransferMatrix(gate) for gate in islice(haar_gates if haar else fusion_gates, n)]
+        kept_blocks.append(build_averaged_network(copies).kept_block.entries)
+        mean_gates.append(effective_average(copies).entries)
+    stack = np.array(kept_blocks + mean_gates)
     devs = []
-    for n_copies in (2, 3):
-        kept_blocks, mean_gates = [], []
-        for k in range(sets):
-            if k % 2 == 0:
-                copies = [_haar_unitary(rng, 4) for _ in range(n_copies)]
-            else:
-                etas = rng.uniform(0.2, 0.8, size=(n_copies, 2))
-                copies = [fusion_gate(ex, ey) for ex, ey in etas]
-            kept_blocks.append(build_averaged_network(copies).kept_block.entries)
-            mean_gates.append(effective_average(copies).entries)
-        for state in inputs:
-            pairs = zip(apply_transfer(np.array(kept_blocks), state), apply_transfer(np.array(mean_gates), state))
-            devs += [max_amplitude_deviation(kept, direct) for kept, direct in pairs]
+    for state in inputs:
+        out = apply_transfer(stack, state)
+        devs += [max_amplitude_deviation(kept, direct) for kept, direct in zip(out[: len(kinds)], out[len(kinds) :])]
     return _result("M_N-equivalence", devs, 1e-10)
 
 

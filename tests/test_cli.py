@@ -253,18 +253,20 @@ def test_verify_passes_and_is_reproducible(capsys):
 @pytest.mark.parametrize("samples", [1, 2, 9])
 def test_averaging_equivalence_checks_fusion_gates_at_any_sample_count(monkeypatch, samples):
     """The M_N-equivalence suite alternates Haar-random and fusion-gate copy
-    sets; even a small sample count reaches a fusion-gate set at N = 2 and 3."""
-    calls = []
-    fusion_gate = verify.fusion_gate
+    sets; even a small sample count reaches a fusion-gate set at N = 2 and 3.
+    Every fusion copy comes from one batched ``_fusion_gates`` call."""
+    copies = []
+    fusion_gates = verify._fusion_gates
 
     def counted(eta_x, eta_y):
-        calls.append((eta_x, eta_y))
-        return fusion_gate(eta_x, eta_y)
+        gates = fusion_gates(eta_x, eta_y)
+        copies.extend(gates)
+        return gates
 
-    monkeypatch.setattr(verify, "fusion_gate", counted)
+    monkeypatch.setattr(verify, "_fusion_gates", counted)
     result = verify.check_averaging_equivalence(samples, np.random.default_rng(3))
     assert result.passed
-    assert len(calls) >= 2 + 3
+    assert len(copies) >= 2 + 3
 
 
 def test_verify_rejects_zero_samples():

@@ -10,6 +10,7 @@ import pytest
 
 from avgfusion import cli, detection, sweep, verify
 from avgfusion.fock import StateVec, TransferMatrix
+from avgfusion.interferometers import fusion_gate
 from avgfusion.sweep import METRIC_COLUMNS, run_cell, sample_reflectivity
 
 
@@ -172,9 +173,10 @@ def test_engine_suites_make_one_engine_call_per_experiment_on_the_same_draws(mon
 
 
 def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
-    """``verify --samples 40`` makes 26 Fock evolutions: 12 for the M_N
-    suite (two stacks per input and copy count), 1 for the fusion table,
-    5 for the analyzer maps and 8 for Table 2, one per (label, eta)."""
+    """``verify --samples 40`` makes 17 Fock evolutions: 3 for the M_N
+    suite (one stack of 16 kept blocks and 16 copy averages per input),
+    1 for the fusion table, 5 for the analyzer maps and 8 for Table 2, one
+    per (label, eta)."""
     calls = []
     for module in (verify, detection):
         apply = module.apply_transfer
@@ -185,16 +187,26 @@ def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
 
         monkeypatch.setattr(module, "apply_transfer", counted)
     assert all(result.passed for result in verify.run_all(40, 1001))
-    assert len(calls) == 26
+    assert len(calls) == 17
     stacked = [k for _, k in calls if k is not None]
-    assert stacked == [8] * 12 + [26, 40]
+    assert stacked == [32] * 3 + [26, 40]
     assert [where for where, k in calls if k is None] == ["avgfusion.verify"] * 4 + ["avgfusion.detection"] * 8
+
+
+def _ref_haar_unitary(rng, dim):
+    """One Haar-random unitary from its own two draws and its own QR."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return TransferMatrix(q * (d / np.abs(d)))
 
 
 def test_averaging_equivalence_builds_every_network_from_the_same_draws(monkeypatch):
     """Each copy set goes through ``build_averaged_network`` in the order the
     draws come, Haar and fusion sets alternating, and the suite compares
-    2 x sets x 3 (network, input) pairs."""
+    2 x sets x 3 (network, input) pairs. The reference draws and builds one
+    matrix at a time, so the batched QR and fusion gates are pinned bit for
+    bit by a construction they do not share."""
     built, compared = [], []
     build, deviation = verify.build_averaged_network, verify.max_amplitude_deviation
     monkeypatch.setattr(verify, "build_averaged_network", lambda copies: built.append(copies) or build(copies))
@@ -208,9 +220,29 @@ def test_averaging_equivalence_builds_every_network_from_the_same_draws(monkeypa
     for n_copies in (2, 3):
         for k in range(sets):
             if k % 2 == 0:
-                want.append([verify._haar_unitary(rng, 4) for _ in range(n_copies)])
+                want.append([_ref_haar_unitary(rng, 4) for _ in range(n_copies)])
             else:
-                want.append([verify.fusion_gate(ex, ey) for ex, ey in rng.uniform(0.2, 0.8, size=(n_copies, 2))])
+                want.append([fusion_gate(ex, ey) for ex, ey in rng.uniform(0.2, 0.8, size=(n_copies, 2))])
     assert [[c.entries.tobytes() for c in copies] for copies in built] == [
         [c.entries.tobytes() for c in copies] for copies in want
     ]
+
+
+def test_averaging_equivalence_fails_on_one_bad_kept_block_of_the_stack(monkeypatch):
+    """Only the last set's kept block, a fusion set at N = 3 and the 16th of
+    the stack's 16 kept blocks, is 1e-6 too large: the suite still fails, so
+    every (kept block, copy average) pair of the one stack is compared."""
+    built = []
+    build = verify.build_averaged_network
+
+    def last_scaled(copies):
+        net = build(copies)
+        built.append(len(copies))
+        if len(built) == 16:
+            net = dataclasses.replace(net, kept_block=TransferMatrix(net.kept_block.entries * (1 + 1e-6)))
+        return net
+
+    monkeypatch.setattr(verify, "build_averaged_network", last_scaled)
+    rng = np.random.default_rng(1001)
+    _assert_fails(verify.check_averaging_equivalence(40, rng), "M_N-equivalence")
+    assert built == [2] * 8 + [3] * 8
