@@ -90,6 +90,12 @@ MUTANTS = (
         "support = stack[0] != 0",
     ),
     (
+        "a matrix's scalar evolution walking its rows instead of its columns",
+        "fock.py",
+        "for col in T.entries.T.tolist()]",
+        "for col in T.entries.tolist()]",
+    ),
+    (
         "verify.check_closed_form comparing each simulated column with itself",
         "verify.py",
         'np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))',

@@ -19,12 +19,12 @@ Kets are validated once, where they enter from outside: `StateVec(...)` checks
 each ket's length, sign and integrality. States this module and `detection`
 build from kets they derived themselves skip that check, but still drop
 amplitudes at or below `PRUNE_TOL` and still reject a non-finite amplitude.
-`TransferMatrix.unitary` is computed on first read, so intermediate products
-never pay for a T^dag T they are not asked about. The nonzero (l, T[l, j])
-pairs of each column, which `apply_transfer` walks, are likewise built on a
-matrix's first evolution and kept with it; `entries` and `dim` are read-only
-properties over a read-only copy, so they cannot go stale, and a matrix that
-evolves several states builds them once.
+A `TransferMatrix` holds only a read-only copy of its entries: `entries` and
+`dim` are read-only properties over it, so they cannot go stale, and
+`unitary` is computed from it on each read, never at construction, so
+intermediate products never pay for a T^dag T they are not asked about.
+`apply_transfer` builds the nonzero (l, T[l, j]) pairs of each column for the
+one evolution it runs.
 
 One input can also go through a (K, d, d) stack of matrices in one
 expansion: the loop is the same, but a term's coefficient is a (K,) array,
@@ -145,13 +145,13 @@ class StateVec:
 class TransferMatrix:
     """Single-particle mode map: a_j^dag -> sum_l entries[l, j] a_l^dag.
 
-    The unitary flag is computed on first read (max-norm defect of T^dag T
-    against identity, tolerance 1e-12) and can be re-checked via
-    `unitarity_defect`. Non-unitary matrices are allowed; they arise as
-    effective averaged gates. A matrix with a non-finite entry is not unitary.
+    The unitary flag is computed on each read (max-norm defect of T^dag T
+    against identity, tolerance 1e-12); `unitarity_defect` gives the defect
+    itself. Non-unitary matrices are allowed; they arise as effective
+    averaged gates. A matrix with a non-finite entry is not unitary.
     """
 
-    __slots__ = ("_entries", "_dim", "_unitary", "_columns")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries):
         entries = np.array(entries, dtype=complex)
@@ -159,9 +159,6 @@ class TransferMatrix:
             raise ValueError(f"transfer matrix must be square, got shape {entries.shape}")
         entries.flags.writeable = False
         self._entries = entries
-        self._dim = entries.shape[0]
-        self._unitary = None
-        self._columns = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -170,19 +167,11 @@ class TransferMatrix:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._entries.shape[0]
 
     @property
     def unitary(self) -> bool:
-        if self._unitary is None:
-            self._unitary = self.unitarity_defect() <= UNITARY_TOL
-        return self._unitary
-
-    def _nonzero_columns(self) -> list[list[tuple[int, complex]]]:
-        """Nonzero (l, T[l, j]) pairs of each column j, built on first use."""
-        if self._columns is None:
-            self._columns = [[(l, t) for l, t in enumerate(col) if t] for col in self.entries.T.tolist()]
-        return self._columns
+        return self.unitarity_defect() <= UNITARY_TOL
 
     def unitarity_defect(self) -> float:
         """Max-norm of T^dag T - I (0.0 for the empty map); inf if an entry is not finite."""
@@ -262,7 +251,11 @@ def apply_transfer(T: TransferMatrix | np.ndarray, s: StateVec) -> StateVec | li
     """
     if isinstance(T, TransferMatrix):
         _check_dim(T.dim, s)
-        acc = _expand(T._nonzero_columns(), s)
+        # A scalar path beside the stack path: through a K = 1 stack, even with
+        # Python-scalar coefficients, an 8-mode fusion evolution took 163 us instead of 115 and
+        # `verify.run_all(40, 1001)` 7.89 ms instead of 6.75 (2-core Xeon, numpy 2.4.6).
+        columns = [[(l, t) for l, t in enumerate(col) if t] for col in T.entries.T.tolist()]
+        acc = _expand(columns, s)
         return StateVec._built(s.mode_count, {_occupations(key, s.mode_count): c for key, c in acc.items()})
     stack = np.asarray(T, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -301,6 +294,9 @@ def _expand(columns, s: StateVec) -> dict:
             expanded: dict[tuple[int, ...], complex] = {}
             get = expanded.get
             if n == 1:
+                # Without this branch, through `bisect_right` below, an 8-mode fusion
+                # evolution took 125 us instead of 110 and `verify.run_all(40, 1001)`
+                # 6.84 ms instead of 6.60 (2-core Xeon, numpy 2.4.6).
                 for (k,), c in terms.items():
                     for l, t in columns[j]:
                         out = (k, l) if l >= k else (l, k)

@@ -303,10 +303,16 @@ def test_apply_transfer_is_linear():
 
 def test_transfer_matrix_flags_and_defect():
     u = beamsplitter(0.3)
-    assert u.unitary
+    assert u.unitary is True
+    assert u.unitary is True  # computed again on a second read
     assert u.unitarity_defect() < 1e-12
+    apply_transfer(u, StateVec.from_ket((1, 1)))
+    assert u.unitary is True
     m = TransferMatrix(np.array([[0.5, 0.0], [0.0, 0.5]]))
-    assert not m.unitary
+    assert m.unitary is False
+    assert m.unitary is False
+    apply_transfer(m, StateVec.from_ket((2, 0)))
+    assert m.unitary is False
     with pytest.raises(ValueError):
         TransferMatrix(np.zeros((2, 3)))
 
@@ -465,8 +471,8 @@ def test_apply_transfer_has_no_kept_mode_option():
 
 
 def test_one_matrix_evolves_several_states_like_fresh_matrices():
-    """The column lists a matrix keeps after its first evolution give the
-    same items, in order, as a fresh matrix for each state."""
+    """One matrix evolving several states in turn gives each the same items,
+    in order, as a fresh matrix for that state."""
     rng = np.random.default_rng(17)
     entries = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(2)
     entries[:, 3] = 0.0
