@@ -62,8 +62,20 @@ MUTANTS = (
     (
         "the mean and std rows swapped in g17.chunks",
         "g17.py",
-        "mean, std = stat_rows[2 * i : 2 * i + 2]",
-        "std, mean = stat_rows[2 * i : 2 * i + 2]",
+        "mean, std = next(stat_rows), next(stat_rows)",
+        "std, mean = next(stat_rows), next(stat_rows)",
+    ),
+    (
+        "g17._blocks leaving the mean and std values of the cells a block ends out of its budget",
+        "g17.py",
+        "free -= (stop - start) * width + 2 * columns * (stop == len(cell.etas))",
+        "free -= (stop - start) * width",
+    ),
+    (
+        "sweep._stats giving a one-trial NaN row a std of 0.0",
+        "sweep.py",
+        "std = np.where(undefined, math.nan, 0.0)",
+        "std = np.zeros_like(mean)",
     ),
     (
         "the kept modes on replica 1 instead of replica 0",

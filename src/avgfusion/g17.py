@@ -15,9 +15,9 @@ empty; row_kind says which a row is. A row's key is ``b"%s,%d,%.17g" %
 (experiment, N, m)``, the eta field joins the trial's 2N reflectivities with
 ``;``, and an undefined metric is ``nan``; no field needs quoting. The trial
 rows go out in blocks of whole rows that cross cells, up to ``_BLOCK``
-values: one call of :func:`words` spells all of a block's floats (the first
-block's call also every cell's mean and std), and the block's rows are
-joined as NUL-padded words and compacted with one ``bytes.translate``.
+values: one call of :func:`words` spells a block's floats and the mean and
+std of each cell it ends, and the block's rows are joined as NUL-padded
+words and compacted with one ``bytes.translate``.
 
 Method. A v with 1e-4 <= |v| < 1e16 and E = floor(log10 |v|) has the 17
 significant digits D = |v| * 10**p rounded half-even, p = 16 - E, written
@@ -168,11 +168,11 @@ def words(values: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Values per call of the float kernel, not a knob. A block takes whole trial
-#: rows, across cells, up to this many values. On the default sweeps and a
-#: 20 000-row fusion sweep, blocks of 2**12 to 2**14 values wrote within 20 %
-#: of each other's time and 2**11 up to 1.7 times slower than the fastest;
-#: 2**12 keeps the kernel's arrays near half a megabyte.
+#: Values per call of the float kernel, as :func:`_blocks` counts them, not a
+#: knob. On the default sweeps and a 20 000-row fusion sweep, blocks of 2**12
+#: to 2**14 values wrote within 20 % of each other's time and 2**11 up to 1.7
+#: times slower than the fastest; 2**12 keeps the kernel's arrays near half a
+#: megabyte.
 _BLOCK = 1 << 12
 _TRIAL_END = np.frombuffer(b",trial\n\0", "<u8")  # the last word of a trial row
 _COMMA, _SEMICOLON, _NEWLINE = np.frombuffer(b",;\n", np.uint8)
@@ -181,14 +181,15 @@ _COMMA, _SEMICOLON, _NEWLINE = np.frombuffer(b",;\n", np.uint8)
 def _blocks(cells, columns: int):
     """The trial rows of ``cells`` in blocks of at most ``_BLOCK`` values
     (or one row), each a list of (cell index, first trial, end trial) parts
-    in row order."""
+    in row order. The count takes in the 2 * ``columns`` mean and std values
+    of each cell a block ends; the last part's may take it past ``_BLOCK``."""
     block, free = [], _BLOCK
     for i, cell in enumerate(cells):
         width, start = 1 + cell.etas[0].size + columns, 0
         while start < len(cell.etas):
             stop = min(len(cell.etas), start + max(1, free // width))
             block.append((i, start, stop))
-            free -= (stop - start) * width
+            free -= (stop - start) * width + 2 * columns * (stop == len(cell.etas))
             start = stop
             if free < width:
                 yield block
@@ -210,22 +211,17 @@ def chunks(result):
     keys = [b"%s,%d,%.17g" % (cfg.experiment.encode(), cell.n_copies, cell.m) for cell in cells]
     key_words = _key_words(keys)
     trials = np.arange(max(len(cell.etas) for cell in cells), dtype=float)
-    # every cell's mean and std values join the first block's kernel call
-    stats = np.array([s[c] for cell in cells for s in (cell.mean, cell.std) for c in columns])
-    stat_rows = None
     for block in _blocks(cells, len(columns)):
         # a run: the block's parts of one copy count, whose rows have one width
         runs = [list(run) for _, run in itertools.groupby(block, lambda part: cells[part[0]].n_copies)]
         values = [_trial_values(cells, run, columns, trials) for run in runs]
-        flat = [v.ravel() for v in values]
-        if stat_rows is None:
-            flat.append(stats)
-        spelled = words(np.concatenate(flat))
+        ended = [cells[i] for i, _, b in block if b == len(cells[i].etas)]
+        stats = np.array([s[c] for cell in ended for s in (cell.mean, cell.std) for c in columns])
+        spelled = words(np.concatenate([*(v.ravel() for v in values), stats]))
         spelled[0] |= _COMMA  # byte 0 of each value: the separator before it
-        if stat_rows is None:
-            stat_words = spelled[:, spelled.shape[1] - stats.size :]
-            stat_words[0, :: len(columns)] ^= _COMMA ^ _NEWLINE  # one line per mean or std row
-            stat_rows = stat_words.T.tobytes().translate(None, b"\0").split(b"\n")[1:]
+        stat_words = spelled[:, spelled.shape[1] - stats.size :]
+        stat_words[0, :: len(columns)] ^= _COMMA ^ _NEWLINE  # one line per mean or std row
+        stat_rows = iter(stat_words.T.tobytes().translate(None, b"\0").split(b"\n")[1:])
         pieces, done = [], 0
         for run, v in zip(runs, values):
             width, count = v.shape
@@ -239,7 +235,7 @@ def chunks(result):
                 pieces.append(text[start : start + rows])
                 start += rows
                 if b == len(cells[i].etas):
-                    mean, std = stat_rows[2 * i : 2 * i + 2]
+                    mean, std = next(stat_rows), next(stat_rows)
                     pieces.append(b"%s,,,%s,mean\n%s,,,%s,std\n" % (keys[i], mean, keys[i], std))
         yield b"".join(pieces).translate(None, b"\0")
 

@@ -158,20 +158,20 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
 def _stats(table: np.ndarray) -> tuple[list, list]:
     """Mean and std of each column of each cell of the (columns, cells, S) ``table``.
 
-    Returns two (cells, columns) nested lists of floats. One stacked pass
-    covers every row; a row holding a NaN, and every row when S < 2, takes
-    the per-column :func:`_mean_std` instead.
+    Returns two (cells, columns) nested lists of floats. At S = 1 a row's mean
+    is its value and its std 0.0, both NaN for a NaN. At S >= 2 one stacked
+    pass covers every row; a row holding a NaN takes :func:`_mean_std`.
     """
-    # numpy reduces each contiguous length-S row with the pairwise sums of a
-    # 1-D column, so a stacked row has the bits _mean_std gives it
-    if table.shape[-1] < 2:
-        fallback = np.ones(table.shape[:-1], dtype=bool)
-        mean, std = np.empty(table.shape[:-1]), np.empty(table.shape[:-1])
+    if table.shape[-1] == 1:
+        undefined = np.isnan(table[..., 0])
+        mean = np.where(undefined, math.nan, table[..., 0] + 0.0)  # a mean turns -0.0 into 0.0
+        std = np.where(undefined, math.nan, 0.0)
     else:
-        fallback = np.isnan(table).any(axis=-1)
+        # numpy reduces each contiguous length-S row with the pairwise sums of
+        # a 1-D column, so a stacked row has the bits _mean_std gives it
         mean, std = table.mean(axis=-1), table.std(axis=-1, ddof=1)
-    for row in zip(*np.nonzero(fallback)):
-        mean[row], std[row] = _mean_std(table[row])
+        for row in zip(*np.nonzero(np.isnan(table).any(axis=-1))):
+            mean[row], std[row] = _mean_std(table[row])
     return mean.T.tolist(), std.T.tolist()
 
 

@@ -137,5 +137,23 @@ def test_csv_blocks_cover_every_trial_row_once_in_order(n_copies, samples):
     rows = [(i, t) for i, a, b in parts for t in range(a, b)]
     assert rows == [(i, t) for i, cell in enumerate(cells) for t in range(len(cell.etas))]
     for block in g17._blocks(cells, columns):
-        values = sum((b - a) * (1 + cells[i].etas[0].size + columns) for i, a, b in block)
-        assert values <= g17._BLOCK or sum(b - a for _, a, b in block) == 1
+        # a block's kernel call also spells the mean and std of each cell it ends
+        stats = sum(2 * columns for i, _, b in block if b == len(cells[i].etas))
+        values = sum((b - a) * (1 + cells[i].etas[0].size + columns) for i, a, b in block) + stats
+        assert values <= g17._BLOCK + 2 * columns or sum(b - a for _, a, b in block) == 1
+
+
+def test_csv_of_a_one_trial_sweep_spells_the_stats_of_each_block_in_its_kernel_call(tmp_path, monkeypatch):
+    """At S = 1 a cell's mean and std values outnumber its trial values; each
+    block's kernel call spells those of the cells it ends, so no call holds
+    more than a block and one cell's stats."""
+    result = run_sweep(SweepConfig("bsm", (1, 2), tuple(np.linspace(0.0, 0.5, 400).tolist()), 1, 7))
+    sizes, words = [], g17.words
+
+    def counted(values):
+        sizes.append(values.size)
+        return words(values)
+
+    monkeypatch.setattr(g17, "words", counted)
+    _assert_reference_bytes(result, tmp_path / "sweep.csv")
+    assert len(sizes) > 1 and max(sizes) <= g17._BLOCK + 2 * len(METRIC_COLUMNS["bsm"])

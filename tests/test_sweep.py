@@ -758,14 +758,20 @@ def test_cell_stats_equal_per_column_mean_std(samples, undefined):
 
 
 @pytest.mark.parametrize("samples", [1, 2, 7, 8, 9, 127, 128, 129, 200, 20_000])
-def test_stacked_stats_equal_per_column_mean_std(samples):
+def test_stacked_stats_equal_per_column_mean_std(samples, monkeypatch):
     """One pass over a (columns, cells, S) table gives each row the bits of
-    _mean_std on that row alone, rows with a NaN and S = 1 included."""
+    _mean_std on that row alone, rows with a NaN and S = 1 included. Only a
+    row holding a NaN at S >= 2 is passed to _mean_std."""
     rng = np.random.default_rng(samples)
     table = rng.uniform(0.0, 1.0, (3, 4, samples)) * np.array([1e-3, 1.0, 1e3])[:, None, None]
     table[1, 2, samples // 2] = math.nan
     table[2, 0, :] = math.nan
-    means, stds = sweep._stats(table)
+    table[0, 3, 0] = -0.0  # at S = 1 the row holds -0.0 alone, and its mean is 0.0
+    passed, mean_std = [], sweep._mean_std
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "_mean_std", lambda values: passed.append(values) or mean_std(values))
+        means, stds = sweep._stats(table)
+    assert [row.tobytes() for row in passed] == ([] if samples == 1 else [table[1, 2].tobytes(), table[2, 0].tobytes()])
     for col in range(3):
         for cell in range(4):
             mean, std = sweep._mean_std(table[col, cell])
