@@ -119,6 +119,12 @@ MUTANTS = (
         "return q * (d / np.abs(d))[..., None, :]",
         "return q * (d / np.abs(d))[..., :, None]",
     ),
+    (
+        "the psi+ entry of metrics.BSM_MAP_TARGETS with its sign flipped (a global phase)",
+        "metrics.py",
+        '"psi+": {(1, 1, 0, 0): _SQRT_HALF, (0, 0, 1, 1): -_SQRT_HALF},',
+        '"psi+": {(1, 1, 0, 0): -_SQRT_HALF, (0, 0, 1, 1): _SQRT_HALF},',
+    ),
 )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import os
 import sys
 
 from .metrics import BELL_LABELS, BSM_PATTERNS
@@ -134,6 +135,8 @@ def cmd_sweep(args, parser) -> int:
         cfg = SweepConfig(args.experiment, args.n_copies, args.m_grid, args.samples, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        parser.error(f"--out and --svg name the same file: {args.out!r} and {args.svg!r}")
     result = run_sweep(cfg)
     write_csv(result, args.out)
     if args.svg:

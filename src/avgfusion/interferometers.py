@@ -2,8 +2,8 @@
 
 Basis convention for all 4-mode gates: (H1, V1, H2, V2), the dual spatial
 rails of the two qubits the gate touches. Sign conventions follow the printed
-beam-splitter block [[sqrt(eta), sqrt(1-eta)], [-sqrt(1-eta), sqrt(eta)]];
-state-level comparisons elsewhere allow one global phase.
+beam-splitter block [[sqrt(eta), sqrt(1-eta)], [-sqrt(1-eta), sqrt(eta)]],
+and the Bell-state images in ``metrics.BSM_MAP_TARGETS`` are exact under them.
 
 Every gate here is real and linear in its per-copy features
 f = (sqrt(eta_1), sqrt(1 - eta_1), sqrt(eta_2), sqrt(1 - eta_2)). The block

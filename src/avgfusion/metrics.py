@@ -28,12 +28,12 @@ BSM_PATTERNS: dict[str, tuple[int, int, int, int]] = {
     "cd": (0, 0, 1, 1),
 }
 
-#: Balanced-analyzer image of each Bell state, up to one global phase.
+#: Exact balanced-analyzer image of each Bell state under the sign convention of `interferometers`.
 BSM_MAP_TARGETS: dict[str, dict[tuple[int, ...], complex]] = {
-    "psi+": {(1, 1, 0, 0): -_SQRT_HALF, (0, 0, 1, 1): _SQRT_HALF},
+    "psi+": {(1, 1, 0, 0): _SQRT_HALF, (0, 0, 1, 1): -_SQRT_HALF},
     "psi-": {(1, 0, 0, 1): _SQRT_HALF, (0, 1, 1, 0): -_SQRT_HALF},
-    "phi+": {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5},
-    "phi-": {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): -0.5},
+    "phi+": {(2, 0, 0, 0): 0.5, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): -0.5, (0, 0, 0, 2): -0.5},
+    "phi-": {(2, 0, 0, 0): 0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): -0.5, (0, 0, 0, 2): 0.5},
 }
 
 #: Success patterns of a polarization fusion gate on its (H1, V1, H2, V2)

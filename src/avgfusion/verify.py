@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .averaging import build_averaged_network
 from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
 from .detection import SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
-from .fock import StateVec, TransferMatrix, apply_transfer, tensor
+from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix, effective_average
 from .metrics import _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
 from .sweep import _run_cells, sample_reflectivity
@@ -78,21 +77,6 @@ def max_amplitude_deviation(state: StateVec, reference) -> float:
     ref = dict(reference.items())
     kets = set(ref) | set(state.kets())
     return _worst([abs(state.amplitude(k) - ref.get(k, 0.0)) for k in kets])
-
-
-def phase_aligned_deviation(state: StateVec, reference: dict) -> float:
-    """Like :func:`max_amplitude_deviation`, but modulo one global phase.
-
-    The phase is read off the reference's largest-amplitude ket; if the state
-    vanishes there, no phase can be extracted and the raw deviation is used.
-    """
-    anchor = max(reference, key=lambda k: abs(reference[k]))
-    a = state.amplitude(anchor)
-    if abs(a) < 1e-300:
-        return max_amplitude_deviation(state, reference)
-    phase = a / abs(a) * abs(reference[anchor]) / reference[anchor]
-    aligned = {k: v * phase for k, v in reference.items()}
-    return max_amplitude_deviation(state, aligned)
 
 
 def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
@@ -191,19 +175,14 @@ def check_fusion_table() -> SuiteResult:
     return _result("fusion-pattern-table", devs, 1e-12)
 
 
-@cache
 def _fusion_input() -> StateVec:
-    """Two dual-rail phi+ pairs, reordered to (fused rails, spectator rails).
+    """Two dual-rail phi+ pairs on (H2, V2, H3, V3 | H1, V1, H4, V4), fused rails first.
 
-    The raw tensor product lives on (H1,V1,H2,V2,H3,V3,H4,V4); the averaged
-    network wants the four fused rails (H2,V2,H3,V3) first and the spectators
-    (H1,V1,H4,V4) as passthrough.
+    Each pair is (|1010> + |0101>)/sqrt(2): both its qubits take the same
+    term q, so the kets are q1 + q2 + q1 + q2, with the product amplitude.
     """
-    pair = bell_state("phi+")
-    raw = tensor(pair, pair)
-    order = (2, 3, 4, 5, 0, 1, 6, 7)
-    amp = {tuple(ket[i] for i in order): a for ket, a in raw.items()}
-    return StateVec(8, amp)
+    terms = ((1, 0), (0, 1))
+    return StateVec(8, {q1 + q2 + q1 + q2: _SQRT_HALF * _SQRT_HALF for q1 in terms for q2 in terms})
 
 
 def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
@@ -216,7 +195,7 @@ def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
     devs = []
     for label in BELL_LABELS:
         out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state(label))
-        devs.append(phase_aligned_deviation(out, BSM_MAP_TARGETS[label]))
+        devs.append(max_amplitude_deviation(out, BSM_MAP_TARGETS[label]))
     psi_minus = bell_state("psi-")
     eta = rng.uniform(0.0, 1.0, size=samples)
     analyzers = _bsm_matrices(_features(eta, eta))

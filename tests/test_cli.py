@@ -212,6 +212,16 @@ def test_svg_output_is_well_formed(tmp_path, capsys):
     assert "polyline" in text and "N=2" in text
 
 
+@pytest.mark.parametrize("svg", ["x.out", "./x.out"])
+def test_out_and_svg_on_one_file_is_a_usage_error(svg, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion-sweep", "--samples", "2", "--out", "x.out", "--svg", svg])
+    assert exc.value.code == 2
+    assert "--out and --svg name the same file" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_table2_balanced_output(capsys):
     code, out, _ = run_cli(["table2"], capsys)
     assert code == 0

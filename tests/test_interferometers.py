@@ -182,37 +182,29 @@ def test_fusion_and_bsm_unitary_across_grid(eta):
     assert bsm_matrix(eta, 1.0 - eta).unitarity_defect() < 1e-12
 
 
-def _assert_equal_up_to_global_phase(state, target_amp, atol=1e-12):
-    anchor = max(target_amp, key=lambda k: abs(target_amp[k]))
-    got = state.amplitude(anchor)
-    assert abs(got) > 0
-    phase = got / abs(got) * abs(target_amp[anchor]) / target_amp[anchor]
+def _assert_amplitudes(state, target_amp, atol=1e-12):
     for ket in set(state.kets()) | set(target_amp):
-        assert state.amplitude(ket) == pytest.approx(
-            phase * target_amp.get(ket, 0.0), abs=atol
-        )
+        assert state.amplitude(ket) == pytest.approx(target_amp.get(ket, 0.0), abs=atol)
 
 
 def test_bsm_maps_psi_plus():
     out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state("psi+"))
-    _assert_equal_up_to_global_phase(
-        out, {(1, 1, 0, 0): -SQRT_HALF, (0, 0, 1, 1): SQRT_HALF}
-    )
+    _assert_amplitudes(out, {(1, 1, 0, 0): SQRT_HALF, (0, 0, 1, 1): -SQRT_HALF})
 
 
 def test_bsm_maps_phi_plus():
     out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state("phi+"))
-    _assert_equal_up_to_global_phase(
+    _assert_amplitudes(
         out,
-        {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5},
+        {(2, 0, 0, 0): 0.5, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): -0.5, (0, 0, 0, 2): -0.5},
     )
 
 
 def test_bsm_maps_phi_minus():
     out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state("phi-"))
-    _assert_equal_up_to_global_phase(
+    _assert_amplitudes(
         out,
-        {(2, 0, 0, 0): -0.5, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): -0.5},
+        {(2, 0, 0, 0): 0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): -0.5, (0, 0, 0, 2): 0.5},
     )
 
 
