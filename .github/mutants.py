@@ -36,10 +36,10 @@ MUTANTS = (
         "return modes, np.where(modes[0] == modes[1], 1.0, 1.0)",
     ),
     (
-        "one row sign of interferometers._V_SIGNS flipped",
-        "interferometers.py",
-        "_V_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]",
-        "_V_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])[:, None]",
+        "sweep.trace_distance taking one Newton step fewer",
+        "sweep.py",
+        "for _ in range(6):",
+        "for _ in range(5):",
     ),
     (
         "trial_rng advancing one draw too many",

@@ -7,25 +7,36 @@ and the Bell-state images in ``metrics.BSM_MAP_TARGETS`` are exact under them.
 
 Every gate here is real and linear in its per-copy features
 f = (sqrt(eta_1), sqrt(1 - eta_1), sqrt(eta_2), sqrt(1 - eta_2)). The block
-above is sqrt(eta) * I + sqrt(1 - eta) * J with J = [[0, 1], [-1, 0]], so a
+above is sqrt(eta) * I + sqrt(1 - eta) * K with K = [[0, 1], [-1, 0]], so a
 beam-splitter layer B and the analyzer are sums f_a * L_a, and the fusion
 gate B * SWAP * B is the sum of f_a f_b * (L_a SWAP L_b), over constant 4x4
 matrices L_a built below. The mean of N copies, M_N = (1/N) sum_r U_r, is
 then the same map of the copy means of f_a (analyzer) or f_a f_b (fusion).
 
-Every averaged fusion gate is real symmetric up to the row signs
-P = diag(1, -1, 1, -1), i.e. P * M_N == (P * M_N).T. Proof: on each rail pair
-P acts as Z = diag(1, -1), and Z * I = I.T * Z, Z * J = [[0, 1], [1, 0]] =
-J.T * Z, so P * L_a = L_a.T * P for every layer matrix. P commutes with SWAP,
-which exchanges modes 1 and 3, both of sign -1. Hence P * (L_a SWAP L_b) =
-L_a.T SWAP L_b.T * P = (P * L_b SWAP L_a).T, and since the copy mean of
-f_a f_b is symmetric in (a, b), P * M_N is its own transpose. The identity
-also holds in floating point: the 16 matrices L_a SWAP L_b have disjoint
-supports and entries +-1, so each entry of M_N is exactly +-(mean of
-f_a f_b) for one (a, b), and the matmul that forms those means gives the
-same bits at (a, b) and (b, a); the tests pin both facts. P is orthogonal,
-so the singular values of M_N - B are the moduli of the eigenvalues of the
-symmetric P * (M_N - B), which is how ``sweep`` reads the trace distance.
+Up to the row signs P = diag(1, -1, 1, -1), every fusion copy is a
+reflection, and M_N is linear in G, the copy mean of f f^T:
+
+    P * M_N = I - S G S^T,    S = diag(K, K),
+
+the signed permutation that swaps modes 0 <-> 1 and 2 <-> 3 with signs
+(1, -1, 1, -1). Proof: write c_k = sqrt(eta_k), s_k = sqrt(1 - eta_k), so
+v = S f = (s_1, -c_1, s_2, -c_2). Multiplying out, one copy U = B SWAP B has
+P * U equal to
+
+    [[ c_1^2,    c_1 s_1,  -s_1 s_2,  s_1 c_2 ],
+     [ c_1 s_1,  s_1^2,     c_1 s_2, -c_1 c_2 ],
+     [-s_1 s_2,  c_1 s_2,   c_2^2,    c_2 s_2 ],
+     [ s_1 c_2, -c_1 c_2,   c_2 s_2,  s_2^2   ]],
+
+whose entry (i, j) is -v_i v_j off the diagonal and c_k^2 = 1 - s_k^2 or
+s_k^2 = 1 - c_k^2, i.e. 1 - v_i^2, on it: P * U = I - v v^T = I - S f f^T S^T,
+the reflection in v as |v|^2 = |f|^2 = 2. The mean of N copies is the mean of
+these. The balanced gate U_bal is the case f = (1, 1, 1, 1) / sqrt(2),
+G = J/2 with J the all-ones matrix, so M_N - U_bal = P S (J/2 - G) S^T. P
+and S are orthogonal, so M_N - U_bal has the singular values of the symmetric
+D = J/2 - G, from which ``sweep.trace_distance`` reads the trace distance
+without forming M_N. G is positive semidefinite with trace 2 and J/2 has
+rank one, so D has trace 0 and at most one positive eigenvalue.
 
 The package-private builders return M_N, real float64 of shape (..., 4, 4),
 and build no per-copy matrix: ``_fusion_matrices`` from the copy means
@@ -64,16 +75,13 @@ def dft_matrix(n: int) -> TransferMatrix:
 
 _SWAP = [0, 3, 2, 1]
 
-#: A beam-splitter block is c * I + s * J; a fusion layer puts one on each
+#: A beam-splitter block is c * I + s * K; a fusion layer puts one on each
 #: qubit's pair (H1, V1), (H2, V2), the analyzer on (H1, H2), (V1, V2).
 _BLOCKS = (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 _PAIRS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 _LAYER = np.array([np.kron(p, b) for p in _PAIRS for b in _BLOCKS])  # L_a, shape (4, 4, 4)
 _ANALYZER = np.array([np.kron(b, p) for p in _PAIRS for b in _BLOCKS])
 _FUSION = (_LAYER[:, None, :, _SWAP] @ _LAYER).reshape(16, 4, 4)  # L_a SWAP L_b at 4a + b
-
-#: The row signs P of the module docstring, as a column: P * M_N is symmetric.
-_V_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 
 
 def _features(eta_1, eta_2) -> np.ndarray:

@@ -19,7 +19,9 @@ derives both). Stage 1 takes those copy means from the (B, 2, N) draws of
 one block and one copy count N: mean(f f^T) for fusion and trace-distance,
 the feature sums and N for bsm. It is the only step that reads the copy
 axis. Stage 2 builds M_N from them and every metric column of a block, from
-the 2x2 permanents of M_N per click pattern the experiment reads.
+the 2x2 permanents of M_N per click pattern the experiment reads. The trace
+column reads stage 1 directly: :func:`trace_distance` takes the largest
+eigenvalue of J/2 - mean(f f^T), so ``trace-distance`` builds no M_N.
 
 Blocks: both stages run over fixed blocks of ``_BLOCK`` trials that cross
 cells and copy counts (stage 1 once per copy count in a block) into one
@@ -52,11 +54,9 @@ import numpy as np
 from .closed_form import _bsm_closed
 from .fock import _int_tuple
 from .interferometers import (
-    _V_SIGNS,
     _bsm_matrices,
     _check_reflectivity,
     _features,
-    _fusion_gates,
     _fusion_matrices,
     _fusion_products,
 )
@@ -67,7 +67,6 @@ from .metrics import (
     FUSION_PATTERNS,
     fidelity,
     normalized_fidelity,
-    trace_distance,
 )
 
 EXPERIMENTS = ("fusion", "bsm", "trace-distance")
@@ -236,13 +235,12 @@ def _pattern_modes(patterns) -> tuple[np.ndarray, np.ndarray]:
 _FUSION_MODES = _pattern_modes(FUSION_PATTERNS.values())
 _BSM_MODES = _pattern_modes(BSM_PATTERNS.values())
 
-#: The balanced gate under the row signs that make every fusion M_N symmetric,
-#: so ``trace_distance`` takes its symmetric-eigenvalue path.
-_SIGNED_BALANCED = _V_SIGNS * _fusion_gates([0.5], [0.5])
-
 #: phi+ on a fusion Kraus block's diagonal (HH, VV); the analyzer's psi+ image per pattern.
 _PHI_PLUS_DIAGONAL = np.full(2, _SQRT_HALF)
 _BSM_TARGET = np.array([BSM_MAP_TARGETS["psi+"].get(p, 0.0) for p in BSM_PATTERNS.values()])
+
+#: The balanced gate's copy means, J/2 as rounded: a noise-free trial has D = 0.
+_BALANCED_PRODUCTS = _fusion_products([0.5], [0.5])
 
 
 def _pair_amplitudes(mean: np.ndarray, modes, i, j) -> np.ndarray:
@@ -261,6 +259,41 @@ def _pair_amplitudes(mean: np.ndarray, modes, i, j) -> np.ndarray:
     return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
 
 
+def trace_distance(products: np.ndarray) -> np.ndarray:
+    """The trace distance 0.5 * ||M_N - U_bal||_1 to the balanced gate, per row of the (B, 16) copy means.
+
+    Seen as 4x4, a row is G, the copy mean of f f^T, and M_N - U_bal has the
+    singular values of the symmetric D = J/2 - G, J the all-ones matrix
+    (:mod:`interferometers`); J/2 is taken as U_bal's own rounded copy means.
+    G is positive semidefinite and J/2 = f0 f0^T has rank one, so D has at
+    most one positive eigenvalue, and the distance is half the sum of the
+    eigenvalues' moduli: lambda_max(D) - tr(D) / 2.
+
+    One stacked D @ D gives the power sums t_k = tr D^k, Newton's identities
+    turn them into the characteristic polynomial of D, and six Newton steps
+    find its largest root from above. The start (t_1 + sqrt(12 t_2 - 3 t_1^2)) / 4,
+    the eigenvalues' mean plus sqrt(3) times their standard deviation, bounds
+    lambda_max of every symmetric 4x4 matrix. As tr D = tr J/2 - mean |f|^2 = 0,
+    lambda_max >= ||D||_F / sqrt(2), so the start is within 23 % of the root;
+    the root is simple and at least lambda_max from the other three, so the
+    steps converge quadratically, and six bring the worst start to rounding.
+    D = 0, a noise-free trial's, gives 0.0.
+    """
+    d = (_BALANCED_PRODUCTS - products).reshape(-1, 4, 4)
+    d2 = d @ d
+    t1, t2 = np.einsum("bii->b", d), np.einsum("bii->b", d2)
+    t3, t4 = np.einsum("bij,bij->b", d2, d), np.einsum("bij,bij->b", d2, d2)  # D is symmetric
+    e2 = (t1 * t1 - t2) / 2  # e_1 = t_1
+    e3 = (e2 * t1 - t1 * t2 + t3) / 3
+    e4 = (e3 * t1 - e2 * t2 + t1 * t3 - t4) / 4
+    x = (t1 + np.sqrt(np.maximum(12 * t2 - 3 * t1 * t1, 0.0))) / 4  # rounding may dip below 0
+    for _ in range(6):
+        p = (((x - t1) * x + e2) * x - e3) * x + e4
+        dp = ((4 * x - 3 * t1) * x + 2 * e2) * x - e3
+        x = x - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)  # dp = 0 only at D = 0
+    return x - t1 / 2
+
+
 def _fusion_metrics(products: np.ndarray) -> tuple[np.ndarray, ...]:
     """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of the (B, 16) copy means.
 
@@ -277,7 +310,7 @@ def _fusion_metrics(products: np.ndarray) -> tuple[np.ndarray, ...]:
     heralded = p_hh > 0
     f_hh_norm = np.full(len(p_hh), math.nan)
     f_hh_norm[heralded] = normalized_fidelity(f_hh[heralded], p_hh[heralded])
-    return f_hh, p_hh, f_hh_norm, prob.sum(axis=1), trace_distance(_V_SIGNS * mean, _SIGNED_BALANCED)
+    return f_hh, p_hh, f_hh_norm, prob.sum(axis=1), trace_distance(products)
 
 
 def _bsm_metrics(sums_n: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -293,7 +326,7 @@ def _bsm_metrics(sums_n: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _trace_metrics(products: np.ndarray) -> tuple[np.ndarray, ...]:
     """Matrix level: distance of the copy average to the balanced gate, from the (B, 16) copy means."""
-    return (trace_distance(_V_SIGNS * _fusion_matrices(products), _SIGNED_BALANCED),)
+    return (trace_distance(products),)
 
 
 def _feature_sums(eta_1: np.ndarray, eta_2: np.ndarray) -> np.ndarray:
@@ -422,16 +455,19 @@ def write_atomic(path, chunks) -> None:
 
     The bytes go to a temporary file in the target directory, which is then
     renamed over ``path``, so a failed write leaves any previous file as it
-    was and no temporary file behind.
+    was and no temporary file behind. An ``OSError`` on the temporary file
+    names ``path``.
     """
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "xb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

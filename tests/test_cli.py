@@ -81,6 +81,7 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in err
+    assert "x.csv" in err and ".tmp" not in err
 
 
 def test_fusion_sweep_writes_csv(tmp_path, capsys):

@@ -11,7 +11,6 @@ from avgfusion.fock import StateVec, TransferMatrix, apply_transfer
 from avgfusion.interferometers import (
     _FUSION,
     _LAYER,
-    _V_SIGNS,
     _bsm_matrices,
     _features,
     _fusion_gates,
@@ -149,9 +148,10 @@ def test_builders_equal_the_mean_of_literal_copies(copies):
 
 
 def test_signed_fusion_basis_is_transposed_by_swapping_its_layers():
-    """P * (L_a SWAP L_b) == (P * L_b SWAP L_a).T, and the 16 products have
-    disjoint supports with entries +-1: each entry of M_N is one signed copy mean."""
-    signed = _V_SIGNS * _FUSION
+    """P * (L_a SWAP L_b) == (P * L_b SWAP L_a).T, P = diag(1, -1, 1, -1), and the
+    16 products have disjoint supports with entries +-1: each entry of M_N is one
+    signed copy mean."""
+    signed = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * _FUSION
     for a in range(4):
         for b in range(4):
             np.testing.assert_array_equal(signed[4 * a + b], signed[4 * b + a].T)
@@ -165,14 +165,14 @@ def test_signed_fusion_basis_is_transposed_by_swapping_its_layers():
     data=st.data(),
 )
 def test_signed_averaged_fusion_gates_are_exactly_symmetric(n_copies, trials, data):
-    """The sweep's trace distance takes the symmetric eigensolve only while
-    P * M_N equals its transpose bit for bit; any other matrix silently falls
-    back to the SVD. Reflectivities include 0, 1/2 and 1; trials are stacked
-    as the sweep stacks them."""
+    """P * M_N equals its transpose bit for bit, P = diag(1, -1, 1, -1), as the
+    copy means of f_a f_b have the same bits at (a, b) and (b, a).
+    Reflectivities include 0, 1/2 and 1; trials are stacked as the sweep
+    stacks them."""
     eta = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
     etas = np.array(data.draw(st.lists(eta, min_size=2 * trials * n_copies, max_size=2 * trials * n_copies)))
     eta_x, eta_y = etas.reshape(2, trials, n_copies)
-    signed = _V_SIGNS * _fusion_gates(eta_x, eta_y)
+    signed = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * _fusion_gates(eta_x, eta_y)
     np.testing.assert_array_equal(signed, np.swapaxes(signed, -1, -2))
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import math
+import warnings
 import weakref
 from unittest import mock
 
@@ -19,8 +20,17 @@ from avgfusion.averaging import build_averaged_network, run_averaged
 from avgfusion.closed_form import bsm_closed_forms
 from avgfusion.detection import BSM_PATTERNS, FUSION_PATTERNS, fusion_outcomes
 from avgfusion.fock import TransferMatrix, apply_transfer
-from avgfusion.interferometers import _ANALYZER, _FUSION, _V_SIGNS, _linear, direct_sum, effective_average, fusion_gate
-from avgfusion.metrics import _SQRT_HALF, bell_state, fidelity, normalized_fidelity, trace_distance
+from avgfusion.interferometers import (
+    _ANALYZER,
+    _FUSION,
+    _fusion_matrices,
+    _fusion_products,
+    _linear,
+    direct_sum,
+    effective_average,
+    fusion_gate,
+)
+from avgfusion.metrics import _SQRT_HALF, bell_state, fidelity, normalized_fidelity
 from avgfusion.svgplot import render_sweep_svg, write_svg
 from avgfusion.sweep import (
     EXPERIMENTS,
@@ -144,7 +154,7 @@ def test_fusion_trial_matches_average_operator_oracle():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_trace_distance_column_matches_the_svd_of_literal_copies(experiment, n_copies, m, samples, seed):
-    """Per trial, the engine's symmetric eigensolve on P * (M_N - B) against
+    """Per trial, the engine's trace column against
     0.5 * sum of the singular values of the mean of N fusion_gate copies minus
     fusion_gate(0.5, 0.5); m = 0 cells, whose difference is about 1e-17, included."""
     etas = sample_reflectivity(np.random.default_rng(seed), m, (samples, 2, n_copies))
@@ -154,6 +164,58 @@ def test_trace_distance_column_matches_the_svd_of_literal_copies(experiment, n_c
         mean = effective_average([fusion_gate(ex, ey) for ex, ey in zip(eta_x, eta_y)]).entries
         want = 0.5 * np.sum(np.linalg.svd(mean - balanced, compute_uv=False))
         assert abs(got[trial] - want) <= 4e-15
+
+
+#: The row signs P and the signed permutation S of the identity
+#: P * M_N = I - S G S^T in :mod:`avgfusion.interferometers`.
+_P = np.diag([1.0, -1.0, 1.0, -1.0])
+_S = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+
+
+@st.composite
+def _copy_means(draw):
+    """(trials, 16) fusion copy means of 1 to 64 copies, trials stacked; each
+    reflectivity is 0, 1/2 or 1, or uniform on [0, 1], at a drawn share."""
+    n_copies, trials = draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    grid_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2, trials, n_copies)
+    etas = np.where(rng.random(shape) < grid_share, rng.choice([0.0, 0.5, 1.0], shape), rng.uniform(0.0, 1.0, shape))
+    return _fusion_products(*etas)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(products=_copy_means())
+def test_trace_distance_is_half_the_eigenvalue_moduli_of_the_signed_difference(products):
+    """sweep.trace_distance against 0.5 * sum |lambda| of eigvalsh(P * (M_N - U_bal))."""
+    signed = _P @ (_fusion_matrices(products) - fusion_gate(0.5, 0.5).entries)
+    want = 0.5 * np.abs(np.linalg.eigvalsh(signed)).sum(axis=-1)
+    got = sweep.trace_distance(products)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, want)), (got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(products=_copy_means())
+def test_signed_mean_gate_is_identity_minus_the_permuted_copy_mean(products):
+    """P * M_N = I - S G S^T, and D = J/2 - G has at most one positive
+    eigenvalue: the premises of sweep.trace_distance."""
+    g = products.reshape(-1, 4, 4)
+    np.testing.assert_allclose(_P @ _fusion_matrices(products), np.eye(4) - _S @ g @ _S.T, rtol=0, atol=1e-15)
+    eigenvalues = np.linalg.eigvalsh(0.5 - g)
+    assert np.all((eigenvalues > 1e-14).sum(axis=-1) <= 1), eigenvalues
+
+
+def test_trace_distance_of_the_balanced_copy_means_is_zero():
+    """D = 0, a noise-free trial's for every N, gives exactly 0.0 with no NaN
+    and no warning, and the other rows of its stack keep the bits they have alone."""
+    rows = _fusion_products(np.array([[0.3, 0.9], [1.0, 0.0]]), np.array([[0.5, 0.2], [0.0, 1.0]]))
+    noise_free = [_fusion_products(np.full(n, 0.5), np.full(n, 0.5)) for n in range(1, 65)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sweep.trace_distance(np.concatenate([noise_free, rows]))
+    assert got[:64].tolist() == [0.0] * 64
+    assert got[64:].tolist() == [sweep.trace_distance(row[None])[0] for row in rows]
 
 
 def test_trace_trial_decreases_with_copies_on_average():
@@ -492,10 +554,10 @@ def _ref_features(eta_1, eta_2):
     return np.sqrt(np.stack([eta_1, 1.0 - eta_1, eta_2, 1.0 - eta_2], axis=-1))
 
 
-def _ref_fusion_gates(eta_x, eta_y):
+def _ref_fusion_products(eta_x, eta_y):
     f = _ref_features(eta_x, eta_y)
     products = np.swapaxes(f, -1, -2) @ f / f.shape[-2]  # copy mean of f_a f_b
-    return _linear(products.reshape(products.shape[:-2] + (16,)), _FUSION)
+    return products.reshape(products.shape[:-2] + (16,))
 
 
 def _ref_bsm_closed(sums, n):
@@ -521,7 +583,8 @@ def _ref_pair_amplitudes(mean, i, j):
 
 
 def _ref_fusion_metrics(etas):
-    mean = _ref_fusion_gates(etas[:, 0], etas[:, 1])
+    products = _ref_fusion_products(etas[:, 0], etas[:, 1])
+    mean = _linear(products, _FUSION)
     kraus = _SQRT_HALF * _SQRT_HALF * _ref_pair_amplitudes(mean, [[1], [0]], [[3, 2]])
     prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
     hh = _REF_PATTERNS.index(FUSION_PATTERNS["HH"])
@@ -531,7 +594,7 @@ def _ref_fusion_metrics(etas):
     f_hh_norm = np.full(len(p_hh), math.nan)
     f_hh_norm[heralded] = normalized_fidelity(f_hh[heralded], p_hh[heralded])
     p_single = sum(prob[:, _REF_PATTERNS.index(p)] for p in FUSION_PATTERNS.values())
-    return f_hh, p_hh, f_hh_norm, p_single, trace_distance(_V_SIGNS * mean, sweep._SIGNED_BALANCED)
+    return f_hh, p_hh, f_hh_norm, p_single, sweep.trace_distance(products)
 
 
 def _ref_bsm_metrics(etas):
@@ -544,7 +607,7 @@ def _ref_bsm_metrics(etas):
 
 
 def _ref_trace_metrics(etas):
-    return (trace_distance(_V_SIGNS * _ref_fusion_gates(etas[:, 0], etas[:, 1]), sweep._SIGNED_BALANCED),)
+    return (sweep.trace_distance(_ref_fusion_products(etas[:, 0], etas[:, 1])),)
 
 
 _REF_METRICS = {"fusion": _ref_fusion_metrics, "bsm": _ref_bsm_metrics, "trace-distance": _ref_trace_metrics}
