@@ -120,6 +120,12 @@ MUTANTS = (
         "return q * (d / np.abs(d))[..., :, None]",
     ),
     (
+        "metrics.trace_distance as half the spectral norm instead of half the nuclear norm",
+        "metrics.py",
+        "d = 0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False), axis=-1)",
+        "d = 0.5 * np.max(np.linalg.svd(a - b, compute_uv=False), axis=-1)",
+    ),
+    (
         "the psi+ entry of metrics.BSM_MAP_TARGETS with its sign flipped (a global phase)",
         "metrics.py",
         '"psi+": {(1, 1, 0, 0): _SQRT_HALF, (0, 0, 1, 1): -_SQRT_HALF},',

@@ -101,24 +101,12 @@ def trace_distance(a, b):
     """Half the nuclear norm of (a - b): 0.5 * sum of singular values.
 
     Takes TransferMatrix objects or arrays, which must be (..., d, d) with one
-    d; stacks of matrices broadcast and give an array of distances of shape (...).
-
-    A difference that is exactly Hermitian, ``diff == diff.conj().T`` entry
-    by entry, has the moduli of its eigenvalues as singular values, so it
-    goes through ``np.linalg.eigvalsh``: 0.5 * sum |lambda|, the textbook trace
-    distance of density matrices. Every other difference, one holding a NaN
-    included, goes through the SVD. Each distance depends on its own matrix
-    alone, so a stack gives the bits its matrices give one at a time.
+    d; stacks of matrices broadcast and give an array of distances of shape (...),
+    each matrix with the bits it gets alone.
     """
     a = a.entries if isinstance(a, TransferMatrix) else np.asarray(a)
     b = b.entries if isinstance(b, TransferMatrix) else np.asarray(b)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"operands must be (..., d, d) with one d, got {a.shape} and {b.shape}")
-    diff = a - b
-    hermitian = np.all(diff == np.swapaxes(diff, -1, -2).conj(), axis=(-2, -1))
-    eigen = np.abs(np.linalg.eigvalsh(diff[hermitian]))
-    singular = np.linalg.svd(diff[~hermitian], compute_uv=False)
-    d = np.empty(hermitian.shape, dtype=np.result_type(eigen, singular))
-    d[hermitian] = 0.5 * np.sum(eigen, axis=-1)
-    d[~hermitian] = 0.5 * np.sum(singular, axis=-1)
+    d = 0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False), axis=-1)
     return float(d) if d.ndim == 0 else d

@@ -413,7 +413,7 @@ def _run_cells(experiment: str, ms, *stacks: np.ndarray) -> list[Cell]:
 # The single-trial runners draw from ``rng`` as one trial of a sweep cell
 # does; ``trial`` only keeps their call signature and is not recorded. Only
 # ``perfbench/setup_probe.py`` calls them, and one test pins them to
-# ``run_cell``; they go when that probe moves to ``run_cell`` (ROADMAP item 1).
+# ``run_cell``; they go when that probe moves to ``run_cell`` (ROADMAP item 16).
 
 
 def run_fusion_trial(n_copies: int, m: float, trial: int, rng: np.random.Generator) -> Cell:

@@ -152,18 +152,20 @@ def _hermitian_stack(rng, shape, complex_part):
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])
 @pytest.mark.parametrize("complex_part", [False, True], ids=["real-symmetric", "complex-hermitian"])
-def test_trace_distance_of_hermitian_differences_agrees_with_the_svd(d, complex_part):
+def test_trace_distance_of_hermitian_differences_is_half_the_eigenvalue_moduli(d, complex_part):
+    """A Hermitian difference has the moduli of its eigenvalues as singular
+    values: 0.5 * sum |eigvalsh| is the textbook trace distance."""
     rng = np.random.default_rng(16 + d)
     a = _hermitian_stack(rng, (300, d, d), complex_part)
     b = _hermitian_stack(rng, (d, d), complex_part)
-    svd = 0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False), axis=-1)
-    np.testing.assert_allclose(trace_distance(a, b), svd, rtol=1e-14, atol=0)
+    eigen = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
+    np.testing.assert_allclose(trace_distance(a, b), eigen, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("complex_part", [False, True], ids=["real", "complex"])
 def test_trace_distance_gives_a_mixed_stack_the_bits_of_each_matrix_alone(complex_part):
-    """Exactly Hermitian differences take 0.5 * sum |eigvalsh|, all others the
-    SVD; a stack mixing both gives each matrix the bits it gets on its own."""
+    """A stack mixing Hermitian, almost Hermitian and general differences gives
+    each matrix the bits it gets on its own: 0.5 * sum of its singular values."""
     rng = np.random.default_rng(19)
     hermitian = [_hermitian_stack(rng, (4, 4), complex_part) for _ in range(4)]
     almost = hermitian[0].copy()
@@ -175,13 +177,9 @@ def test_trace_distance_gives_a_mixed_stack_the_bits_of_each_matrix_alone(comple
     assert np.iscomplexobj(stack) == complex_part
     zero = np.zeros((4, 4))
     got = trace_distance(stack, zero)
-    assert [np.array_equal(x, x.conj().T) for x in stack] == [True, False, True, False, True, False, True]
     for x, d in zip(stack, got.tolist()):
         assert d == trace_distance(x, zero)
-        if np.array_equal(x, x.conj().T):
-            assert d == 0.5 * np.sum(np.abs(np.linalg.eigvalsh(x)))
-        else:
-            assert d == 0.5 * np.sum(np.linalg.svd(x, compute_uv=False))
+        assert d == 0.5 * np.sum(np.linalg.svd(x, compute_uv=False))
 
 
 @pytest.mark.parametrize(
@@ -196,7 +194,6 @@ def test_trace_distance_gives_a_mixed_stack_the_bits_of_each_matrix_alone(comple
     ids=["all-nan", "nan-diagonal", "symmetric-nan", "complex-nan", "stack-with-one-nan"],
 )
 def test_trace_distance_of_a_nan_difference_raises(a):
-    """A NaN is never equal to itself, so no NaN difference counts as
-    Hermitian: the SVD sees it and fails, for the whole stack."""
+    """The SVD fails on a NaN, for the whole stack."""
     with pytest.raises(np.linalg.LinAlgError):
         trace_distance(a, np.eye(a.shape[-1]))
