@@ -102,10 +102,10 @@ MUTANTS = (
         "support = stack[0] != 0",
     ),
     (
-        "a matrix's scalar evolution walking its rows instead of its columns",
+        "a stacked evolution walking rows instead of columns",
         "fock.py",
-        "for col in T.entries.T.tolist()]",
-        "for col in T.entries.tolist()]",
+        "by_column = np.ascontiguousarray(stack.transpose(2, 1, 0))",
+        "by_column = np.ascontiguousarray(stack.transpose(1, 2, 0))",
     ),
     (
         "verify.check_closed_form comparing each simulated column with itself",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import os
 import sys
 
@@ -104,8 +105,8 @@ def m_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected start:stop:step or a single number, got {text!r}") from None
 
 
-def _config_flags(path: str, command: str, parser: argparse.ArgumentParser) -> list[str]:
-    """The ``key=value`` lines of the config file at ``path`` as ``--key=value`` flags of ``command``."""
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The ``key=value`` lines of the config file at ``path`` as ``--key=value`` flags of the command ``parser`` parses."""
     try:
         with open(path, encoding="utf-8-sig") as f:
             lines = f.readlines()
@@ -123,7 +124,7 @@ def _config_flags(path: str, command: str, parser: argparse.ArgumentParser) -> l
         if flag in ("--config", "--help"):
             parser.error(f"{path}:{lineno}: unknown config key {key!r}")
         entries.append((lineno, key, f"{flag}={value}"))
-    unknown = parser.parse_known_args([command, *(token for _, _, token in entries)])[1]
+    unknown = parser.parse_known_args([token for _, _, token in entries])[1]
     for lineno, key, token in entries:
         if token in unknown:
             parser.error(f"{path}:{lineno}: unknown config key {key!r}")
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, (experiment, help_, (grid_flag, grid), n_copies, out, samples) in _SWEEPS.items():
         p = sub.add_parser(command, help=help_, allow_abbrev=False)
-        p.set_defaults(func=cmd_sweep, experiment=experiment)
+        p.set_defaults(func=functools.partial(cmd_sweep, parser=p), experiment=experiment)
         p.add_argument(grid_flag, **grid)
         p.add_argument("--n-copies", type=int_list, default=n_copies, help="comma-separated copy counts (default %(default)s)")
         p.add_argument("--samples", type=positive_int, default=samples, help="trials per (N, m) cell (default %(default)s)")
@@ -213,28 +214,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help=_CONFIG_HELP)
 
     p = sub.add_parser("verify", help="run the self-check suites", allow_abbrev=False)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=functools.partial(cmd_verify, parser=p))
     p.add_argument("--samples", type=positive_int, default=DEFAULT_SAMPLES, help="draws per randomized suite (default %(default)s)")
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED, help="RNG seed for the randomized suites (default %(default)s)")
     p.add_argument("--config", help=_CONFIG_HELP)
 
     p = sub.add_parser("table2", help="print the Bell-state / click-pattern support table", allow_abbrev=False)
-    p.set_defaults(func=cmd_table2)
+    p.set_defaults(func=functools.partial(cmd_table2, parser=p))
     p.add_argument("--eta-h", type=reflectivity, default="0.5", help="horizontal-analyzer reflectivity (default %(default)s)")
     p.add_argument("--eta-v", type=reflectivity, default="0.5", help="vertical-analyzer reflectivity (default %(default)s)")
     p.add_argument("--config", help=_CONFIG_HELP)
 
     p = sub.add_parser("version", help="print the package version", allow_abbrev=False)
-    p.set_defaults(func=cmd_version)
+    p.set_defaults(func=functools.partial(cmd_version, parser=p))
     return parser
 
 
 def parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv``; the flags of a ``--config`` file are read before the command line."""
+    """Parse ``argv``; the flags of a ``--config`` file are read before the command line.
+
+    Each command's ``func`` is bound to the command's own parser, so a usage
+    error found after parsing prints that command's usage line, as argparse
+    does for its flag errors.
+    """
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         head = argv.index(args.command) + 1
-        args = parser.parse_args([*argv[:head], *_config_flags(args.config, args.command, parser), *argv[head:]])
+        flags = _config_flags(args.config, args.func.keywords["parser"])
+        args = parser.parse_args([*argv[:head], *flags, *argv[head:]])
     return args
 
 
@@ -242,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

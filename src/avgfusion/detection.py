@@ -113,8 +113,12 @@ def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[s
     The analyzer measures every mode, so each probability is the squared
     modulus of one output amplitude.
     """
-    out = apply_transfer(bsm_matrix(eta_h, eta_v), bell_state(bell_label))
-    return {label: abs(out.amplitude(pattern)) ** 2 for label, pattern in BSM_PATTERNS.items()}
+    return _click_probabilities(apply_transfer(bsm_matrix(eta_h, eta_v), bell_state(bell_label)))
+
+
+def _click_probabilities(state: StateVec) -> dict[str, float]:
+    """Click probability of every analyzer pattern on an analyzer's output state."""
+    return {label: abs(state.amplitude(pattern)) ** 2 for label, pattern in BSM_PATTERNS.items()}
 
 
 #: Click probability above which a pattern counts as possible.

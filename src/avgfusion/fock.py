@@ -11,9 +11,7 @@ Inside `apply_transfer` a term is keyed by the sorted tuple of its photons'
 modes, not by its m-long occupation tuple: (0, 2, 2) is |1, 0, 2>. The two
 keys are in bijection, so the expansion visits terms in the same order and does
 the same float operations; each output term becomes an occupation tuple once,
-and sqrt(prod n!) is read from a bounded memo keyed by the photon modes. A
-one-photon key takes the next photon with one compare, which places it exactly
-where the general `bisect_right` insertion would.
+and sqrt(prod n!) is read from a bounded memo keyed by the photon modes.
 
 Kets are validated once, where they enter from outside: `StateVec(...)` checks
 each ket's length, sign and integrality. States this module and `detection`
@@ -23,18 +21,14 @@ A `TransferMatrix` holds only a read-only copy of its entries: `entries` and
 `dim` are read-only properties over it, so they cannot go stale, and
 `unitary` is computed from it on each read, never at construction, so
 intermediate products never pay for a T^dag T they are not asked about.
-`apply_transfer` builds the nonzero (l, T[l, j]) pairs of each column for the
-one evolution it runs.
 
-One input can also go through a (K, d, d) stack of matrices in one
-expansion: the loop is the same, but a term's coefficient is a (K,) array,
+Every evolution runs through a (K, d, d) stack of matrices in one expansion,
+a `TransferMatrix` as a stack of one: a term's coefficient is a (K,) array,
 one entry per matrix, and each column walks the union of the stack's nonzero
 entries, so a row that is zero in one matrix adds exactly 0 to its terms. The
 finiteness check and the prune then run on the (K, kets) array of the output.
-Each state matches the state its matrix alone gives to a few ulps, not bit
-for bit: numpy's vectorized complex multiply may fuse a multiply-add that
-Python's scalar one rounds twice. Where the matrices share their support, as
-samples of one gate family do, the states also keep its ket order.
+Where the matrices share their support, as samples of one gate family do, each
+state keeps the ket order its matrix alone gives.
 """
 
 from __future__ import annotations
@@ -245,26 +239,17 @@ def apply_transfer(T: TransferMatrix | np.ndarray, s: StateVec) -> StateVec | li
     ``T`` is a `TransferMatrix`, giving one state, or a (K, d, d) array of K
     matrices of one size, giving the list of K evolved states in stack order
     from one expansion (see the module docstring); a (0, d, d) stack gives
-    ``[]``. A stacked state matches the state of its matrix alone to a few
-    ulps: numpy's vectorized complex multiply may fuse a multiply-add that
-    Python's scalar one rounds twice.
+    ``[]``. A `TransferMatrix` evolves as a stack of one.
     """
-    if isinstance(T, TransferMatrix):
-        _check_dim(T.dim, s)
-        # A scalar path beside the stack path: through a K = 1 stack, even with
-        # Python-scalar coefficients, an 8-mode fusion evolution took 163 us instead of 115 and
-        # `verify.run_all(40, 1001)` 7.89 ms instead of 6.75 (2-core Xeon, numpy 2.4.6).
-        columns = [[(l, t) for l, t in enumerate(col) if t] for col in T.entries.T.tolist()]
-        acc = _expand(columns, s)
-        return StateVec._built(s.mode_count, {_occupations(key, s.mode_count): c for key, c in acc.items()})
-    stack = np.asarray(T, dtype=complex)
+    one = isinstance(T, TransferMatrix)
+    stack = T.entries[None] if one else np.asarray(T, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"transfer matrix stack must have shape (K, d, d), got {stack.shape}")
     _check_dim(stack.shape[2], s)
     if not len(stack):
         return []
-    acc = _expand(_stack_columns(stack), s)
-    return _split(acc, len(stack), s.mode_count)
+    states = _split(_expand(_stack_columns(stack), s), len(stack), s.mode_count)
+    return states[0] if one else states
 
 
 def _check_dim(dim: int, s: StateVec) -> None:
@@ -282,31 +267,21 @@ def _stack_columns(stack: np.ndarray) -> list[list[tuple[int, np.ndarray]]]:
 
 def _expand(columns, s: StateVec) -> dict:
     """Sorted photon-mode key -> coefficient of the output, from the nonzero
-    (l, T[l, j]) pairs of each column j; a coefficient is a complex, or a
-    (K,) array when the entries are."""
-    # Terms are keyed by their sorted photon modes (see the module docstring);
-    # after the n-th substitution every key holds n photons.
-    acc: dict[tuple[int, ...], complex] = {}
+    (l, T[:, l, j]) pairs of each column j; a coefficient is a (K,) array,
+    or one complex for every matrix while a term holds no photon."""
+    # Terms are keyed by their sorted photon modes (see the module docstring).
+    acc: dict[tuple[int, ...], np.ndarray] = {}
     for ket, amp in s.items():
         modes_in = tuple(j for j, n in enumerate(ket) for _ in range(n))
         terms = {(): amp / _sqrt_fact_prod(modes_in)}
-        for n, j in enumerate(modes_in):
-            expanded: dict[tuple[int, ...], complex] = {}
+        for j in modes_in:
+            expanded: dict[tuple[int, ...], np.ndarray] = {}
             get = expanded.get
-            if n == 1:
-                # Without this branch, through `bisect_right` below, an 8-mode fusion
-                # evolution took 125 us instead of 110 and `verify.run_all(40, 1001)`
-                # 6.84 ms instead of 6.60 (2-core Xeon, numpy 2.4.6).
-                for (k,), c in terms.items():
-                    for l, t in columns[j]:
-                        out = (k, l) if l >= k else (l, k)
-                        expanded[out] = get(out, 0j) + c * t
-            else:
-                for key, c in terms.items():
-                    for l, t in columns[j]:
-                        i = bisect_right(key, l)
-                        out = key[:i] + (l,) + key[i:]
-                        expanded[out] = get(out, 0j) + c * t
+            for key, c in terms.items():
+                for l, t in columns[j]:
+                    i = bisect_right(key, l)
+                    out = key[:i] + (l,) + key[i:]
+                    expanded[out] = get(out, 0j) + c * t
             terms = expanded
         for key, c in terms.items():
             acc[key] = acc.get(key, 0j) + c * _sqrt_fact_prod(key)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .averaging import build_averaged_network
 from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
-from .detection import SUPPORT_THRESHOLD, fusion_outcomes, pattern_probabilities
+from .detection import SUPPORT_THRESHOLD, _click_probabilities, fusion_outcomes
 from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix, effective_average
 from .metrics import _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
@@ -188,32 +188,40 @@ def _fusion_input() -> StateVec:
 def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Balanced-analyzer Bell-state images, plus psi- invariance off balance.
 
-    The off-balance analyzers come from one `_bsm_matrices` call on the drawn
-    reflectivities, the same bits as `bsm_matrix` at each, and psi- goes once
-    through their stack.
+    psi+, phi+ and phi- each go through `bsm_matrix(0.5, 0.5)`. psi- is its
+    own balanced image, so it goes once through one stack: the balanced
+    analyzer, then the analyzers at the drawn reflectivities, all from one
+    `_bsm_matrices` call, the same bits as `bsm_matrix` at each.
     """
     devs = []
     for label in BELL_LABELS:
-        out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state(label))
-        devs.append(max_amplitude_deviation(out, BSM_MAP_TARGETS[label]))
+        if label != "psi-":
+            out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state(label))
+            devs.append(max_amplitude_deviation(out, BSM_MAP_TARGETS[label]))
     psi_minus = bell_state("psi-")
-    eta = rng.uniform(0.0, 1.0, size=samples)
+    eta = np.concatenate(([0.5], rng.uniform(0.0, 1.0, size=samples)))
     analyzers = _bsm_matrices(_features(eta, eta))
-    devs += [max_amplitude_deviation(out, psi_minus) for out in apply_transfer(analyzers, psi_minus)]
+    balanced, *off_balance = apply_transfer(analyzers, psi_minus)
+    devs.append(max_amplitude_deviation(balanced, BSM_MAP_TARGETS["psi-"]))
+    devs += [max_amplitude_deviation(out, psi_minus) for out in off_balance]
     return _result("bsm-state-maps", devs, 1e-12)
 
 
 def check_table2() -> SuiteResult:
     """Click-pattern support sets at eta = 1/2 and at eta = 0.3.
 
-    The deviation is the largest click probability on any blank cell, i.e.
-    on a pattern outside the expected support.
+    Each Bell state goes once through the stack of the two analyzers. The
+    deviation is the largest click probability on any blank cell, i.e. on a
+    pattern outside the expected support.
     """
+    etas = [0.5, 0.3]
+    analyzers = _bsm_matrices(_features(etas, etas))
     devs = []
     mismatches = []
     for label in BELL_LABELS:
-        for eta, expected in ((0.5, TABLE2_TICKS[label]), (0.3, TABLE2_TICKS[label] | TABLE2_CROSSES[label])):
-            probs = pattern_probabilities(label, eta, eta)
+        expected_at = (TABLE2_TICKS[label], TABLE2_TICKS[label] | TABLE2_CROSSES[label])
+        for eta, expected, out in zip(etas, expected_at, apply_transfer(analyzers, bell_state(label))):
+            probs = _click_probabilities(out)
             support = {pat for pat, prob in probs.items() if prob > SUPPORT_THRESHOLD}
             devs += [prob for pat, prob in probs.items() if pat not in expected]
             if support != expected:

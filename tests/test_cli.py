@@ -223,6 +223,36 @@ def test_out_and_svg_on_one_file_is_a_usage_error(svg, tmp_path, monkeypatch, ca
     assert not (tmp_path / "x.out").exists()
 
 
+def _usage_error(argv, capsys):
+    """The exit code and stderr of a command line that ``main`` rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m-grid", "0.6"], "noise half-width m must lie in [0, 0.5], got 0.6"),
+        (["--out", "x.out", "--svg", "x.out"], "--out and --svg name the same file: 'x.out' and 'x.out'"),
+        (["--config", "bad.cfg"], "bad.cfg:1: unknown config key 'wibble'"),
+    ],
+    ids=["sweep-config", "out-is-svg", "config-key"],
+)
+def test_sweep_errors_after_parsing_print_the_subcommand_usage(flags, message, tmp_path, monkeypatch, capsys):
+    """A sweep's config, file and config-key errors print the usage line and
+    prefix that argparse prints for a bad flag of the same subcommand."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("wibble=1\n", encoding="utf-8")
+    code, flag_err = _usage_error(["fusion-sweep", "--samples", "0"], capsys)
+    assert code == 2
+    usage = flag_err[: flag_err.index("avgfusion fusion-sweep: error: ")]
+    assert usage.startswith("usage: avgfusion fusion-sweep ")
+    assert _usage_error(["fusion-sweep", "--samples", "1", *flags], capsys) == (
+        2, f"{usage}avgfusion fusion-sweep: error: {message}\n"
+    )
+
+
 def test_table2_balanced_output(capsys):
     code, out, _ = run_cli(["table2"], capsys)
     assert code == 0

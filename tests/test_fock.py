@@ -362,13 +362,19 @@ def test_transfer_matrix_attributes_cannot_be_reassigned(name, value):
 
 def occupation_keyed_apply_transfer(T, s):
     """Reference copy of the occupation-keyed expansion `apply_transfer` used
-    before it keyed terms by photon modes; kept to pin order and bits."""
+    before it keyed terms by photon modes; kept to pin order and bits.
+
+    Like the kernel, it expands once over a (K, d, d) stack, a `TransferMatrix`
+    as K = 1: a coefficient is a (K,) complex array, and each column walks the
+    union of the stack's nonzero entries."""
 
     def sqrt_fact_prod(ket):
         return math.sqrt(math.prod(math.factorial(n) for n in ket))
 
+    stack = T.entries[None] if isinstance(T, TransferMatrix) else np.asarray(T, dtype=complex)
     m = s.mode_count
-    columns = [[(l, t) for l, t in enumerate(col) if t] for col in T.entries.T.tolist()]
+    support = (stack != 0).any(axis=0)
+    columns = [[(l, stack[:, l, j]) for l in range(m) if support[l, j]] for j in range(m)]
     acc = {}
     for ket, amp in s.items():
         terms = {(0,) * m: amp / sqrt_fact_prod(ket)}
@@ -382,7 +388,8 @@ def occupation_keyed_apply_transfer(T, s):
                 terms = expanded
         for key, c in terms.items():
             acc[key] = acc.get(key, 0j) + c * sqrt_fact_prod(key)
-    return StateVec(m, acc)
+    states = [StateVec(m, {key: np.broadcast_to(c, len(stack))[k] for key, c in acc.items()}) for k in range(len(stack))]
+    return states[0] if isinstance(T, TransferMatrix) else states
 
 
 @st.composite
@@ -564,6 +571,20 @@ def test_stacked_evolution_matches_one_matrix_at_a_time(case):
             assert abs(out.amplitude(ket) - ref.amplitude(ket)) <= tol, (ket, out.amplitude(ket), ref.amplitude(ket))
         if one_support:
             assert list(out.kets()) == list(ref.kets())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stack_cases())
+def test_stacked_apply_transfer_equals_occupation_keyed_reference_bit_for_bit(case):
+    """Each state of a stacked evolution has the kets, in order, and the ==
+    amplitudes of the reference's expansion over the same stack."""
+    stack, state = case
+    outs = apply_transfer(stack, state)
+    refs = occupation_keyed_apply_transfer(stack, state)
+    assert len(outs) == len(refs) == len(stack)
+    for out, ref in zip(outs, refs):
+        assert list(out.items()) == list(ref.items())
+        assert out.mode_count == ref.mode_count
 
 
 def test_stack_walks_entries_only_a_later_matrix_has():

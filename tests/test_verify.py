@@ -85,12 +85,12 @@ def _scaled_kept_blocks(monkeypatch):
 
 
 def _raised_probabilities(monkeypatch):
-    pattern_probabilities = verify.pattern_probabilities
+    click_probabilities = verify._click_probabilities
 
-    def raised(*args):
-        return {pat: p + 1e-6 for pat, p in pattern_probabilities(*args).items()}
+    def raised(state):
+        return {pat: p + 1e-6 for pat, p in click_probabilities(state).items()}
 
-    monkeypatch.setattr(verify, "pattern_probabilities", raised)
+    monkeypatch.setattr(verify, "_click_probabilities", raised)
 
 
 @pytest.mark.parametrize(
@@ -173,10 +173,12 @@ def test_engine_suites_make_one_engine_call_per_experiment_on_the_same_draws(mon
 
 
 def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
-    """``verify --samples 40`` makes 17 Fock evolutions: 3 for the M_N
+    """``verify --samples 40`` makes 12 Fock evolutions: 3 for the M_N
     suite (one stack of 16 kept blocks and 16 copy averages per input),
-    1 for the fusion table, 5 for the analyzer maps and 8 for Table 2, one
-    per (label, eta)."""
+    1 for the fusion table, 4 for the analyzer maps (psi+, phi+ and phi- one
+    matrix each, psi- through the balanced analyzer and the 40 drawn ones)
+    and 4 for Table 2 (each Bell state through the analyzers at eta = 1/2
+    and 0.3)."""
     calls = []
     for module in (verify, detection):
         apply = module.apply_transfer
@@ -187,10 +189,9 @@ def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
 
         monkeypatch.setattr(module, "apply_transfer", counted)
     assert all(result.passed for result in verify.run_all(40, 1001))
-    assert len(calls) == 17
-    stacked = [k for _, k in calls if k is not None]
-    assert stacked == [32] * 3 + [26, 40]
-    assert [where for where, k in calls if k is None] == ["avgfusion.verify"] * 4 + ["avgfusion.detection"] * 8
+    assert len(calls) == 12
+    assert [k for _, k in calls] == [32] * 3 + [26] + [None] * 3 + [41] + [2] * 4
+    assert {where for where, _ in calls} == {"avgfusion.verify"}
 
 
 def _ref_haar_unitary(rng, dim):
