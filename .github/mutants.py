@@ -131,6 +131,12 @@ MUTANTS = (
         '"psi+": {(1, 1, 0, 0): _SQRT_HALF, (0, 0, 1, 1): -_SQRT_HALF},',
         '"psi+": {(1, 1, 0, 0): -_SQRT_HALF, (0, 0, 1, 1): _SQRT_HALF},',
     ),
+    (
+        "metrics._BALANCED_SUPPORT reading the psi+ image for every Bell state",
+        "metrics.py",
+        "label: frozenset(pat for pat, ket in BSM_PATTERNS.items() if ket in BSM_MAP_TARGETS[label])",
+        'label: frozenset(pat for pat, ket in BSM_PATTERNS.items() if ket in BSM_MAP_TARGETS["psi+"])',
+    ),
 )
 
 

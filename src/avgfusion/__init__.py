@@ -41,11 +41,8 @@ _EXPORTS = {
         "Cell",
         "SweepConfig",
         "SweepResult",
-        "run_bsm_trial",
         "run_cell",
-        "run_fusion_trial",
         "run_sweep",
-        "run_trace_trial",
         "sample_reflectivity",
         "trial_rng",
         "write_csv",

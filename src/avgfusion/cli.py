@@ -20,7 +20,7 @@ import functools
 import os
 import sys
 
-from .metrics import BELL_LABELS, BSM_PATTERNS
+from .metrics import _BALANCED_SUPPORT, BELL_LABELS, BSM_PATTERNS
 from .svgplot import write_svg
 from .sweep import SweepConfig, run_sweep, write_csv
 
@@ -159,13 +159,12 @@ def cmd_table2(args, parser) -> int:
     from .detection import pattern_support
 
     support = {label: pattern_support(label, args.eta_h, args.eta_v) for label in BELL_LABELS}
-    balanced = {label: pattern_support(label, 0.5, 0.5) for label in BELL_LABELS}
     print(f"{'pattern':<9}" + "".join(f"{label:>7}" for label in BELL_LABELS))
     for pat in BSM_PATTERNS:
         cells = []
         for label in BELL_LABELS:
             if pat in support[label]:
-                cells.append("✓" if pat in balanced[label] else "×")
+                cells.append("✓" if pat in _BALANCED_SUPPORT[label] else "×")
             else:
                 cells.append(".")
         print(f"{pat:<9}" + "".join(f"{c:>7}" for c in cells))

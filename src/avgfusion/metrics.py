@@ -36,6 +36,13 @@ BSM_MAP_TARGETS: dict[str, dict[tuple[int, ...], complex]] = {
     "phi-": {(2, 0, 0, 0): 0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): -0.5, (0, 0, 0, 2): 0.5},
 }
 
+#: The click patterns each Bell state can produce at the balanced point: the
+#: kets of its exact image above, the ✓ cells of Table 2.
+_BALANCED_SUPPORT: dict[str, frozenset[str]] = {
+    label: frozenset(pat for pat, ket in BSM_PATTERNS.items() if ket in BSM_MAP_TARGETS[label])
+    for label in BELL_LABELS
+}
+
 #: Success patterns of a polarization fusion gate on its (H1, V1, H2, V2)
 #: outputs: one photon in each port, keyed by which rails fired.
 FUSION_PATTERNS: dict[str, tuple[int, int, int, int]] = {

@@ -19,20 +19,13 @@ from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
 from .detection import SUPPORT_THRESHOLD, _click_probabilities, fusion_outcomes
 from .fock import StateVec, TransferMatrix, apply_transfer
 from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix, effective_average
-from .metrics import _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
+from .metrics import _BALANCED_SUPPORT, _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
 from .sweep import _run_cells, sample_reflectivity
 
 FUSION_TABLE_GRID = 5  # points per reflectivity axis that check_fusion_table scans
 
-#: Analyzer click patterns each Bell state can produce at the balanced point...
-TABLE2_TICKS: dict[str, frozenset[str]] = {
-    "psi+": frozenset({"ab", "cd"}),
-    "psi-": frozenset({"ad", "bc"}),
-    "phi+": frozenset({"a2", "b2", "c2", "d2"}),
-    "phi-": frozenset({"a2", "b2", "c2", "d2"}),
-}
-
-#: ...and the extra patterns that open up at unbalanced (but equal) reflectivities.
+#: The patterns each Bell state adds to its balanced support (``metrics._BALANCED_SUPPORT``)
+#: at unbalanced but equal reflectivities.
 TABLE2_CROSSES: dict[str, frozenset[str]] = {
     "psi+": frozenset({"ad", "bc"}),
     "psi-": frozenset(),
@@ -211,6 +204,8 @@ def check_table2() -> SuiteResult:
     """Click-pattern support sets at eta = 1/2 and at eta = 0.3.
 
     Each Bell state goes once through the stack of the two analyzers. The
+    expected support is the kets of the state's exact balanced image
+    (``_BALANCED_SUPPORT``), plus ``TABLE2_CROSSES`` at eta = 0.3. The
     deviation is the largest click probability on any blank cell, i.e. on a
     pattern outside the expected support.
     """
@@ -219,7 +214,7 @@ def check_table2() -> SuiteResult:
     devs = []
     mismatches = []
     for label in BELL_LABELS:
-        expected_at = (TABLE2_TICKS[label], TABLE2_TICKS[label] | TABLE2_CROSSES[label])
+        expected_at = (_BALANCED_SUPPORT[label], _BALANCED_SUPPORT[label] | TABLE2_CROSSES[label])
         for eta, expected, out in zip(etas, expected_at, apply_transfer(analyzers, bell_state(label))):
             probs = _click_probabilities(out)
             support = {pat for pat, prob in probs.items() if prob > SUPPORT_THRESHOLD}

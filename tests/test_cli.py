@@ -11,8 +11,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from avgfusion import __version__, verify
+from avgfusion import __version__, detection, fock, verify
 from avgfusion.cli import MAX_M_GRID_POINTS, build_parser, m_grid, main, parse_args
+from avgfusion.metrics import BELL_LABELS, BSM_PATTERNS
 from avgfusion.sweep import METRIC_COLUMNS
 
 
@@ -277,6 +278,41 @@ def test_table2_unbalanced_adds_crosses(capsys):
     assert by_name["ad"] == ["×", "✓", ".", "."]
     assert by_name["ac"] == [".", ".", "×", "×"]
     assert by_name["ab"] == ["✓", ".", ".", "."]
+
+
+def _table2_reference(eta_h, eta_v):
+    """Table 2 with its ✓ cells read from a Fock evolution at the balanced point."""
+    support = {label: detection.pattern_support(label, eta_h, eta_v) for label in BELL_LABELS}
+    balanced = {label: detection.pattern_support(label, 0.5, 0.5) for label in BELL_LABELS}
+    lines = [f"{'pattern':<9}" + "".join(f"{label:>7}" for label in BELL_LABELS)]
+    for pat in BSM_PATTERNS:
+        cells = ["." if pat not in support[label] else "✓" if pat in balanced[label] else "×" for label in BELL_LABELS]
+        lines.append(f"{pat:<9}" + "".join(f"{c:>7}" for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("eta_h, eta_v", [(0.5, 0.5), (0.3, 0.3), (0.3, 0.7), (0, 1), (1, 0), (0.49, 0.5)])
+def test_table2_equals_a_table_classified_by_the_balanced_evolution(eta_h, eta_v, capsys):
+    code, out, _ = run_cli(["table2", "--eta-h", str(eta_h), "--eta-v", str(eta_v)], capsys)
+    assert code == 0
+    assert out == _table2_reference(eta_h, eta_v)
+
+
+def test_table2_evolves_each_bell_state_once(monkeypatch, capsys):
+    """One Fock evolution per Bell state, at the flags' reflectivities; the
+    balanced support is read from the exact images, not evolved."""
+    calls = []
+    for module in (fock, detection):
+        apply = module.apply_transfer
+
+        def counted(t, s, apply=apply):
+            calls.append(t)
+            return apply(t, s)
+
+        monkeypatch.setattr(module, "apply_transfer", counted)
+    code, _, _ = run_cli(["table2", "--eta-h", "0.3", "--eta-v", "0.7"], capsys)
+    assert code == 0
+    assert len(calls) == 4
 
 
 def test_verify_passes_and_is_reproducible(capsys):

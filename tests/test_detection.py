@@ -20,7 +20,7 @@ from avgfusion.detection import (
 )
 from avgfusion.fock import StateVec, apply_transfer, norm_sq, tensor
 from avgfusion.interferometers import bsm_matrix, fusion_gate
-from avgfusion.metrics import BELL_LABELS, bell_state, fidelity
+from avgfusion.metrics import _BALANCED_SUPPORT, BELL_LABELS, bell_state, fidelity
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -134,6 +134,7 @@ def test_pattern_support_perfect_point():
     assert pattern_support("psi-") == {"ad", "bc"}
     assert pattern_support("phi+") == {"a2", "b2", "c2", "d2"}
     assert pattern_support("phi-") == {"a2", "b2", "c2", "d2"}
+    assert _BALANCED_SUPPORT == {label: pattern_support(label) for label in BELL_LABELS}
 
 
 def test_pattern_support_unbalanced():
