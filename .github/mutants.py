@@ -90,6 +90,12 @@ MUTANTS = (
         "kept = [*range(0, enc, n), *range(enc, enc + k - 1)]",
     ),
     (
+        "build_averaged_network checking the unitarity of the first copy set of a stack only",
+        "averaging.py",
+        "if not (_unitarity_defects(stack) <= UNITARY_TOL).all():",
+        "if not (_unitarity_defects(stack[:1]) <= UNITARY_TOL).all():",
+    ),
+    (
         "a block's stage-1 slice of a copy count starting one trial late",
         "sweep.py",
         "part = etas[max(lo - start, 0) : hi - start]",

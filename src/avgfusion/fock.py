@@ -169,10 +169,7 @@ class TransferMatrix:
 
     def unitarity_defect(self) -> float:
         """Max-norm of T^dag T - I (0.0 for the empty map); inf if an entry is not finite."""
-        if not np.isfinite(self.entries).all():
-            return math.inf
-        delta = self.entries.conj().T @ self.entries - np.eye(self.dim)
-        return float(np.max(np.abs(delta), initial=0.0))
+        return float(_unitarity_defects(self._entries[None])[0])
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
         return TransferMatrix(self.entries @ other.entries)
@@ -180,6 +177,16 @@ class TransferMatrix:
     def __repr__(self) -> str:
         tag = "unitary" if self.unitary else "non-unitary"
         return f"TransferMatrix(dim={self.dim}, {tag})"
+
+
+def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
+    """Max-norm of T^dag T - I of each matrix T of a (..., d, d) stack, 0.0 for
+    the empty map; inf for a matrix with an entry that is not finite, which is
+    found before any product, so none overflows or warns."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    stack = np.where(finite[..., None, None], stack, 0.0)
+    delta = np.swapaxes(stack.conj(), -1, -2) @ stack - np.eye(stack.shape[-1])
+    return np.where(finite, np.max(np.abs(delta), axis=(-2, -1), initial=0.0), math.inf)
 
 
 def tensor(a: StateVec, b: StateVec) -> StateVec:

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .averaging import build_averaged_network
 from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
 from .detection import SUPPORT_THRESHOLD, _click_probabilities, fusion_outcomes
-from .fock import StateVec, TransferMatrix, apply_transfer
-from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix, effective_average
+from .fock import StateVec, apply_transfer
+from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix
 from .metrics import _BALANCED_SUPPORT, _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
 from .sweep import _run_cells, sample_reflectivity
 
@@ -91,12 +90,13 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
     1. Draw: every set's draws come from ``rng`` in set order, (N, 2, 4, 4)
        standard normals for a Haar set and (N, 2) reflectivities for a fusion set.
     2. Build: every Haar copy comes from one stacked QR and every fusion copy
-       from one `_fusion_gates` call, the same bits as `fusion_gate`; then each
-       set's network is built by `build_averaged_network`, in draw order.
+       from one `_fusion_gates` call, the same bits as `fusion_gate`. They
+       fill one (sets, N, 4, 4) stack per copy count, in draw order, and
+       `build_averaged_network` builds each stack's networks in one call.
     3. Evolve: a kept block has 4 modes whatever N is, so each input goes once
        through one stack of every set's kept block, which is `run_averaged` on
-       each, followed by every set's copy average; the two halves are compared
-       pair by pair.
+       each, followed by every set's copy average, the stack's mean over its
+       copy axis; the two halves are compared pair by pair.
     """
     inputs = [
         bell_state("psi+"),
@@ -104,21 +104,28 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
         StateVec(4, {(2, 0, 0, 0): _SQRT_HALF, (0, 1, 0, 1): -0.5j, (0, 0, 1, 1): 0.5}),
     ]
     sets = max(2, samples // 5)
-    kinds = [(n_copies, k % 2 == 0) for n_copies in (2, 3) for k in range(sets)]
-    draws = [rng.standard_normal((n, 2, 4, 4)) if haar else rng.uniform(0.2, 0.8, size=(n, 2)) for n, haar in kinds]
-    normals = np.concatenate([d for d, (_, haar) in zip(draws, kinds) if haar])
-    etas = np.concatenate([d for d, (_, haar) in zip(draws, kinds) if not haar])
-    haar_gates, fusion_gates = iter(_haar_unitaries(normals)), iter(_fusion_gates(etas[:, :1], etas[:, 1:]))
-    kept_blocks, mean_gates = [], []
-    for n, haar in kinds:
-        copies = [TransferMatrix(gate) for gate in islice(haar_gates if haar else fusion_gates, n)]
-        kept_blocks.append(build_averaged_network(copies).kept_block.entries)
-        mean_gates.append(effective_average(copies).entries)
-    stack = np.array(kept_blocks + mean_gates)
+    haar_sets, fusion_sets = (sets + 1) // 2, sets // 2  # sets alternate Haar and fusion, Haar first
+    draws = [
+        [rng.standard_normal((n, 2, 4, 4)) if k % 2 == 0 else rng.uniform(0.2, 0.8, size=(n, 2)) for k in range(sets)]
+        for n in (2, 3)
+    ]
+    normals = np.concatenate([d for by_n in draws for d in by_n[0::2]])
+    etas = np.concatenate([d for by_n in draws for d in by_n[1::2]])
+    haar_gates = np.split(_haar_unitaries(normals), [2 * haar_sets])
+    fusion_gates = np.split(_fusion_gates(etas[:, :1], etas[:, 1:]), [2 * fusion_sets])
+    stacks = []
+    for n, haar, fusion in zip((2, 3), haar_gates, fusion_gates):
+        stack = np.empty((sets, n, 4, 4), dtype=complex)
+        stack[0::2], stack[1::2] = haar.reshape(haar_sets, n, 4, 4), fusion.reshape(fusion_sets, n, 4, 4)
+        stacks.append(stack)
+    # Only the kept blocks outlive the builds: each network's full matrix is freed with it.
+    kept_blocks = [net.kept_block.entries for stack in stacks for net in build_averaged_network(stack)]
+    matrices = np.concatenate([kept_blocks, *(stack.mean(axis=1) for stack in stacks)])
     devs = []
     for state in inputs:
-        out = apply_transfer(stack, state)
-        devs += [max_amplitude_deviation(kept, direct) for kept, direct in zip(out[: len(kinds)], out[len(kinds) :])]
+        out = apply_transfer(matrices, state)
+        pairs = zip(out[: len(kept_blocks)], out[len(kept_blocks) :])
+        devs += [max_amplitude_deviation(kept, direct) for kept, direct in pairs]
     return _result("M_N-equivalence", devs, 1e-10)
 
 

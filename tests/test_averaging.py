@@ -1,5 +1,9 @@
 """Tests for the N-copy redundant-encoding network."""
 
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +154,90 @@ def test_build_rejects_bad_copy_lists():
         build_averaged_network([random_unitary(rng, 2), random_unitary(rng, 3)])
     with pytest.raises(ValueError):
         build_averaged_network([TransferMatrix(np.eye(2) * 0.5)])
+
+
+def _one_set_build(copies, n_passthrough):
+    """Reference total and kept block of one (N, m, m) copy set, built as one
+    network at a time: the replica-diagonal block filled copy by copy, two
+    dense matmuls and an ``np.ix_`` gather."""
+    n, m = len(copies), copies.shape[-1]
+    enc, k = m * n, n_passthrough
+    encode = direct_sum([dft_matrix(n)] * m).entries
+    gates = np.zeros((m, n, m, n), dtype=complex)
+    for r, c in enumerate(copies):
+        gates[:, r, :, r] = c
+    total = np.eye(enc + k, dtype=complex)
+    total[:enc, :enc] = encode @ gates.reshape(enc, enc) @ encode
+    kept = [*range(0, enc, n), *range(enc, enc + k)]
+    return total, total[np.ix_(kept, kept)]
+
+
+@pytest.mark.parametrize("n_passthrough", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_copies", [1, 2, 3, 4])
+def test_stacked_build_equals_one_set_builds_bit_for_bit(n_copies, n_passthrough):
+    """K sets of Haar copies in one (K, N, m, m) stack give K networks in
+    stack order, each the one-set build of its set to the bit: the same
+    sizes, ``total`` and ``kept_block`` as the reference and as the set
+    built alone from a sequence."""
+    rng = np.random.default_rng(100 * n_copies + n_passthrough)
+    stack = np.array([[random_unitary(rng, 4).entries for _ in range(n_copies)] for _ in range(5)])
+    nets = build_averaged_network(stack, n_passthrough=n_passthrough)
+    assert isinstance(nets, list) and len(nets) == 5
+    for copies, net in zip(stack, nets, strict=True):
+        alone = build_averaged_network([TransferMatrix(c) for c in copies], n_passthrough=n_passthrough)
+        total, kept_block = _one_set_build(copies, n_passthrough)
+        for built in (net, alone):
+            assert (built.n_copies, built.n_logical, built.n_passthrough) == (n_copies, 4, n_passthrough)
+            assert built.total.entries.shape == total.shape
+            assert built.total.entries.tobytes() == total.tobytes()
+            assert built.kept_block.entries.shape == kept_block.shape
+            assert built.kept_block.entries.tobytes() == kept_block.tobytes()
+
+
+@pytest.mark.parametrize("n_copies", [1, 3])
+def test_empty_stack_builds_no_network(n_copies):
+    assert build_averaged_network(np.zeros((0, n_copies, 4, 4)), n_passthrough=2) == []
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf), 0.5], ids=["nan", "inf", "-inf", "inf-j", "non-unitary"]
+)
+def test_stack_rejects_a_bad_copy_in_its_last_set(bad):
+    """One non-finite or non-unitary entry, in the last copy of the last of
+    four sets, fails the one unitarity check over the whole stack, with no
+    RuntimeWarning from a product of non-finite entries."""
+    rng = np.random.default_rng(12)
+    stack = np.array([[random_unitary(rng, 4).entries for _ in range(3)] for _ in range(4)])
+    stack[-1, -1, 0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be unitary"):
+            build_averaged_network(stack)
+
+
+@pytest.mark.parametrize(
+    "copies, shape",
+    [
+        ([np.eye(2)], (2, 2)),
+        ([TransferMatrix(np.eye(2)), np.eye(2)], (2, 2)),
+        (np.eye(2), (2, 2)),
+        (np.eye(2)[None], (1, 2, 2)),
+        (np.ones((1, 2, 2, 3)), (1, 2, 2, 3)),
+        (np.eye(2)[None, None, None], (1, 1, 1, 2, 2)),
+    ],
+    ids=["bare-matrix", "bare-matrix-second", "2-D", "3-D", "not-square", "5-D"],
+)
+def test_build_names_the_shape_of_a_bare_matrix_or_a_bad_stack(copies, shape):
+    """A sequence takes TransferMatrix copies and a stack is (K, N, m, m):
+    anything else is a ValueError naming its shape."""
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        build_averaged_network(copies)
+
+
+def test_one_set_stack_builds_a_list_of_one_network():
+    (net,) = build_averaged_network(np.eye(2)[None, None], n_passthrough=1)
+    assert (net.n_copies, net.n_logical, net.n_passthrough) == (1, 2, 1)
+    np.testing.assert_array_equal(net.total.entries, np.eye(3))
 
 
 #: One gate copy: a Haar-random 4-mode unitary (from a seed) or a fusion gate.

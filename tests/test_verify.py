@@ -10,7 +10,7 @@ import pytest
 
 from avgfusion import cli, detection, sweep, verify
 from avgfusion.fock import StateVec, TransferMatrix
-from avgfusion.interferometers import fusion_gate
+from avgfusion.interferometers import effective_average, fusion_gate
 from avgfusion.sweep import METRIC_COLUMNS, run_cell, sample_reflectivity
 
 
@@ -77,9 +77,10 @@ def _scaled_kept_blocks(monkeypatch):
     """Every network the suite builds with its kept block 1e-6 too large."""
     build = verify.build_averaged_network
 
-    def scaled(copies):
-        net = build(copies)
-        return dataclasses.replace(net, kept_block=TransferMatrix(net.kept_block.entries * (1 + 1e-6)))
+    def scaled(stack):
+        return [
+            dataclasses.replace(net, kept_block=TransferMatrix(net.kept_block.entries * (1 + 1e-6))) for net in build(stack)
+        ]
 
     monkeypatch.setattr(verify, "build_averaged_network", scaled)
 
@@ -203,18 +204,19 @@ def _ref_haar_unitary(rng, dim):
 
 
 def test_averaging_equivalence_builds_every_network_from_the_same_draws(monkeypatch):
-    """Each copy set goes through ``build_averaged_network`` in the order the
-    draws come, Haar and fusion sets alternating, and the suite compares
-    2 x sets x 3 (network, input) pairs. The reference draws and builds one
-    matrix at a time, so the batched QR and fusion gates are pinned bit for
-    bit by a construction they do not share."""
+    """The copy sets go through ``build_averaged_network`` as one stack per
+    copy count, each set in the order the draws come, Haar and fusion sets
+    alternating, and the suite compares 2 x sets x 3 (network, input) pairs.
+    The reference draws and builds one matrix at a time, so the batched QR
+    and fusion gates are pinned bit for bit by a construction they do not share."""
     built, compared = [], []
     build, deviation = verify.build_averaged_network, verify.max_amplitude_deviation
-    monkeypatch.setattr(verify, "build_averaged_network", lambda copies: built.append(copies) or build(copies))
+    monkeypatch.setattr(verify, "build_averaged_network", lambda stack: built.append(stack) or build(stack))
     monkeypatch.setattr(verify, "max_amplitude_deviation", lambda *a: compared.append(a) or deviation(*a))
     samples, sets = 23, 4
     assert verify.check_averaging_equivalence(samples, np.random.default_rng(5)).passed
     assert len(compared) == 2 * sets * 3
+    assert [stack.shape for stack in built] == [(sets, 2, 4, 4), (sets, 3, 4, 4)]
 
     rng = np.random.default_rng(5)
     want = []
@@ -224,26 +226,49 @@ def test_averaging_equivalence_builds_every_network_from_the_same_draws(monkeypa
                 want.append([_ref_haar_unitary(rng, 4) for _ in range(n_copies)])
             else:
                 want.append([fusion_gate(ex, ey) for ex, ey in rng.uniform(0.2, 0.8, size=(n_copies, 2))])
-    assert [[c.entries.tobytes() for c in copies] for copies in built] == [
+    assert [[c.tobytes() for c in copies] for stack in built for copies in stack] == [
         [c.entries.tobytes() for c in copies] for copies in want
     ]
+
+
+@pytest.mark.parametrize("samples, sets", [(15, 3), (40, 8)])
+def test_averaging_equivalence_evolves_the_kept_blocks_then_each_sets_effective_average(monkeypatch, samples, sets):
+    """Each input goes through one stack: the kept blocks of the networks the
+    stacked builds return, in draw order, then each set's copy average, the
+    stack's mean over its copy axis, equal to `effective_average` of the set.
+    With an odd set count, each copy count has one more Haar set than fusion sets."""
+    built, evolved = [], []
+    build, apply = verify.build_averaged_network, verify.apply_transfer
+    monkeypatch.setattr(verify, "build_averaged_network", lambda stack: built.append(stack) or build(stack))
+    monkeypatch.setattr(verify, "apply_transfer", lambda t, s: evolved.append(t) or apply(t, s))
+    assert verify.check_averaging_equivalence(samples, np.random.default_rng(1001)).passed
+    copy_sets = [copies for stack in built for copies in stack]
+    kept_blocks = [net.kept_block.entries for stack in built for net in build(stack)]
+    assert len(copy_sets) == len(kept_blocks) == 2 * sets
+    assert len(evolved) == 3
+    for matrices in evolved:
+        assert matrices.shape == (4 * sets, 4, 4)
+        assert np.array_equal(matrices[: 2 * sets], kept_blocks)
+        for copies, mean in zip(copy_sets, matrices[2 * sets :], strict=True):
+            assert np.array_equal(mean, effective_average([TransferMatrix(c) for c in copies]).entries)
 
 
 def test_averaging_equivalence_fails_on_one_bad_kept_block_of_the_stack(monkeypatch):
     """Only the last set's kept block, a fusion set at N = 3 and the 16th of
     the stack's 16 kept blocks, is 1e-6 too large: the suite still fails, so
-    every (kept block, copy average) pair of the one stack is compared."""
+    every (kept block, copy average) pair of the one stack is compared. The
+    16 networks come from two stacked builds, one per copy count."""
     built = []
     build = verify.build_averaged_network
 
-    def last_scaled(copies):
-        net = build(copies)
-        built.append(len(copies))
-        if len(built) == 16:
-            net = dataclasses.replace(net, kept_block=TransferMatrix(net.kept_block.entries * (1 + 1e-6)))
-        return net
+    def last_scaled(stack):
+        nets = build(stack)
+        built.append(stack.shape[:2])
+        if len(built) == 2:
+            nets[-1] = dataclasses.replace(nets[-1], kept_block=TransferMatrix(nets[-1].kept_block.entries * (1 + 1e-6)))
+        return nets
 
     monkeypatch.setattr(verify, "build_averaged_network", last_scaled)
     rng = np.random.default_rng(1001)
     _assert_fails(verify.check_averaging_equivalence(40, rng), "M_N-equivalence")
-    assert built == [2] * 8 + [3] * 8
+    assert built == [(8, 2), (8, 3)]
