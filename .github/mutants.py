@@ -30,10 +30,16 @@ COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 #: (name, module file, the line as it is, the line as the mutant has it)
 MUTANTS = (
     (
-        "sweep._pattern_modes without the 1/sqrt(2) bunching factor of a double click",
+        "the sweep's click table without the 1/sqrt(2) bunching factor of a double click",
         "sweep.py",
-        "return modes, np.where(modes[0] == modes[1], _SQRT_HALF, 1.0)",
-        "return modes, np.where(modes[0] == modes[1], 1.0, 1.0)",
+        "_BUNCHING = np.where(_CLICK_MODES[0] == _CLICK_MODES[1], _SQRT_HALF, 1.0)",
+        "_BUNCHING = np.where(_CLICK_MODES[0] == _CLICK_MODES[1], 1.0, 1.0)",
+    ),
+    (
+        "the sweep's rail convention with the two rails of photon 1 swapped",
+        "sweep.py",
+        "_RAILS = np.array([[1, 0], [3, 2]])",
+        "_RAILS = np.array([[0, 1], [3, 2]])",
     ),
     (
         "sweep.trace_distance taking one Newton step fewer",

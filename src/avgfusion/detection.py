@@ -5,7 +5,9 @@ state onto a pattern yields the click probability together with the residual
 state on the unmeasured modes. The pattern tables ``BSM_PATTERNS``,
 ``FUSION_PATTERNS`` and ``BSM_MAP_TARGETS`` are defined in :mod:`metrics`,
 where the sweep engine reads them without loading this module, and are
-importable from here too.
+importable from here too. ``FUSION_PATTERNS`` is no table of its own: it
+names four of the ten ``BSM_PATTERNS`` by their fused rails (HH = ac,
+VV = bd, HV = ad, VH = bc), the rows the sweep's fusion reads.
 """
 
 from __future__ import annotations

@@ -56,7 +56,10 @@ from .fock import TransferMatrix, _int_tuple
 
 
 def _check_reflectivity(name: str, eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
+    eta = np.asarray(eta)
+    if np.iscomplexobj(eta):  # a float cast would drop the imaginary part
+        raise ValueError(f"{name} must be real, got {eta.dtype} values")
+    eta = eta.astype(float, copy=False)
     outside = eta[~((eta >= 0.0) & (eta <= 1.0))]
     if outside.size:
         raise ValueError(f"{name} must lie in [0, 1], got {outside[0]}")

@@ -43,13 +43,10 @@ _BALANCED_SUPPORT: dict[str, frozenset[str]] = {
     for label in BELL_LABELS
 }
 
-#: Success patterns of a polarization fusion gate on its (H1, V1, H2, V2)
-#: outputs: one photon in each port, keyed by which rails fired.
+#: Success patterns of a polarization fusion gate on its (H1, V1, H2, V2) outputs,
+#: keyed by which rails fired: the four ``BSM_PATTERNS`` with one photon per qubit.
 FUSION_PATTERNS: dict[str, tuple[int, int, int, int]] = {
-    "HH": (1, 0, 1, 0),
-    "VV": (0, 1, 0, 1),
-    "HV": (1, 0, 0, 1),
-    "VH": (0, 1, 1, 0),
+    rails: BSM_PATTERNS[label] for rails, label in (("HH", "ac"), ("VV", "bd"), ("HV", "ad"), ("VH", "bc"))
 }
 
 _BELL_KETS = {
@@ -91,11 +88,12 @@ def normalized_fidelity(f, p):
     Values beyond 1 + 1e-9 indicate a numerical anomaly and are clamped to 1,
     with one warning per clamped value; tiny float excursions above 1 are
     returned as-is. Scalars give a float. A success probability that is not
-    positive (zero, negative or NaN) raises ``ValueError``.
+    positive and finite (zero, negative, infinite or NaN) raises ``ValueError``.
     """
     f, p = np.asarray(f, dtype=float), np.asarray(p, dtype=float)
-    if not np.all(p > 0.0):
-        raise ValueError(f"success probability must be positive, got {np.min(p)}")
+    valid = (p > 0.0) & (p < np.inf)
+    if not valid.all():
+        raise ValueError(f"success probability must be positive and finite, got {p[~valid][0]}")
     ratio = f / p
     clamped = ratio > 1.0 + 1e-9
     for value in ratio[clamped]:

@@ -19,9 +19,10 @@ derives both). Stage 1 takes those copy means from the (B, 2, N) draws of
 one block and one copy count N: mean(f f^T) for fusion and trace-distance,
 the feature sums and N for bsm. It is the only step that reads the copy
 axis. Stage 2 builds M_N from them and every metric column of a block, from
-the 2x2 permanents of M_N per click pattern the experiment reads. The trace
-column reads stage 1 directly: :func:`trace_distance` takes the largest
-eigenvalue of J/2 - mean(f f^T), so ``trace-distance`` builds no M_N.
+rows of one ten-pattern amplitude table: the 2x2 permanents of M_N per click
+pattern, one photon per qubit on one rail convention (:func:`_pair_amplitudes`).
+The trace column reads stage 1 directly: :func:`trace_distance` takes the
+largest eigenvalue of J/2 - mean(f f^T), so ``trace-distance`` builds no M_N.
 
 Blocks: both stages run over fixed blocks of ``_BLOCK`` trials that cross
 cells and copy counts (stage 1 once per copy count in a block) into one
@@ -223,17 +224,17 @@ def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, tr
     return rng
 
 
-def _pattern_modes(patterns) -> tuple[np.ndarray, np.ndarray]:
-    """The (2, P) table of the two modes each two-photon click pattern on the
-    four gate modes fills (the same mode twice for a double click), and the
-    (P,) bunching factor of each pattern, 1/sqrt(2) for a double click."""
-    modes = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in patterns]).T
-    return modes, np.where(modes[0] == modes[1], _SQRT_HALF, 1.0)
-
-
-#: The fusion reads its four success patterns, HH first; the analyzer all ten.
-_FUSION_MODES = _pattern_modes(FUSION_PATTERNS.values())
-_BSM_MODES = _pattern_modes(BSM_PATTERNS.values())
+#: The one click table, over the ten ``BSM_PATTERNS`` in order: the (2, 10) modes
+#: each fills (one mode twice for a double click), each one's bunching factor
+#: (1/sqrt(2) for a double click), and the one rail convention of both
+#: experiments: photon 1 on modes (V1, H1) = (1, 0), photon 2 on (V2, H2) = (3, 2).
+#: The fusion reads its four success rows, HH first, on the full 2x2 rail block;
+#: the analyzer all ten rows on the two psi rail pairs, (1, 0) then (0, 1).
+_CLICK_MODES = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in BSM_PATTERNS.values()]).T
+_BUNCHING = np.where(_CLICK_MODES[0] == _CLICK_MODES[1], _SQRT_HALF, 1.0)
+_RAILS = np.array([[1, 0], [3, 2]])
+_FUSION_ROWS = [list(BSM_PATTERNS.values()).index(p) for p in FUSION_PATTERNS.values()]
+_RAIL_BLOCK, _PSI_RAILS = ([[0], [1]], [[0, 1]]), ([1, 0], [0, 1])
 
 #: phi+ on a fusion Kraus block's diagonal (HH, VV); the analyzer's psi+ image per pattern.
 _PHI_PLUS_DIAGONAL = np.full(2, _SQRT_HALF)
@@ -243,19 +244,19 @@ _BSM_TARGET = np.array([BSM_MAP_TARGETS["psi+"].get(p, 0.0) for p in BSM_PATTERN
 _BALANCED_PRODUCTS = _fusion_products([0.5], [0.5])
 
 
-def _pair_amplitudes(mean: np.ndarray, modes, i, j) -> np.ndarray:
-    """Click amplitudes of one photon entering mode i and one entering mode j.
+def _pair_amplitudes(mean: np.ndarray, rows, rails) -> np.ndarray:
+    """Rows of the one click table for photon 1 on rail r1 and photon 2 on rail r2.
 
-    ``mean`` has shape (S, 4, 4), ``modes`` is a :func:`_pattern_modes` table
-    of P patterns, and the mode indices broadcast to a shape B. Entry
-    (s, p, *b) is the permanent M[k,i]M[l,j] + M[l,i]M[k,j] of trial s for
-    the modes (k, l) of pattern p, times its bunching factor.
+    ``mean`` is (S, 4, 4), ``rows`` indexes P rows, and ``rails`` = (r1, r2)
+    broadcast to a shape B. Entry (s, p, *b) is the permanent
+    M[k,i]M[l,j] + M[l,i]M[k,j] of trial s, for the modes (k, l) of row p and
+    i = _RAILS[0][r1], j = _RAILS[1][r2], times the row's bunching factor.
     """
+    i, j = _RAILS[0][rails[0]], _RAILS[1][rails[1]]
     shape = (-1,) + (1,) * np.broadcast(i, j).ndim
-    pairs, bunching = modes
-    k, l = pairs.reshape(2, *shape)
+    k, l = _CLICK_MODES[:, rows].reshape(2, *shape)
     m = mean.transpose(1, 2, 0).copy()  # trials last: each product runs along contiguous trials
-    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * bunching.reshape(*shape, 1)
+    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * _BUNCHING[rows].reshape(*shape, 1)
     return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
 
 
@@ -303,7 +304,7 @@ def _fusion_metrics(products: np.ndarray) -> tuple[np.ndarray, ...]:
     the sorted spectator-ket order, which fixes how P_HH and P_single sum.
     """
     mean = _fusion_matrices(products)
-    kraus = _SQRT_HALF * _SQRT_HALF * _pair_amplitudes(mean, _FUSION_MODES, [[1], [0]], [[3, 2]])
+    kraus = _SQRT_HALF * _SQRT_HALF * _pair_amplitudes(mean, _FUSION_ROWS, _RAIL_BLOCK)
     prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
     f_hh = fidelity(np.diagonal(kraus[:, 0], axis1=-2, axis2=-1), _PHI_PLUS_DIAGONAL)
     p_hh = prob[:, 0]
@@ -317,7 +318,7 @@ def _bsm_metrics(sums_n: np.ndarray) -> tuple[np.ndarray, ...]:
     """Bell-state analyzer on a psi+ input, one trial per row of the (B, 5)
     feature copy sums, each followed by its copy count N."""
     sums, n = sums_n[:, :4], sums_n[:, 4]
-    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums / n[:, None]), _BSM_MODES, [0, 1], [3, 2])
+    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums / n[:, None]), slice(None), _PSI_RAILS)
     out = amp[..., 0] + amp[..., 1]
     f = fidelity(out, _BSM_TARGET)
     p_success = np.sum(np.abs(out) ** 2, axis=-1)

@@ -19,8 +19,9 @@ from avgfusion.fock import StateVec, TransferMatrix, apply_transfer, norm_sq
 from avgfusion.interferometers import _bsm_matrices, bsm_matrix, effective_average, fusion_gate
 from avgfusion.metrics import _SQRT_HALF, BSM_PATTERNS, FUSION_PATTERNS, bell_state, fidelity, trace_distance
 from avgfusion.sweep import (
-    _BSM_MODES,
-    _FUSION_MODES,
+    _FUSION_ROWS,
+    _PSI_RAILS,
+    _RAIL_BLOCK,
     _feature_sums,
     _pair_amplitudes,
     run_cell,
@@ -50,45 +51,40 @@ def reflectivity_draws(draw):
     return n, draw(st.lists(eta, min_size=2 * n, max_size=2 * n))
 
 
-@pytest.mark.parametrize(
-    "modes, patterns", [(_BSM_MODES, BSM_PATTERNS), (_FUSION_MODES, FUSION_PATTERNS)], ids=["bsm", "fusion"]
-)
+#: The rail convention, written out: photon 1 on modes (V1, H1) = (1, 0), photon 2 on (V2, H2) = (3, 2).
+RAIL_MODES = ((1, 0), (3, 2))
+
+#: The phi rail pairs, (1, 1) then (0, 0): the diagonal of the rail block, modes (0, 2) then (1, 3).
+PHI_RAILS = ([1, 0], [1, 0])
+
+
 @PROPERTY
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_pair_amplitudes_match_apply_transfer(modes, patterns, seed):
-    """Every click pattern of each mode table, the analyzer's doubles included,
-    for all six input mode pairs on a stack of random non-unitary matrices, in
-    both index shapes the engine uses: a (2, 1) x (1, 2) block and a (2,) x (2,)
-    list of pairs. The analyzer's ten patterns hold the whole output state."""
+def test_pair_amplitudes_match_apply_transfer(seed):
+    """All ten rows of the click table, and the fusion's four, at all four
+    rail pairs, on a stack of random complex non-unitary matrices, in the
+    index shapes the engine and the phi test use: the full 2x2 rail block,
+    the psi pairs and the phi pairs. The double clicks carry the table's 1/sqrt(2), which must
+    meet the network's sqrt(2!); the ten rows hold the whole output state."""
     rng = np.random.default_rng(seed)
     mean = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     pairs = set()
-    for i, j in (([[0], [1]], [[2, 3]]), ([0, 2], [1, 3])):
-        out = _pair_amplitudes(mean, modes, i, j)
-        i, j = np.broadcast_arrays(i, j)
-        assert out.shape == (3, len(patterns), *i.shape)
-        for s, b in itertools.product(range(3), np.ndindex(i.shape)):
-            pairs.add((i[b], j[b]))
-            ket = tuple(int(mode in (i[b], j[b])) for mode in range(4))
-            expected = apply_transfer(TransferMatrix(mean[s]), StateVec.from_ket(ket))
-            for p, pattern in enumerate(patterns.values()):
-                assert out[(s, p, *b)] == pytest.approx(expected.amplitude(pattern), abs=TOL)
-            if patterns is BSM_PATTERNS:
-                assert np.sum(np.abs(out[(s, slice(None), *b)]) ** 2) == pytest.approx(norm_sq(expected), rel=1e-12)
-    assert pairs == set(itertools.combinations(range(4), 2))
-
-
-def test_fusion_mode_table_is_four_columns_of_the_analyzers():
-    """The fusion's four-pattern amplitudes, HH first, are the analyzer table's
-    columns of those patterns bit for bit, on the fusion's Kraus index block."""
-    mean = np.random.default_rng(5).standard_normal((50, 4, 4))
-    labels = list(BSM_PATTERNS.values())
-    columns = [labels.index(pattern) for pattern in FUSION_PATTERNS.values()]
-    assert list(FUSION_PATTERNS)[0] == "HH"
-    four = _pair_amplitudes(mean, _FUSION_MODES, [[1], [0]], [[3, 2]])
-    ten = _pair_amplitudes(mean, _BSM_MODES, [[1], [0]], [[3, 2]])
-    assert four.shape == (50, 4, 2, 2)
-    assert four.tobytes() == np.ascontiguousarray(ten[:, columns]).tobytes()
+    for rows, patterns in ((slice(None), BSM_PATTERNS), (_FUSION_ROWS, FUSION_PATTERNS)):
+        for rails in (_RAIL_BLOCK, _PSI_RAILS, PHI_RAILS):
+            out = _pair_amplitudes(mean, rows, rails)
+            r1, r2 = np.broadcast_arrays(*rails)
+            assert out.shape == (3, len(patterns), *r1.shape)
+            for s, b in itertools.product(range(3), np.ndindex(r1.shape)):
+                pairs.add((r1[b], r2[b]))
+                i, j = RAIL_MODES[0][r1[b]], RAIL_MODES[1][r2[b]]
+                ket = tuple(int(mode in (i, j)) for mode in range(4))
+                expected = apply_transfer(TransferMatrix(mean[s]), StateVec.from_ket(ket))
+                for p, pattern in enumerate(patterns.values()):
+                    assert out[(s, p, *b)] == pytest.approx(expected.amplitude(pattern), abs=TOL)
+                if patterns is BSM_PATTERNS:
+                    whole = np.sum(np.abs(out[(s, slice(None), *b)]) ** 2)
+                    assert whole == pytest.approx(norm_sq(expected), rel=1e-12)
+    assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -100,8 +96,8 @@ def test_psi_plus_never_reaches_six_analyzer_patterns(n):
     and the phi test below see their 1/sqrt(2); a phi input reaches them."""
     etas = sample_reflectivity(np.random.default_rng(n), 0.5, (2000, 2, n))
     sums_n = _feature_sums(etas[:, 0], etas[:, 1])
-    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums_n[:, :4] / n), _BSM_MODES, [0, 1], [3, 2])
-    out = amp[..., 0] + amp[..., 1]  # the analyzer's psi+ image, as _bsm_metrics forms it
+    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums_n[:, :4] / n), slice(None), ([1, 0], [0, 1]))
+    out = amp[..., 0] + amp[..., 1]  # the analyzer's psi+ image on modes (0, 3) and (1, 2), as _bsm_metrics forms it
     never = ["a2", "b2", "c2", "d2", "ac", "bd"]
     labels = list(BSM_PATTERNS)
     assert not out[:, [labels.index(label) for label in never]].any()
@@ -117,12 +113,12 @@ def test_phi_inputs_through_the_averaged_analyzer_match_the_fock_network(n, labe
     """phi+- put both photons on one polarization, so the analyzer sends them
     to the double clicks a2, b2, c2, d2 that psi+ never reaches, where the
     engine's 1/sqrt(2) bunching factor meets the network's sqrt(2!). Per
-    trial, the engine's click amplitudes of phi+- (modes 0, 2 and 1, 3)
-    against the Fock network: one stacked evolution of the kept blocks of
-    the sampled averaging networks."""
+    trial, the engine's click amplitudes of phi+- (the diagonal rail pairs
+    (1, 1) and (0, 0), modes 0, 2 and 1, 3) against the Fock network: one
+    stacked evolution of the kept blocks of the sampled averaging networks."""
     etas = sample_reflectivity(np.random.default_rng(100 + n), 0.5, (20, 2, n))
     sums_n = _feature_sums(etas[:, 0], etas[:, 1])
-    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums_n[:, :4] / n), _BSM_MODES, [0, 1], [2, 3])
+    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums_n[:, :4] / n), slice(None), PHI_RAILS)
     out = amp[..., 0] + sign * amp[..., 1]
     blocks = [build_averaged_network(map(bsm_matrix, eta_h, eta_v)).kept_block.entries for eta_h, eta_v in etas]
     kept = apply_transfer(np.array(blocks), bell_state(label))

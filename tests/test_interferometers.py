@@ -67,6 +67,9 @@ def test_constructors_reject_out_of_range():
         for eta_1, eta_2 in ((1.2, 0.5), (0.5, -0.01), (float("nan"), 0.5)):
             with pytest.raises(ValueError):
                 constructor(eta_1, eta_2)
+        for complex_eta in (0.5 + 0.3j, np.array([0.5 + 0.3j])):
+            with pytest.raises(ValueError, match="must be real"):
+                constructor(0.5, complex_eta)
 
 
 def _printed_block(eta):

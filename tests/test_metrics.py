@@ -67,7 +67,7 @@ def test_normalized_fidelity():
     assert normalized_fidelity(0.125, 0.125) == pytest.approx(1.0)
     assert normalized_fidelity(0.0, 0.3) == 0.0
     assert type(normalized_fidelity(0.1, 0.3)) is float
-    for p in (0.0, -0.1, float("nan")):
+    for p in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             normalized_fidelity(0.5, p)
     with pytest.warns(RuntimeWarning):

@@ -436,6 +436,7 @@ def _one_bad_eta(value):
         pytest.param(_one_bad_eta(np.nan), "got nan", id="NaN"),
         pytest.param(_one_bad_eta(1.2), "got 1.2", id="1.2"),
         pytest.param(_one_bad_eta(-0.01), "got -0.01", id="-0.01"),
+        pytest.param(np.full((1, 2, 1), 0.5 + 0.3j), "etas must be real", id="complex"),
     ],
 )
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
