@@ -126,6 +126,12 @@ MUTANTS = (
         "np.max(np.abs(cell.metrics[sim] - cell.metrics[sim]))",
     ),
     (
+        "verify.check_averaging_equivalence comparing the kept half of each stacked evolution with itself",
+        "verify.py",
+        "devs += _row_deviations(amps[:k], amps[k:])",
+        "devs += _row_deviations(amps[:k], amps[:k])",
+    ),
+    (
         "verify._haar_unitaries fixing the QR phases on rows instead of columns (still unitary)",
         "verify.py",
         "return q * (d / np.abs(d))[..., None, :]",

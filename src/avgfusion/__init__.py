@@ -32,7 +32,7 @@ _EXPORTS = {
     "averaging": ("AveragedNetwork", "build_averaged_network", "run_averaged"),
     "closed_form": ("bsm_closed_forms",),
     "detection": ("DetectionPattern", "FusionOutcome", "fusion_outcomes", "pattern_probabilities", "pattern_support", "project_pattern"),
-    "fock": ("FockKet", "StateVec", "TransferMatrix", "apply_transfer", "inner_product", "norm_sq", "tensor"),
+    "fock": ("FockKet", "StateStack", "StateVec", "TransferMatrix", "apply_transfer", "inner_product", "norm_sq", "tensor"),
     "interferometers": ("bsm_matrix", "dft_matrix", "direct_sum", "effective_average", "fusion_gate"),
     "metrics": ("BELL_LABELS", "BSM_PATTERNS", "FUSION_PATTERNS", "bell_state", "fidelity", "normalized_fidelity", "trace_distance"),
     "svgplot": ("render_sweep_svg", "write_svg"),

@@ -2,7 +2,9 @@
 
 A detection pattern fixes the photon count on a subset of modes. Projecting a
 state onto a pattern yields the click probability together with the residual
-state on the unmeasured modes. The pattern tables ``BSM_PATTERNS``,
+state on the unmeasured modes. The states of a stacked evolution
+(`fock.StateStack`) are projected from its amplitude array, all rows at once,
+each probability with the bits its row's own projection gives. The pattern tables ``BSM_PATTERNS``,
 ``FUSION_PATTERNS`` and ``BSM_MAP_TARGETS`` are defined in :mod:`metrics`,
 where the sweep engine reads them without loading this module, and are
 importable from here too. ``FUSION_PATTERNS`` is no table of its own: it
@@ -15,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .fock import StateVec, _int_tuple, apply_transfer
+import numpy as np
+
+from .fock import StateStack, StateVec, _int_tuple, apply_transfer
 from .interferometers import bsm_matrix
 from .metrics import BSM_MAP_TARGETS, BSM_PATTERNS, FUSION_PATTERNS, bell_state
 
@@ -65,25 +69,57 @@ def project_pattern(state: StateVec, pattern: DetectionPattern) -> tuple[StateVe
 
 def _project_each(state: StateVec, pattern: DetectionPattern, counts_list) -> list[tuple[StateVec, float]]:
     """`project_pattern` onto the modes of `pattern` for each of several
-    distinct count tuples, in one pass over the kets.
+    distinct count tuples at once.
 
     Each ket goes to the count tuple its measured modes show, so every
     residual and probability accumulates in ket order, as its own
     projection would.
     """
-    if any(m >= state.mode_count for m in pattern.modes):
-        raise ValueError(f"pattern {pattern} references modes beyond {state.mode_count}")
+    slots = _slots(state.kets(), state.mode_count, pattern, counts_list)
     keep = [i for i in range(state.mode_count) if i not in pattern.modes]
-    measured, residual = _picker(pattern.modes), _picker(keep)
-    slot = {counts: i for i, counts in enumerate(counts_list)}
-    amps = [{} for _ in slot]
-    probs = [0.0] * len(slot)
-    for ket, a in state.items():
-        i = slot.get(measured(ket))
+    residual = _picker(keep)
+    amps = [{} for _ in counts_list]
+    rows = []
+    for (ket, a), i in zip(state.items(), slots):
         if i is not None:
             amps[i][residual(ket)] = a
-            probs[i] += abs(a) ** 2
+            rows.append((i, (a,)))
+    probs = _slot_probabilities(rows, len(amps), 1)[:, 0].tolist()
     return [(StateVec._built(len(keep), amp), prob) for amp, prob in zip(amps, probs)]
+
+
+def _stack_probabilities(stack: StateStack, pattern: DetectionPattern, counts_list) -> np.ndarray:
+    """The (K, len(counts_list)) probabilities of the count tuples on the
+    modes of `pattern` for each state of a stack, read from its amplitude
+    array: row k has the bits `_project_each` gives ``stack[k]``."""
+    slots = _slots(stack.kets, stack.mode_count, pattern, counts_list)
+    rows = [(i, row) for i, row in zip(slots, stack.amplitudes.T.tolist()) if i is not None]
+    return _slot_probabilities(rows, len(counts_list), len(stack)).T
+
+
+def _slots(kets, mode_count: int, pattern: DetectionPattern, counts_list) -> list:
+    """Per ket, the index in `counts_list` of the counts it shows on the
+    modes of `pattern`, or None if it shows none of them."""
+    if any(m >= mode_count for m in pattern.modes):
+        raise ValueError(f"pattern {pattern} references modes beyond {mode_count}")
+    measured = _picker(pattern.modes)
+    slot = {counts: i for i, counts in enumerate(counts_list)}
+    return [slot.get(measured(ket)) for ket in kets]
+
+
+def _slot_probabilities(rows, n: int, k: int) -> np.ndarray:
+    """The (n, k) probabilities of n count tuples from (slot, k amplitudes)
+    ``rows``, one per ket in ket order: the one implementation behind every
+    pattern probability.
+
+    A ket's probability is Python's ``abs(a) ** 2`` (numpy's complex modulus
+    and square round differently), and each slot adds its kets' in ket order,
+    from 0.0: a cumulative sum over the ket axis, where ``np.sum`` may pair terms.
+    """
+    squares = np.zeros((n, len(rows) + 1, k))
+    for j, (i, row) in enumerate(rows, start=1):
+        squares[i, j] = [abs(a) ** 2 for a in row]
+    return np.cumsum(squares, axis=1)[:, -1]
 
 
 def _picker(indices):
@@ -115,12 +151,18 @@ def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[s
     The analyzer measures every mode, so each probability is the squared
     modulus of one output amplitude.
     """
-    return _click_probabilities(apply_transfer(bsm_matrix(eta_h, eta_v), bell_state(bell_label)))
+    out = apply_transfer(bsm_matrix(eta_h, eta_v).entries[None], bell_state(bell_label))
+    return dict(zip(BSM_PATTERNS, _stack_click_probabilities(out)[0].tolist()))
 
 
-def _click_probabilities(state: StateVec) -> dict[str, float]:
-    """Click probability of every analyzer pattern on an analyzer's output state."""
-    return {label: abs(state.amplitude(pattern)) ** 2 for label, pattern in BSM_PATTERNS.items()}
+def _stack_click_probabilities(stack: StateStack) -> np.ndarray:
+    """The (K, 10) click probabilities of a stack of analyzer outputs, columns
+    in ``BSM_PATTERNS`` order, read by the column index of each pattern's
+    ket: each is Python's ``abs(a) ** 2`` of one amplitude of the row."""
+    column = {ket: i for i, ket in enumerate(stack.kets)}
+    columns = [column.get(ket) for ket in BSM_PATTERNS.values()]
+    probs = [[0.0 if i is None else abs(row[i]) ** 2 for i in columns] for row in stack.amplitudes.tolist()]
+    return np.array(probs).reshape(len(stack), len(columns))
 
 
 #: Click probability above which a pattern counts as possible.

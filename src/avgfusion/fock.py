@@ -29,6 +29,12 @@ entries, so a row that is zero in one matrix adds exactly 0 to its terms. The
 finiteness check and the prune then run on the (K, kets) array of the output.
 Where the matrices share their support, as samples of one gate family do, each
 state keeps the ket order its matrix alone gives.
+
+A stacked evolution returns that array as a `StateStack`: the expansion's
+ket list and the read-only (K, kets) amplitudes, a pruned entry exactly 0.
+It is a sequence of K states, each `StateVec` built from its row on demand,
+so readers of many rows, such as the self-check suites, compare and project
+the rows as arrays instead.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -235,7 +243,63 @@ def _occupations(modes: tuple[int, ...], m: int) -> FockKet:
     return tuple(occ)
 
 
-def apply_transfer(T: TransferMatrix | np.ndarray, s: StateVec) -> StateVec | list[StateVec]:
+class StateStack(Sequence):
+    """The K states of one stacked evolution, kept as one amplitude array.
+
+    ``kets`` is the expansion's ket list, in expansion order, and
+    ``amplitudes`` a read-only (K, len(kets)) complex array, row k the state
+    through matrix k; an amplitude at or below `PRUNE_TOL` is exactly 0.
+    The record is a sequence of K `StateVec`s: ``stack[k]`` builds row k's
+    state, its nonzero kets in expansion order. Readers that need many rows
+    read ``amplitudes`` instead. Instances are immutable.
+    """
+
+    __slots__ = ("_mode_count", "_kets", "_amplitudes")
+
+    def __init__(self, mode_count: int, kets, amplitudes):
+        """Stack of the (K, len(kets)) ``amplitudes`` over ``kets``, which
+        `apply_transfer` derived itself, so they are not checked. Like
+        `StateVec._built`, it prunes and rejects a non-finite amplitude."""
+        kets = tuple(kets)
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.ndim != 2 or amps.shape[1] != len(kets):
+            raise ValueError(f"amplitudes must have shape (K, {len(kets)}), got {amps.shape}")
+        bad = np.argwhere(~np.isfinite(amps))
+        if len(bad):
+            row, i = bad[0]
+            raise ValueError(f"non-finite amplitude {complex(amps[row, i])} for ket {kets[i]}")
+        amps[np.abs(amps) <= PRUNE_TOL] = 0
+        amps.flags.writeable = False
+        self._mode_count, self._kets, self._amplitudes = mode_count, kets, amps
+
+    @property
+    def mode_count(self) -> int:
+        return self._mode_count
+
+    @property
+    def kets(self) -> tuple[FockKet, ...]:
+        return self._kets
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The (K, kets) amplitudes, complex and read-only."""
+        return self._amplitudes
+
+    def __len__(self) -> int:
+        return len(self._amplitudes)
+
+    def __getitem__(self, k: int) -> StateVec:
+        row = self._amplitudes[operator.index(k)].tolist()  # IndexError past the end ends iteration
+        state = object.__new__(StateVec)
+        state.mode_count = self._mode_count
+        state._amp = {ket: a for ket, a in zip(self._kets, row) if a}
+        return state
+
+    def __repr__(self) -> str:
+        return f"StateStack({len(self)} states, {self._mode_count} modes, {len(self._kets)} kets)"
+
+
+def apply_transfer(T: TransferMatrix | np.ndarray, s: StateVec) -> StateVec | StateStack:
     """Evolve a state through a transfer matrix, or through each of a stack.
 
     Each creation operator is substituted, a_j^dag -> sum_l T[l, j] a_l^dag,
@@ -244,19 +308,22 @@ def apply_transfer(T: TransferMatrix | np.ndarray, s: StateVec) -> StateVec | li
     Unitary T preserves the squared norm; a general T may scale it.
 
     ``T`` is a `TransferMatrix`, giving one state, or a (K, d, d) array of K
-    matrices of one size, giving the list of K evolved states in stack order
-    from one expansion (see the module docstring); a (0, d, d) stack gives
-    ``[]``. A `TransferMatrix` evolves as a stack of one.
+    matrices of one size, giving the `StateStack` of the K evolved states in
+    stack order from one expansion (see the module docstring); a (0, d, d)
+    stack gives an empty one. A `TransferMatrix` evolves as a stack of one.
     """
     one = isinstance(T, TransferMatrix)
     stack = T.entries[None] if one else np.asarray(T, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"transfer matrix stack must have shape (K, d, d), got {stack.shape}")
     _check_dim(stack.shape[2], s)
-    if not len(stack):
-        return []
-    states = _split(_expand(_stack_columns(stack), s), len(stack), s.mode_count)
-    return states[0] if one else states
+    acc = _expand(_stack_columns(stack), s)
+    kets = [_occupations(key, s.mode_count) for key in acc]
+    amps = np.empty((len(kets), len(stack)), dtype=complex)
+    for i, c in enumerate(acc.values()):
+        amps[i] = c  # a photon-free ket's coefficient is one complex for every matrix
+    out = StateStack(s.mode_count, kets, amps.T)
+    return out[0] if one else out
 
 
 def _check_dim(dim: int, s: StateVec) -> None:
@@ -293,25 +360,3 @@ def _expand(columns, s: StateVec) -> dict:
         for key, c in terms.items():
             acc[key] = acc.get(key, 0j) + c * _sqrt_fact_prod(key)
     return acc
-
-
-def _split(acc: dict, k: int, m: int) -> list[StateVec]:
-    """The K states of a stacked expansion's coefficients, each pruned and
-    checked for finiteness on the (K, kets) array as `StateVec._built` would."""
-    kets = [_occupations(key, m) for key in acc]
-    amps = np.empty((len(kets), k), dtype=complex)
-    for i, c in enumerate(acc.values()):
-        amps[i] = c  # a photon-free ket's coefficient is one complex for every matrix
-    amps = amps.T
-    bad = np.argwhere(~np.isfinite(amps))
-    if len(bad):
-        row, i = bad[0]
-        raise ValueError(f"non-finite amplitude {complex(amps[row, i])} for ket {kets[i]}")
-    kept = (np.abs(amps) > PRUNE_TOL).tolist()
-    states = []
-    for row, keep in zip(amps.tolist(), kept):
-        state = object.__new__(StateVec)
-        state.mode_count = m
-        state._amp = {ket: a for ket, a, ok in zip(kets, row, keep) if ok}
-        states.append(state)
-    return states

@@ -88,12 +88,16 @@ def normalized_fidelity(f, p):
     Values beyond 1 + 1e-9 indicate a numerical anomaly and are clamped to 1,
     with one warning per clamped value; tiny float excursions above 1 are
     returned as-is. Scalars give a float. A success probability that is not
-    positive and finite (zero, negative, infinite or NaN) raises ``ValueError``.
+    positive and finite (zero, negative, infinite or NaN), or a fidelity that
+    is negative or not finite, raises ``ValueError`` naming the value.
     """
     f, p = np.asarray(f, dtype=float), np.asarray(p, dtype=float)
     valid = (p > 0.0) & (p < np.inf)
     if not valid.all():
         raise ValueError(f"success probability must be positive and finite, got {p[~valid][0]}")
+    valid = (f >= 0.0) & (f < np.inf)
+    if not valid.all():
+        raise ValueError(f"fidelity must be non-negative and finite, got {f[~valid][0]}")
     ratio = f / p
     clamped = ratio > 1.0 + 1e-9
     for value in ratio[clamped]:

@@ -15,10 +15,25 @@ import numpy as np
 
 from .averaging import build_averaged_network
 from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
-from .detection import SUPPORT_THRESHOLD, _click_probabilities, fusion_outcomes
+from .detection import (
+    SUPPORT_THRESHOLD,
+    DetectionPattern,
+    _stack_click_probabilities,
+    _stack_probabilities,
+    fusion_outcomes,
+)
 from .fock import StateVec, apply_transfer
 from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix
-from .metrics import _BALANCED_SUPPORT, _SQRT_HALF, BELL_LABELS, BSM_MAP_TARGETS, bell_state, fidelity
+from .metrics import (
+    _BALANCED_SUPPORT,
+    _SQRT_HALF,
+    BELL_LABELS,
+    BSM_MAP_TARGETS,
+    BSM_PATTERNS,
+    FUSION_PATTERNS,
+    bell_state,
+    fidelity,
+)
 from .sweep import _run_cells, sample_reflectivity
 
 FUSION_TABLE_GRID = 5  # points per reflectivity axis that check_fusion_table scans
@@ -71,6 +86,15 @@ def max_amplitude_deviation(state: StateVec, reference) -> float:
     return _worst([abs(state.amplitude(k) - ref.get(k, 0.0)) for k in kets])
 
 
+def _row_deviations(amplitudes: np.ndarray, reference) -> list[float]:
+    """Largest |amplitude difference| of each row of a (K, kets) amplitude
+    array from ``reference``, an array over the same kets; the bits of
+    `max_amplitude_deviation`, whose Python ``abs`` is ``hypot`` (numpy's
+    complex modulus rounds differently)."""
+    diff = amplitudes - reference
+    return np.hypot(diff.real, diff.imag).max(axis=1, initial=0.0).tolist()
+
+
 def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
     """Haar-random unitaries from standard normals (..., 2, d, d), the real and
     imaginary parts of each; one stacked QR, the same bits as one per matrix."""
@@ -96,7 +120,7 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
     3. Evolve: a kept block has 4 modes whatever N is, so each input goes once
        through one stack of every set's kept block, which is `run_averaged` on
        each, followed by every set's copy average, the stack's mean over its
-       copy axis; the two halves are compared pair by pair.
+       copy axis; the two halves of its amplitude array are compared row by row.
     """
     inputs = [
         bell_state("psi+"),
@@ -121,11 +145,11 @@ def check_averaging_equivalence(samples: int, rng: np.random.Generator) -> Suite
     # Only the kept blocks outlive the builds: each network's full matrix is freed with it.
     kept_blocks = [net.kept_block.entries for stack in stacks for net in build_averaged_network(stack)]
     matrices = np.concatenate([kept_blocks, *(stack.mean(axis=1) for stack in stacks)])
+    k = len(kept_blocks)
     devs = []
     for state in inputs:
-        out = apply_transfer(matrices, state)
-        pairs = zip(out[: len(kept_blocks)], out[len(kept_blocks) :])
-        devs += [max_amplitude_deviation(kept, direct) for kept, direct in pairs]
+        amps = apply_transfer(matrices, state).amplitudes
+        devs += _row_deviations(amps[:k], amps[k:])
     return _result("M_N-equivalence", devs, 1e-10)
 
 
@@ -153,14 +177,18 @@ def check_fusion_table() -> SuiteResult:
     is 1 and post-selection over no ancillas keeps every ket), which
     `tests/test_averaging.py` pins. The perfect gate and the grid's gates
     come from one `_fusion_gates` call, the same bits as `fusion_gate` at
-    each point, and the input goes once through the stack of the 26.
+    each point, and the input goes once through the stack of the 26. The
+    grid's pattern probabilities come from one stacked projection; only the
+    perfect gate's output becomes a state, for its residuals.
     """
     grid = np.linspace(0.05, 0.95, FUSION_TABLE_GRID)
     eta_x, eta_y = (np.concatenate(([0.5], axis.ravel())) for axis in np.meshgrid(grid, grid, indexing="ij"))
     gates = np.zeros((len(eta_x), 8, 8))
     gates[:, :4, :4] = _fusion_gates(eta_x[:, None], eta_y[:, None])
     gates[:, 4:, 4:] = np.eye(4)
-    perfect, *points = (fusion_outcomes(out, (0, 1, 2, 3)) for out in apply_transfer(gates, _fusion_input()))
+    out = apply_transfer(gates, _fusion_input())
+    rails = (0, 1, 2, 3)
+    perfect = fusion_outcomes(out[0], rails)
     devs = []
     targets = {"HH": "phi+", "VV": "phi+", "HV": "psi+", "VH": "psi+"}
     for label, bell in targets.items():
@@ -168,10 +196,9 @@ def check_fusion_table() -> SuiteResult:
         devs.append(abs(outcome.probability - 0.125))
         conditional = fidelity(outcome.residual, bell_state(bell)) / outcome.probability
         devs.append(abs(1.0 - conditional))
-    for out in points:
-        p = {lbl: o.probability for lbl, o in out.items()}
-        devs.append(abs(sum(p.values()) - 0.5))
-        devs += [abs(p["HH"] - p["VV"]), abs(p["HV"] - p["VH"])]
+    probs = _stack_probabilities(out, DetectionPattern(rails, FUSION_PATTERNS["HH"]), FUSION_PATTERNS.values())
+    p = dict(zip(FUSION_PATTERNS, probs[1:].T))  # each label's column over the grid
+    devs += [*abs(sum(p.values()) - 0.5), *abs(p["HH"] - p["VV"]), *abs(p["HV"] - p["VH"])]
     return _result("fusion-pattern-table", devs, 1e-12)
 
 
@@ -191,7 +218,9 @@ def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
     psi+, phi+ and phi- each go through `bsm_matrix(0.5, 0.5)`. psi- is its
     own balanced image, so it goes once through one stack: the balanced
     analyzer, then the analyzers at the drawn reflectivities, all from one
-    `_bsm_matrices` call, the same bits as `bsm_matrix` at each.
+    `_bsm_matrices` call, the same bits as `bsm_matrix` at each. The drawn
+    analyzers' rows are compared with psi- as one array over the stack's
+    kets, which hold psi-'s kets since the balanced row must.
     """
     devs = []
     for label in BELL_LABELS:
@@ -201,17 +230,18 @@ def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
     psi_minus = bell_state("psi-")
     eta = np.concatenate(([0.5], rng.uniform(0.0, 1.0, size=samples)))
     analyzers = _bsm_matrices(_features(eta, eta))
-    balanced, *off_balance = apply_transfer(analyzers, psi_minus)
-    devs.append(max_amplitude_deviation(balanced, BSM_MAP_TARGETS["psi-"]))
-    devs += [max_amplitude_deviation(out, psi_minus) for out in off_balance]
+    out = apply_transfer(analyzers, psi_minus)
+    devs.append(max_amplitude_deviation(out[0], BSM_MAP_TARGETS["psi-"]))
+    devs += _row_deviations(out.amplitudes[1:], np.array([psi_minus.amplitude(ket) for ket in out.kets]))
     return _result("bsm-state-maps", devs, 1e-12)
 
 
 def check_table2() -> SuiteResult:
     """Click-pattern support sets at eta = 1/2 and at eta = 0.3.
 
-    Each Bell state goes once through the stack of the two analyzers. The
-    expected support is the kets of the state's exact balanced image
+    Each Bell state goes once through the stack of the two analyzers, whose
+    click probabilities are read as one (2, 10) array. The expected support
+    is the kets of the state's exact balanced image
     (``_BALANCED_SUPPORT``), plus ``TABLE2_CROSSES`` at eta = 0.3. The
     deviation is the largest click probability on any blank cell, i.e. on a
     pattern outside the expected support.
@@ -222,10 +252,10 @@ def check_table2() -> SuiteResult:
     mismatches = []
     for label in BELL_LABELS:
         expected_at = (_BALANCED_SUPPORT[label], _BALANCED_SUPPORT[label] | TABLE2_CROSSES[label])
-        for eta, expected, out in zip(etas, expected_at, apply_transfer(analyzers, bell_state(label))):
-            probs = _click_probabilities(out)
-            support = {pat for pat, prob in probs.items() if prob > SUPPORT_THRESHOLD}
-            devs += [prob for pat, prob in probs.items() if pat not in expected]
+        clicks = _stack_click_probabilities(apply_transfer(analyzers, bell_state(label)))
+        for eta, expected, probs in zip(etas, expected_at, clicks.tolist()):
+            support = {pat for pat, prob in zip(BSM_PATTERNS, probs) if prob > SUPPORT_THRESHOLD}
+            devs += [prob for pat, prob in zip(BSM_PATTERNS, probs) if pat not in expected]
             if support != expected:
                 mismatches.append(f"{label}@{eta}: {sorted(support)} != {sorted(expected)}")
     return _result("table2-support", devs, 1e-12, "; ".join(mismatches))

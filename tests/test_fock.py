@@ -9,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgfusion.averaging import build_averaged_network
-from avgfusion.detection import DetectionPattern, project_pattern
+from avgfusion.detection import (
+    DetectionPattern,
+    _stack_click_probabilities,
+    _stack_probabilities,
+    project_pattern,
+)
 from avgfusion.interferometers import bsm_matrix, fusion_gate
+from avgfusion.metrics import BSM_PATTERNS
 from avgfusion.fock import (
+    PRUNE_TOL,
+    StateStack,
     StateVec,
     TransferMatrix,
     apply_transfer,
@@ -559,7 +567,7 @@ def test_stacked_evolution_matches_one_matrix_at_a_time(case):
     also keeps its kets in the same order."""
     stack, state = case
     outs = apply_transfer(stack, state)
-    assert isinstance(outs, list) and len(outs) == len(stack)
+    assert isinstance(outs, StateStack) and len(outs) == len(stack)
     one_support = all(((m != 0) == (stack[0] != 0)).all() for m in stack)
     for entries, out in zip(stack, outs):
         ref = apply_transfer(TransferMatrix(entries), state)
@@ -596,7 +604,7 @@ def test_stack_walks_entries_only_a_later_matrix_has():
 
 
 def test_empty_stack_gives_no_states():
-    assert apply_transfer(np.zeros((0, 3, 3)), StateVec.from_ket((1, 0, 1))) == []
+    assert len(apply_transfer(np.zeros((0, 3, 3)), StateVec.from_ket((1, 0, 1)))) == 0
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2), (1, 2, 3), (2,)], ids=["2-D", "4-D", "non-square", "1-D"])
@@ -623,3 +631,45 @@ def test_photon_free_input_through_a_stack():
     """The vacuum's amplitude is one complex for every matrix of the stack."""
     outs = apply_transfer(np.zeros((3, 2, 2)), StateVec(2, {(0, 0): 0.5j}))
     assert [list(out.items()) for out in outs] == [[((0, 0), 0.5j)]] * 3
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stack_cases(), st.data())
+def test_stacked_readers_equal_each_row_state_bit_for_bit(case, data):
+    """Pattern probabilities read from a stack's amplitude array are ==
+    `project_pattern` on each row's state, for 1-4 distinct count tuples on
+    0-all modes; on four modes, so are the ten analyzer click probabilities
+    against the per-state reading."""
+    stack, state = case
+    outs = apply_transfer(stack, state)
+    m = outs.mode_count
+    modes = data.draw(st.permutations(range(m)))[: data.draw(st.integers(0, m))]
+    counts = st.tuples(*[st.integers(0, 3)] * len(modes))
+    counts_list = data.draw(st.lists(counts, min_size=1, max_size=4, unique=True))
+    probs = _stack_probabilities(outs, DetectionPattern(modes, counts_list[0]), counts_list)
+    assert probs.shape == (len(stack), len(counts_list))
+    for row, out in zip(probs.tolist(), outs, strict=True):
+        assert row == [project_pattern(out, DetectionPattern(modes, c))[1] for c in counts_list]
+    if m == 4:
+        clicks = _stack_click_probabilities(outs)
+        for row, out in zip(clicks.tolist(), outs, strict=True):
+            assert row == [abs(out.amplitude(ket)) ** 2 for ket in BSM_PATTERNS.values()]
+
+
+def test_state_stack_is_an_immutable_sequence_of_pruned_rows():
+    """A stack holds the expansion's every ket, an entry at or below
+    PRUNE_TOL as exactly 0, and builds each row's state from its nonzero
+    entries; neither its array nor its attributes can be changed."""
+    stack = np.array([np.eye(2), [[1.0, 0.5 * PRUNE_TOL], [0.0, 1.0]], [[0.6, 0.8], [0.8, -0.6]]])
+    outs = apply_transfer(stack, StateVec.from_ket((0, 1)))
+    assert outs.kets == ((1, 0), (0, 1)) and outs.mode_count == 2 and len(outs) == 3
+    assert outs.amplitudes.tolist() == [[0j, 1 + 0j], [0j, 1 + 0j], [0.8 + 0j, -0.6 + 0j]]
+    assert [list(out.items()) for out in outs] == [[((0, 1), 1 + 0j)]] * 2 + [[((1, 0), 0.8 + 0j), ((0, 1), -0.6 + 0j)]]
+    assert list(outs[-1].items()) == list(outs[2].items())
+    with pytest.raises(IndexError):
+        outs[3]
+    with pytest.raises(ValueError):
+        outs.amplitudes[0, 0] = 1.0
+    for name in ("mode_count", "kets", "amplitudes"):
+        with pytest.raises(AttributeError):
+            setattr(outs, name, None)

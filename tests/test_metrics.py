@@ -70,6 +70,12 @@ def test_normalized_fidelity():
     for p in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             normalized_fidelity(0.5, p)
+    for f in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=rf"fidelity must be non-negative and finite, got {f}"):
+            normalized_fidelity(f, 0.5)
+    with pytest.raises(ValueError, match="got nan"):
+        normalized_fidelity(np.array([0.1, math.nan, 0.2]), np.array([0.5, 0.5, 0.5]))
+    assert normalized_fidelity(-0.0, 0.5) == 0.0
     with pytest.warns(RuntimeWarning):
         assert normalized_fidelity(0.2, 0.1) == 1.0
 

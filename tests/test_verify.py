@@ -86,12 +86,12 @@ def _scaled_kept_blocks(monkeypatch):
 
 
 def _raised_probabilities(monkeypatch):
-    click_probabilities = verify._click_probabilities
+    click_probabilities = verify._stack_click_probabilities
 
-    def raised(state):
-        return {pat: p + 1e-6 for pat, p in click_probabilities(state).items()}
+    def raised(stack):
+        return click_probabilities(stack) + 1e-6
 
-    monkeypatch.setattr(verify, "_click_probabilities", raised)
+    monkeypatch.setattr(verify, "_stack_click_probabilities", raised)
 
 
 @pytest.mark.parametrize(
@@ -179,8 +179,10 @@ def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
     1 for the fusion table, 4 for the analyzer maps (psi+, phi+ and phi- one
     matrix each, psi- through the balanced analyzer and the 40 drawn ones)
     and 4 for Table 2 (each Bell state through the analyzers at eta = 1/2
-    and 0.3)."""
-    calls = []
+    and 0.3). Only the fusion table's perfect gate is read by ``fusion_outcomes``."""
+    calls, outcomes = [], []
+    fusion = verify.fusion_outcomes
+    monkeypatch.setattr(verify, "fusion_outcomes", lambda *a: outcomes.append(a) or fusion(*a))
     for module in (verify, detection):
         apply = module.apply_transfer
 
@@ -193,6 +195,7 @@ def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
     assert len(calls) == 12
     assert [k for _, k in calls] == [32] * 3 + [26] + [None] * 3 + [41] + [2] * 4
     assert {where for where, _ in calls} == {"avgfusion.verify"}
+    assert len(outcomes) == 1
 
 
 def _ref_haar_unitary(rng, dim):
@@ -210,9 +213,9 @@ def test_averaging_equivalence_builds_every_network_from_the_same_draws(monkeypa
     The reference draws and builds one matrix at a time, so the batched QR
     and fusion gates are pinned bit for bit by a construction they do not share."""
     built, compared = [], []
-    build, deviation = verify.build_averaged_network, verify.max_amplitude_deviation
+    build, deviations = verify.build_averaged_network, verify._row_deviations
     monkeypatch.setattr(verify, "build_averaged_network", lambda stack: built.append(stack) or build(stack))
-    monkeypatch.setattr(verify, "max_amplitude_deviation", lambda *a: compared.append(a) or deviation(*a))
+    monkeypatch.setattr(verify, "_row_deviations", lambda a, b: compared.extend(d := deviations(a, b)) or d)
     samples, sets = 23, 4
     assert verify.check_averaging_equivalence(samples, np.random.default_rng(5)).passed
     assert len(compared) == 2 * sets * 3
