@@ -120,6 +120,18 @@ MUTANTS = (
         "by_column = np.ascontiguousarray(stack.transpose(1, 2, 0))",
     ),
     (
+        "StateStack pruning with numpy's complex modulus instead of the oracle's hypot",
+        "fock.py",
+        "amps[np.hypot(amps.real, amps.imag) <= PRUNE_TOL] = 0",
+        "amps[np.abs(amps) <= PRUNE_TOL] = 0",
+    ),
+    (
+        "verify.check_bsm_maps ignoring a target ket the analyzer never produces",
+        "verify.py",
+        "devs += [abs(a) for ket, a in target.items() if ket not in out.kets]",
+        "devs += []",
+    ),
+    (
         "verify.check_closed_form comparing each simulated column with itself",
         "verify.py",
         'np.max(np.abs(cell.metrics[sim] - cell.metrics[f"{sim}_closed"]))',

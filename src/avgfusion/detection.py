@@ -4,7 +4,10 @@ A detection pattern fixes the photon count on a subset of modes. Projecting a
 state onto a pattern yields the click probability together with the residual
 state on the unmeasured modes. The states of a stacked evolution
 (`fock.StateStack`) are projected from its amplitude array, all rows at once,
-each probability with the bits its row's own projection gives. The pattern tables ``BSM_PATTERNS``,
+each probability with the bits its row's own projection gives: both read
+`_slot_probabilities`, on the oracle's one modulus (see `fock`). The
+analyzer's click probabilities are the same projection onto all four modes
+over ``BSM_PATTERNS``, one ket per pattern. The pattern tables ``BSM_PATTERNS``,
 ``FUSION_PATTERNS`` and ``BSM_MAP_TARGETS`` are defined in :mod:`metrics`,
 where the sweep engine reads them without loading this module, and are
 importable from here too. ``FUSION_PATTERNS`` is no table of its own: it
@@ -112,9 +115,9 @@ def _slot_probabilities(rows, n: int, k: int) -> np.ndarray:
     ``rows``, one per ket in ket order: the one implementation behind every
     pattern probability.
 
-    A ket's probability is Python's ``abs(a) ** 2`` (numpy's complex modulus
-    and square round differently), and each slot adds its kets' in ket order,
-    from 0.0: a cumulative sum over the ket axis, where ``np.sum`` may pair terms.
+    A ket's probability is ``abs(a) ** 2``, and each slot adds its kets' in
+    ket order, from 0.0: a cumulative sum over the ket axis, where ``np.sum``
+    may pair terms.
     """
     squares = np.zeros((n, len(rows) + 1, k))
     for j, (i, row) in enumerate(rows, start=1):
@@ -143,6 +146,10 @@ def fusion_outcomes(state: StateVec, rails: tuple[int, int, int, int]) -> dict[s
     }
 
 
+#: The analyzer's four measured modes, for `_stack_probabilities` over ``BSM_PATTERNS``.
+_CLICKS = DetectionPattern((0, 1, 2, 3), BSM_PATTERNS["a2"])
+
+
 def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[str, float]:
     """Click probability of every analyzer pattern for one Bell state.
 
@@ -152,17 +159,7 @@ def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[s
     modulus of one output amplitude.
     """
     out = apply_transfer(bsm_matrix(eta_h, eta_v).entries[None], bell_state(bell_label))
-    return dict(zip(BSM_PATTERNS, _stack_click_probabilities(out)[0].tolist()))
-
-
-def _stack_click_probabilities(stack: StateStack) -> np.ndarray:
-    """The (K, 10) click probabilities of a stack of analyzer outputs, columns
-    in ``BSM_PATTERNS`` order, read by the column index of each pattern's
-    ket: each is Python's ``abs(a) ** 2`` of one amplitude of the row."""
-    column = {ket: i for i, ket in enumerate(stack.kets)}
-    columns = [column.get(ket) for ket in BSM_PATTERNS.values()]
-    probs = [[0.0 if i is None else abs(row[i]) ** 2 for i in columns] for row in stack.amplitudes.tolist()]
-    return np.array(probs).reshape(len(stack), len(columns))
+    return dict(zip(BSM_PATTERNS, _stack_probabilities(out, _CLICKS, BSM_PATTERNS.values())[0].tolist()))
 
 
 #: Click probability above which a pattern counts as possible.

@@ -22,6 +22,13 @@ A `TransferMatrix` holds only a read-only copy of its entries: `entries` and
 `unitary` is computed from it on each read, never at construction, so
 intermediate products never pay for a T^dag T they are not asked about.
 
+The oracle has one complex modulus: Python's ``abs``, which is libm ``hypot``,
+and on arrays ``np.hypot(a.real, a.imag)``, which gives the same bits (numpy's
+own complex ``abs`` rounds differently in the last bit for about a third of
+values). The prune of a `StateVec` and of a `StateStack`, every pattern
+probability in `detection` and every amplitude deviation in `verify` use it,
+so a state and a stack's row keep the same kets and read the same numbers.
+
 Every evolution runs through a (K, d, d) stack of matrices in one expansion,
 a `TransferMatrix` as a stack of one: a term's coefficient is a (K,) array,
 one entry per matrix, and each column walks the union of the stack's nonzero
@@ -268,7 +275,7 @@ class StateStack(Sequence):
         if len(bad):
             row, i = bad[0]
             raise ValueError(f"non-finite amplitude {complex(amps[row, i])} for ket {kets[i]}")
-        amps[np.abs(amps) <= PRUNE_TOL] = 0
+        amps[np.hypot(amps.real, amps.imag) <= PRUNE_TOL] = 0
         amps.flags.writeable = False
         self._mode_count, self._kets, self._amplitudes = mode_count, kets, amps
 
@@ -290,10 +297,7 @@ class StateStack(Sequence):
 
     def __getitem__(self, k: int) -> StateVec:
         row = self._amplitudes[operator.index(k)].tolist()  # IndexError past the end ends iteration
-        state = object.__new__(StateVec)
-        state.mode_count = self._mode_count
-        state._amp = {ket: a for ket, a in zip(self._kets, row) if a}
-        return state
+        return StateVec._built(self._mode_count, dict(zip(self._kets, row)))
 
     def __repr__(self) -> str:
         return f"StateStack({len(self)} states, {self._mode_count} modes, {len(self._kets)} kets)"

@@ -3,7 +3,10 @@
 Each suite recomputes a known analytic fact, with the full Fock-space
 simulator or with the mean-matrix engine the sweeps run on, and reports the
 worst deviation. The suites back the ``verify`` CLI subcommand and double as
-regression oracles.
+regression oracles. The Fock suites read each stacked evolution as its
+amplitude array: amplitude deviations by `_row_deviations`, pattern and
+click probabilities by `detection._stack_probabilities`, both on the
+oracle's one modulus (see `fock`).
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from .averaging import build_averaged_network
 from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
 from .detection import (
     SUPPORT_THRESHOLD,
+    _CLICKS,
     DetectionPattern,
-    _stack_click_probabilities,
     _stack_probabilities,
     fusion_outcomes,
 )
 from .fock import StateVec, apply_transfer
-from .interferometers import _bsm_matrices, _features, _fusion_gates, bsm_matrix
+from .interferometers import _bsm_matrices, _features, _fusion_gates
 from .metrics import (
     _BALANCED_SUPPORT,
     _SQRT_HALF,
@@ -76,21 +79,10 @@ def _result(name: str, deviations: list, threshold: float, detail: str = "") -> 
     return SuiteResult(name, dev < threshold and not detail, dev, threshold, detail)
 
 
-def max_amplitude_deviation(state: StateVec, reference) -> float:
-    """Largest |amplitude difference| between a state and a reference.
-
-    ``reference`` may be a StateVec or a raw ket->amplitude mapping.
-    """
-    ref = dict(reference.items())
-    kets = set(ref) | set(state.kets())
-    return _worst([abs(state.amplitude(k) - ref.get(k, 0.0)) for k in kets])
-
-
 def _row_deviations(amplitudes: np.ndarray, reference) -> list[float]:
     """Largest |amplitude difference| of each row of a (K, kets) amplitude
-    array from ``reference``, an array over the same kets; the bits of
-    `max_amplitude_deviation`, whose Python ``abs`` is ``hypot`` (numpy's
-    complex modulus rounds differently)."""
+    array from ``reference``, an array over the same kets, 0.0 for no kets;
+    NaN for a row that meets a NaN."""
     diff = amplitudes - reference
     return np.hypot(diff.real, diff.imag).max(axis=1, initial=0.0).tolist()
 
@@ -215,24 +207,22 @@ def _fusion_input() -> StateVec:
 def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Balanced-analyzer Bell-state images, plus psi- invariance off balance.
 
-    psi+, phi+ and phi- each go through `bsm_matrix(0.5, 0.5)`. psi- is its
-    own balanced image, so it goes once through one stack: the balanced
-    analyzer, then the analyzers at the drawn reflectivities, all from one
-    `_bsm_matrices` call, the same bits as `bsm_matrix` at each. The drawn
-    analyzers' rows are compared with psi- as one array over the stack's
-    kets, which hold psi-'s kets since the balanced row must.
+    The balanced analyzer and the analyzers at the drawn reflectivities come
+    from one `_bsm_matrices` call, the same bits as `bsm_matrix` at each.
+    psi+, phi+ and phi- each go through the balanced one. psi- is its own
+    balanced image, so it goes once through the whole stack, and every row
+    has the same target. Each row is compared with its target as one array
+    over the stack's kets; a target ket the expansion lacks counts at its
+    full modulus.
     """
-    devs = []
-    for label in BELL_LABELS:
-        if label != "psi-":
-            out = apply_transfer(bsm_matrix(0.5, 0.5), bell_state(label))
-            devs.append(max_amplitude_deviation(out, BSM_MAP_TARGETS[label]))
-    psi_minus = bell_state("psi-")
     eta = np.concatenate(([0.5], rng.uniform(0.0, 1.0, size=samples)))
     analyzers = _bsm_matrices(_features(eta, eta))
-    out = apply_transfer(analyzers, psi_minus)
-    devs.append(max_amplitude_deviation(out[0], BSM_MAP_TARGETS["psi-"]))
-    devs += _row_deviations(out.amplitudes[1:], np.array([psi_minus.amplitude(ket) for ket in out.kets]))
+    devs = []
+    for label in BELL_LABELS:
+        out = apply_transfer(analyzers if label == "psi-" else analyzers[:1], bell_state(label))
+        target = BSM_MAP_TARGETS[label]
+        devs += _row_deviations(out.amplitudes, np.array([target.get(ket, 0.0) for ket in out.kets]))
+        devs += [abs(a) for ket, a in target.items() if ket not in out.kets]
     return _result("bsm-state-maps", devs, 1e-12)
 
 
@@ -240,7 +230,7 @@ def check_table2() -> SuiteResult:
     """Click-pattern support sets at eta = 1/2 and at eta = 0.3.
 
     Each Bell state goes once through the stack of the two analyzers, whose
-    click probabilities are read as one (2, 10) array. The expected support
+    click probabilities are projected as one (2, 10) array. The expected support
     is the kets of the state's exact balanced image
     (``_BALANCED_SUPPORT``), plus ``TABLE2_CROSSES`` at eta = 0.3. The
     deviation is the largest click probability on any blank cell, i.e. on a
@@ -252,7 +242,7 @@ def check_table2() -> SuiteResult:
     mismatches = []
     for label in BELL_LABELS:
         expected_at = (_BALANCED_SUPPORT[label], _BALANCED_SUPPORT[label] | TABLE2_CROSSES[label])
-        clicks = _stack_click_probabilities(apply_transfer(analyzers, bell_state(label)))
+        clicks = _stack_probabilities(apply_transfer(analyzers, bell_state(label)), _CLICKS, BSM_PATTERNS.values())
         for eta, expected, probs in zip(etas, expected_at, clicks.tolist()):
             support = {pat for pat, prob in zip(BSM_PATTERNS, probs) if prob > SUPPORT_THRESHOLD}
             devs += [prob for pat, prob in zip(BSM_PATTERNS, probs) if pat not in expected]

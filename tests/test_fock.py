@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from avgfusion.averaging import build_averaged_network
 from avgfusion.detection import (
+    _CLICKS,
     DetectionPattern,
-    _stack_click_probabilities,
     _stack_probabilities,
     project_pattern,
 )
@@ -639,7 +639,7 @@ def test_stacked_readers_equal_each_row_state_bit_for_bit(case, data):
     """Pattern probabilities read from a stack's amplitude array are ==
     `project_pattern` on each row's state, for 1-4 distinct count tuples on
     0-all modes; on four modes, so are the ten analyzer click probabilities
-    against the per-state reading."""
+    against each row state's squared amplitudes."""
     stack, state = case
     outs = apply_transfer(stack, state)
     m = outs.mode_count
@@ -651,9 +651,21 @@ def test_stacked_readers_equal_each_row_state_bit_for_bit(case, data):
     for row, out in zip(probs.tolist(), outs, strict=True):
         assert row == [project_pattern(out, DetectionPattern(modes, c))[1] for c in counts_list]
     if m == 4:
-        clicks = _stack_click_probabilities(outs)
+        clicks = _stack_probabilities(outs, _CLICKS, BSM_PATTERNS.values())
         for row, out in zip(clicks.tolist(), outs, strict=True):
             assert row == [abs(out.amplitude(ket)) ** 2 for ket in BSM_PATTERNS.values()]
+
+
+@pytest.mark.parametrize(
+    "a", [9.9999985738422e-16 + 5.340707257212924e-19j, 9.999997611555831e-16 + 6.911503287639501e-19j]
+)
+def test_a_state_and_a_stack_prune_an_amplitude_at_the_tolerance_alike(a):
+    """Python's ``abs`` and numpy's complex ``abs`` fall on opposite sides of
+    PRUNE_TOL for these amplitudes; a state and a stack keep or drop each alike."""
+    state = StateVec(1, {(1,): a})
+    out = apply_transfer(np.array([[[a]]]), StateVec.from_ket((1,)))
+    assert out.amplitudes.tolist() == [[state.amplitude((1,))]]
+    assert list(out[0].items()) == list(state.items())
 
 
 def test_state_stack_is_an_immutable_sequence_of_pruned_rows():

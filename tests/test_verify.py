@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from avgfusion import cli, detection, sweep, verify
-from avgfusion.fock import StateVec, TransferMatrix
+from avgfusion.fock import TransferMatrix
 from avgfusion.interferometers import effective_average, fusion_gate
 from avgfusion.sweep import METRIC_COLUMNS, run_cell, sample_reflectivity
 
@@ -24,11 +24,6 @@ def _patch_column(monkeypatch, experiment, column, change):
         return tuple(values)
 
     monkeypatch.setitem(sweep._METRICS, experiment, patched)
-
-
-def _scaled_gate(build):
-    """``build`` with every matrix entry 1e-6 too large."""
-    return lambda *etas: TransferMatrix(build(*etas).entries * (1 + 1e-6))
 
 
 def _scaled_stack(build):
@@ -67,10 +62,10 @@ def test_a_nan_engine_column_fails_its_suite_and_verify_exits_1(monkeypatch, cap
     assert failed == [f"{name}: FAIL (max dev nan >= 1e-10)"]
 
 
-def test_max_amplitude_deviation_propagates_a_nan_reference():
-    state = StateVec(2, {(1, 0): 1.0, (0, 1): 0.5})
-    for reference in ({(1, 0): math.nan, (0, 1): 0.0}, {(1, 0): 0.0, (0, 1): math.nan}):
-        assert math.isnan(verify.max_amplitude_deviation(state, reference))
+def test_row_deviations_propagates_a_nan_reference():
+    amplitudes = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+    for reference in ([math.nan, 0.0], [0.0, math.nan]):
+        assert all(map(math.isnan, verify._row_deviations(amplitudes, np.array(reference))))
 
 
 def _scaled_kept_blocks(monkeypatch):
@@ -86,12 +81,24 @@ def _scaled_kept_blocks(monkeypatch):
 
 
 def _raised_probabilities(monkeypatch):
-    click_probabilities = verify._stack_click_probabilities
+    probabilities = verify._stack_probabilities
 
-    def raised(stack):
-        return click_probabilities(stack) + 1e-6
+    def raised(*args):
+        return probabilities(*args) + 1e-6
 
-    monkeypatch.setattr(verify, "_stack_click_probabilities", raised)
+    monkeypatch.setattr(verify, "_stack_probabilities", raised)
+
+
+def _scaled_rows(rows):
+    """``_bsm_matrices`` with every entry of the stack's ``rows`` 1e-6 too large."""
+    build = verify._bsm_matrices
+
+    def scaled(features):
+        stack = build(features).copy()
+        stack[rows] *= 1 + 1e-6
+        return stack
+
+    return lambda monkeypatch: monkeypatch.setattr(verify, "_bsm_matrices", scaled)
 
 
 @pytest.mark.parametrize(
@@ -108,16 +115,8 @@ def _raised_probabilities(monkeypatch):
             lambda mp: mp.setattr(verify, "_fusion_gates", _scaled_stack(verify._fusion_gates)),
             verify.check_fusion_table,
         ),
-        (
-            "bsm-state-maps",
-            lambda mp: mp.setattr(verify, "bsm_matrix", _scaled_gate(verify.bsm_matrix)),
-            _with_rng(verify.check_bsm_maps),
-        ),
-        (
-            "bsm-state-maps",
-            lambda mp: mp.setattr(verify, "_bsm_matrices", _scaled_stack(verify._bsm_matrices)),
-            _with_rng(verify.check_bsm_maps),
-        ),
+        ("bsm-state-maps", _scaled_rows(slice(None, 1)), _with_rng(verify.check_bsm_maps)),
+        ("bsm-state-maps", _scaled_rows(slice(1, None)), _with_rng(verify.check_bsm_maps)),
         ("table2-support", _raised_probabilities, verify.check_table2),
         (
             "perfect-point-values",
@@ -132,6 +131,50 @@ def test_every_suite_fails_on_a_finite_error(monkeypatch, name, inject, suite):
     assert suite().passed
     inject(monkeypatch)
     _assert_fails(suite(), name)
+
+
+def test_a_target_ket_the_analyzer_never_produces_fails_the_maps(monkeypatch):
+    """phi+ never reaches |1100> through the balanced analyzer; a target that
+    asks for it there is missed by its full modulus."""
+    phi_plus = verify.BSM_MAP_TARGETS["phi+"]
+    monkeypatch.setitem(verify.BSM_MAP_TARGETS, "phi+", {**phi_plus, (1, 1, 0, 0): 0.1})
+    result = verify.check_bsm_maps(5, np.random.default_rng(1))
+    _assert_fails(result, "bsm-state-maps")
+    assert result.max_deviation >= 0.1
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            ["--samples", "40", "--seed", "1001"],
+            [
+                "M_N-equivalence: PASS (max dev 5.551e-16 < 1e-10)",
+                "closed-form-vs-simulator: PASS (max dev 9.992e-16 < 1e-10)",
+                "fusion-pattern-table: PASS (max dev 5.551e-16 < 1e-12)",
+                "bsm-state-maps: PASS (max dev 1.110e-16 < 1e-12)",
+                "table2-support: PASS (max dev 0.000e+00 < 1e-12)",
+                "perfect-point-values: PASS (max dev 2.220e-16 < 1e-10)",
+            ],
+        ),
+        (
+            ["--samples", "200", "--seed", "1"],
+            [
+                "M_N-equivalence: PASS (max dev 6.661e-16 < 1e-10)",
+                "closed-form-vs-simulator: PASS (max dev 8.882e-16 < 1e-10)",
+                "fusion-pattern-table: PASS (max dev 5.551e-16 < 1e-12)",
+                "bsm-state-maps: PASS (max dev 1.110e-16 < 1e-12)",
+                "table2-support: PASS (max dev 0.000e+00 < 1e-12)",
+                "perfect-point-values: PASS (max dev 2.220e-16 < 1e-10)",
+            ],
+        ),
+    ],
+    ids=["samples-40-seed-1001", "samples-200-seed-1"],
+)
+def test_verify_prints_its_six_report_lines(capsys, argv, lines):
+    """The report lines of two runs, byte for byte."""
+    assert cli.main(["verify", *argv]) == 0
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
 
 
 def test_engine_suites_make_one_engine_call_per_experiment_on_the_same_draws(monkeypatch):
@@ -176,9 +219,9 @@ def test_engine_suites_make_one_engine_call_per_experiment_on_the_same_draws(mon
 def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
     """``verify --samples 40`` makes 12 Fock evolutions: 3 for the M_N
     suite (one stack of 16 kept blocks and 16 copy averages per input),
-    1 for the fusion table, 4 for the analyzer maps (psi+, phi+ and phi- one
-    matrix each, psi- through the balanced analyzer and the 40 drawn ones)
-    and 4 for Table 2 (each Bell state through the analyzers at eta = 1/2
+    1 for the fusion table, 4 for the analyzer maps (psi+, phi+ and phi-
+    through a stack of the balanced analyzer, psi- through it and the 40
+    drawn ones) and 4 for Table 2 (each Bell state through the analyzers at eta = 1/2
     and 0.3). Only the fusion table's perfect gate is read by ``fusion_outcomes``."""
     calls, outcomes = [], []
     fusion = verify.fusion_outcomes
@@ -193,7 +236,7 @@ def test_oracle_suites_evolve_each_input_once_per_stack(monkeypatch):
         monkeypatch.setattr(module, "apply_transfer", counted)
     assert all(result.passed for result in verify.run_all(40, 1001))
     assert len(calls) == 12
-    assert [k for _, k in calls] == [32] * 3 + [26] + [None] * 3 + [41] + [2] * 4
+    assert [k for _, k in calls] == [32] * 3 + [26] + [1, 41, 1, 1] + [2] * 4
     assert {where for where, _ in calls} == {"avgfusion.verify"}
     assert len(outcomes) == 1
 
