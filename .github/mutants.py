@@ -36,12 +36,6 @@ MUTANTS = (
         "_BUNCHING = np.where(_CLICK_MODES[0] == _CLICK_MODES[1], 1.0, 1.0)",
     ),
     (
-        "the sweep's rail convention with the two rails of photon 1 swapped",
-        "sweep.py",
-        "_RAILS = np.array([[1, 0], [3, 2]])",
-        "_RAILS = np.array([[0, 1], [3, 2]])",
-    ),
-    (
         "sweep.trace_distance taking one Newton step fewer",
         "sweep.py",
         "for _ in range(6):",
@@ -160,6 +154,18 @@ MUTANTS = (
         "metrics.py",
         '"psi+": {(1, 1, 0, 0): _SQRT_HALF, (0, 0, 1, 1): -_SQRT_HALF},',
         '"psi+": {(1, 1, 0, 0): -_SQRT_HALF, (0, 0, 1, 1): _SQRT_HALF},',
+    ),
+    (
+        "the one rail convention, metrics._RAILS, with the two rails of photon 1 swapped",
+        "metrics.py",
+        "_RAILS = np.array([[1, 0], [3, 2]])",
+        "_RAILS = np.array([[0, 1], [3, 2]])",
+    ),
+    (
+        "the psi- entry of metrics._BELL_RAILS with its sign flipped (a global phase)",
+        "metrics.py",
+        '"psi-": np.array([[0.0, -_SQRT_HALF], [_SQRT_HALF, 0.0]]),',
+        '"psi-": np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]]),',
     ),
     (
         "metrics._BALANCED_SUPPORT reading the psi+ image for every Bell state",

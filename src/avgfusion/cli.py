@@ -57,8 +57,8 @@ def reflectivity(text: str) -> float:
 
 
 def int_list(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
     return tuple(int(p) for p in parts)
 

@@ -67,19 +67,19 @@ def project_pattern(state: StateVec, pattern: DetectionPattern) -> tuple[StateVe
     The residual keeps only the unmeasured modes, in their original order. Its
     squared norm equals the returned probability.
     """
-    return _project_each(state, pattern, (pattern.counts,))[0]
+    return _project_each(state, pattern.modes, (pattern.counts,))[0]
 
 
-def _project_each(state: StateVec, pattern: DetectionPattern, counts_list) -> list[tuple[StateVec, float]]:
-    """`project_pattern` onto the modes of `pattern` for each of several
+def _project_each(state: StateVec, modes, counts_list) -> list[tuple[StateVec, float]]:
+    """`project_pattern` onto the measured ``modes`` for each of several
     distinct count tuples at once.
 
     Each ket goes to the count tuple its measured modes show, so every
     residual and probability accumulates in ket order, as its own
     projection would.
     """
-    slots = _slots(state.kets(), state.mode_count, pattern, counts_list)
-    keep = [i for i in range(state.mode_count) if i not in pattern.modes]
+    slots = _slots(state.kets(), state.mode_count, modes, counts_list)
+    keep = [i for i in range(state.mode_count) if i not in modes]
     residual = _picker(keep)
     amps = [{} for _ in counts_list]
     rows = []
@@ -91,21 +91,21 @@ def _project_each(state: StateVec, pattern: DetectionPattern, counts_list) -> li
     return [(StateVec._built(len(keep), amp), prob) for amp, prob in zip(amps, probs)]
 
 
-def _stack_probabilities(stack: StateStack, pattern: DetectionPattern, counts_list) -> np.ndarray:
+def _stack_probabilities(stack: StateStack, modes, counts_list) -> np.ndarray:
     """The (K, len(counts_list)) probabilities of the count tuples on the
-    modes of `pattern` for each state of a stack, read from its amplitude
+    measured ``modes`` for each state of a stack, read from its amplitude
     array: row k has the bits `_project_each` gives ``stack[k]``."""
-    slots = _slots(stack.kets, stack.mode_count, pattern, counts_list)
+    slots = _slots(stack.kets, stack.mode_count, modes, counts_list)
     rows = [(i, row) for i, row in zip(slots, stack.amplitudes.T.tolist()) if i is not None]
     return _slot_probabilities(rows, len(counts_list), len(stack)).T
 
 
-def _slots(kets, mode_count: int, pattern: DetectionPattern, counts_list) -> list:
+def _slots(kets, mode_count: int, modes, counts_list) -> list:
     """Per ket, the index in `counts_list` of the counts it shows on the
-    modes of `pattern`, or None if it shows none of them."""
-    if any(m >= mode_count for m in pattern.modes):
-        raise ValueError(f"pattern {pattern} references modes beyond {mode_count}")
-    measured = _picker(pattern.modes)
+    measured ``modes``, distinct non-negative ints, or None if it shows none of them."""
+    if any(m >= mode_count for m in modes):
+        raise ValueError(f"measured modes {tuple(modes)} reach beyond the {mode_count} modes of the state")
+    measured = _picker(modes)
     slot = {counts: i for i, counts in enumerate(counts_list)}
     return [slot.get(measured(ket)) for ket in kets]
 
@@ -136,18 +136,18 @@ def fusion_outcomes(state: StateVec, rails: tuple[int, int, int, int]) -> dict[s
     """Evaluate the four fusion success patterns on the given analyzer rails.
 
     ``rails`` lists the (H1, V1, H2, V2) output modes of the fusion gate
-    within ``state``. Probabilities are taken against the state as given, so
-    feed an unnormalized post-selected state to fold its success probability in.
+    within ``state``, four distinct non-negative integers. Probabilities are taken
+    against the state as given, so feed an unnormalized post-selected state to fold
+    its success probability in.
     """
-    projections = _project_each(state, DetectionPattern(rails, FUSION_PATTERNS["HH"]), FUSION_PATTERNS.values())
+    modes = _int_tuple(rails, "rails")
+    if len(modes) != 4 or len(set(modes)) != 4 or min(modes) < 0:
+        raise ValueError(f"rails must be four distinct non-negative modes, got {modes}")
+    projections = _project_each(state, modes, FUSION_PATTERNS.values())
     return {
         label: FusionOutcome(label=label, probability=prob, residual=residual)
         for label, (residual, prob) in zip(FUSION_PATTERNS, projections)
     }
-
-
-#: The analyzer's four measured modes, for `_stack_probabilities` over ``BSM_PATTERNS``.
-_CLICKS = DetectionPattern((0, 1, 2, 3), BSM_PATTERNS["a2"])
 
 
 def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[str, float]:
@@ -159,7 +159,7 @@ def pattern_probabilities(bell_label: str, eta_h: float, eta_v: float) -> dict[s
     modulus of one output amplitude.
     """
     out = apply_transfer(bsm_matrix(eta_h, eta_v).entries[None], bell_state(bell_label))
-    return dict(zip(BSM_PATTERNS, _stack_probabilities(out, _CLICKS, BSM_PATTERNS.values())[0].tolist()))
+    return dict(zip(BSM_PATTERNS, _stack_probabilities(out, range(4), BSM_PATTERNS.values())[0].tolist()))
 
 
 #: Click probability above which a pattern counts as possible.

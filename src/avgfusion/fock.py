@@ -19,8 +19,8 @@ build from kets they derived themselves skip that check, but still drop
 amplitudes at or below `PRUNE_TOL` and still reject a non-finite amplitude.
 A `TransferMatrix` holds only a read-only copy of its entries: `entries` and
 `dim` are read-only properties over it, so they cannot go stale, and
-`unitary` is computed from it on each read, never at construction, so
-intermediate products never pay for a T^dag T they are not asked about.
+`unitary` is computed from it on each read, never at construction, so a
+matrix never pays for a T^dag T it is not asked about.
 
 The oracle has one complex modulus: Python's ``abs``, which is libm ``hypot``,
 and on arrays ``np.hypot(a.real, a.imag)``, which gives the same bits (numpy's
@@ -185,9 +185,6 @@ class TransferMatrix:
     def unitarity_defect(self) -> float:
         """Max-norm of T^dag T - I (0.0 for the empty map); inf if an entry is not finite."""
         return float(_unitarity_defects(self._entries[None])[0])
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(self.entries @ other.entries)
 
     def __repr__(self) -> str:
         tag = "unitary" if self.unitary else "non-unitary"

@@ -1,4 +1,4 @@
-"""Bell states, the click-pattern tables, and figures of merit."""
+"""The one dual-rail convention, Bell states, click-pattern tables and figures of merit."""
 
 from __future__ import annotations
 
@@ -49,24 +49,30 @@ FUSION_PATTERNS: dict[str, tuple[int, int, int, int]] = {
     rails: BSM_PATTERNS[label] for rails, label in (("HH", "ac"), ("VV", "bd"), ("HV", "ad"), ("VH", "bc"))
 }
 
-_BELL_KETS = {
-    "psi+": (((1, 0, 0, 1), _SQRT_HALF), ((0, 1, 1, 0), _SQRT_HALF)),
-    "psi-": (((1, 0, 0, 1), _SQRT_HALF), ((0, 1, 1, 0), -_SQRT_HALF)),
-    "phi+": (((1, 0, 1, 0), _SQRT_HALF), ((0, 1, 0, 1), _SQRT_HALF)),
-    "phi-": (((1, 0, 1, 0), _SQRT_HALF), ((0, 1, 0, 1), -_SQRT_HALF)),
+#: The one dual-rail convention: photon 1 on rail r (0 = V, 1 = H) is mode _RAILS[0][r] of
+#: (H1, V1, H2, V2), photon 2 mode _RAILS[1][r]; a Bell state is its 2x2 rail amplitudes,
+#: entry (r1, r2) the amplitude of photon 1 on rail r1 and photon 2 on rail r2.
+_RAILS = np.array([[1, 0], [3, 2]])
+_BELL_RAILS = {
+    "psi+": np.array([[0.0, _SQRT_HALF], [_SQRT_HALF, 0.0]]),
+    "psi-": np.array([[0.0, -_SQRT_HALF], [_SQRT_HALF, 0.0]]),
+    "phi+": np.array([[_SQRT_HALF, 0.0], [0.0, _SQRT_HALF]]),
+    "phi-": np.array([[-_SQRT_HALF, 0.0], [0.0, _SQRT_HALF]]),
+}
+#: Each Bell state as a StateVec, its kets H first (StateVec drops the zero entries).
+_BELL_STATES = {
+    label: StateVec(4, {tuple(int(k in _RAILS[[0, 1], [r1, r2]]) for k in range(4)): c[r1, r2] for r1 in (1, 0) for r2 in (1, 0)})
+    for label, c in _BELL_RAILS.items()
 }
 
 
 def bell_state(label: str) -> StateVec:
-    """Dual-rail Bell state on 4 modes (H1, V1, H2, V2).
-
-    psi+/- = (|1001> +/- |0110>)/sqrt(2), phi+/- = (|1010> +/- |0101>)/sqrt(2).
-    """
+    """Dual-rail Bell state on 4 modes (H1, V1, H2, V2), one immutable instance per label:
+    psi+/- = (|1001> +/- |0110>)/sqrt(2), phi+/- = (|1010> +/- |0101>)/sqrt(2)."""
     try:
-        kets = _BELL_KETS[label]
+        return _BELL_STATES[label]
     except KeyError:
         raise ValueError(f"unknown Bell label {label!r}; expected one of {BELL_LABELS}") from None
-    return StateVec(4, dict(kets))
 
 
 def fidelity(state, target):

@@ -20,7 +20,7 @@ one block and one copy count N: mean(f f^T) for fusion and trace-distance,
 the feature sums and N for bsm. It is the only step that reads the copy
 axis. Stage 2 builds M_N from them and every metric column of a block, from
 rows of one ten-pattern amplitude table: the 2x2 permanents of M_N per click
-pattern, one photon per qubit on one rail convention (:func:`_pair_amplitudes`).
+pattern, one photon per qubit on the rails of :mod:`metrics` (:func:`_pair_amplitudes`).
 The trace column reads stage 1 directly: :func:`trace_distance` takes the
 largest eigenvalue of J/2 - mean(f f^T), so ``trace-distance`` builds no M_N.
 
@@ -62,6 +62,8 @@ from .interferometers import (
     _fusion_products,
 )
 from .metrics import (
+    _BELL_RAILS,
+    _RAILS,
     _SQRT_HALF,
     BSM_MAP_TARGETS,
     BSM_PATTERNS,
@@ -225,38 +227,38 @@ def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, tr
 
 
 #: The one click table, over the ten ``BSM_PATTERNS`` in order: the (2, 10) modes
-#: each fills (one mode twice for a double click), each one's bunching factor
-#: (1/sqrt(2) for a double click), and the one rail convention of both
-#: experiments: photon 1 on modes (V1, H1) = (1, 0), photon 2 on (V2, H2) = (3, 2).
-#: The fusion reads its four success rows, HH first, on the full 2x2 rail block;
-#: the analyzer all ten rows on the two psi rail pairs, (1, 0) then (0, 1).
+#: each fills (one mode twice for a double click) and each one's bunching factor
+#: (1/sqrt(2) for a double click). The fusion reads its four success rows, HH first,
+#: on the full 2x2 rail block, weighted by phi+ (x) phi+ (phi+ is diagonal, so the fused
+#: rails of an entry are its spectators'), and takes phi+ on the diagonal (V, H) as the
+#: heralded target; the analyzer reads all ten rows on psi+'s two nonzero rail pairs.
 _CLICK_MODES = np.array([[k for k, c in enumerate(p) for _ in range(c)] for p in BSM_PATTERNS.values()]).T
 _BUNCHING = np.where(_CLICK_MODES[0] == _CLICK_MODES[1], _SQRT_HALF, 1.0)
-_RAILS = np.array([[1, 0], [3, 2]])
 _FUSION_ROWS = [list(BSM_PATTERNS.values()).index(p) for p in FUSION_PATTERNS.values()]
-_RAIL_BLOCK, _PSI_RAILS = ([[0], [1]], [[0, 1]]), ([1, 0], [0, 1])
-
-#: phi+ on a fusion Kraus block's diagonal (HH, VV); the analyzer's psi+ image per pattern.
-_PHI_PLUS_DIAGONAL = np.full(2, _SQRT_HALF)
-_BSM_TARGET = np.array([BSM_MAP_TARGETS["psi+"].get(p, 0.0) for p in BSM_PATTERNS.values()])
+_RAIL_BLOCK, _PSI_RAILS = ([[0], [1]], [[0, 1]]), np.nonzero(_BELL_RAILS["psi+"])
+_PSI_WEIGHTS = _BELL_RAILS["psi+"][_PSI_RAILS]
+_PHI_PLUS_DIAGONAL = np.diagonal(_BELL_RAILS["phi+"])
+_FUSION_WEIGHTS = np.multiply.outer(_PHI_PLUS_DIAGONAL, _PHI_PLUS_DIAGONAL)
+_BSM_TARGET = np.array([BSM_MAP_TARGETS["psi+"].get(p, 0.0) for p in BSM_PATTERNS.values()])  # psi+'s analyzer image
 
 #: The balanced gate's copy means, J/2 as rounded: a noise-free trial has D = 0.
 _BALANCED_PRODUCTS = _fusion_products([0.5], [0.5])
 
 
-def _pair_amplitudes(mean: np.ndarray, rows, rails) -> np.ndarray:
+def _pair_amplitudes(mean: np.ndarray, rows, rails, weights=1.0) -> np.ndarray:
     """Rows of the one click table for photon 1 on rail r1 and photon 2 on rail r2.
 
     ``mean`` is (S, 4, 4), ``rows`` indexes P rows, and ``rails`` = (r1, r2)
     broadcast to a shape B. Entry (s, p, *b) is the permanent
     M[k,i]M[l,j] + M[l,i]M[k,j] of trial s, for the modes (k, l) of row p and
-    i = _RAILS[0][r1], j = _RAILS[1][r2], times the row's bunching factor.
+    i = _RAILS[0][r1], j = _RAILS[1][r2], times the row's bunching factor and
+    the input's amplitude ``weights`` on the rail pair, which broadcast to B.
     """
     i, j = _RAILS[0][rails[0]], _RAILS[1][rails[1]]
     shape = (-1,) + (1,) * np.broadcast(i, j).ndim
     k, l = _CLICK_MODES[:, rows].reshape(2, *shape)
     m = mean.transpose(1, 2, 0).copy()  # trials last: each product runs along contiguous trials
-    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * _BUNCHING[rows].reshape(*shape, 1)
+    amp = (m[k, i] * m[l, j] + m[l, i] * m[k, j]) * (_BUNCHING[rows].reshape(shape) * weights)[..., None]
     return np.moveaxis(amp, -1, 0).copy()  # C order: the metrics sum along contiguous axes
 
 
@@ -298,13 +300,13 @@ def trace_distance(products: np.ndarray) -> np.ndarray:
 def _fusion_metrics(products: np.ndarray) -> tuple[np.ndarray, ...]:
     """Fusion on Bell (x) Bell with 4 passthrough modes, one trial per row of the (B, 16) copy means.
 
-    Each phi+ (x) phi+ ket has amplitude 1/sqrt(2) * 1/sqrt(2), so success pattern p
+    Each phi+ (x) phi+ ket has its ``_FUSION_WEIGHTS`` amplitude, so success pattern p
     of ``FUSION_PATTERNS`` (HH first) heralds the spectators in the Kraus block
     ``kraus[:, p]`` of the (B, 4, 2, 2) table, rows (V1, H1) and columns (V4, H4):
     the sorted spectator-ket order, which fixes how P_HH and P_single sum.
     """
     mean = _fusion_matrices(products)
-    kraus = _SQRT_HALF * _SQRT_HALF * _pair_amplitudes(mean, _FUSION_ROWS, _RAIL_BLOCK)
+    kraus = _pair_amplitudes(mean, _FUSION_ROWS, _RAIL_BLOCK, _FUSION_WEIGHTS)
     prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
     f_hh = fidelity(np.diagonal(kraus[:, 0], axis1=-2, axis2=-1), _PHI_PLUS_DIAGONAL)
     p_hh = prob[:, 0]
@@ -318,7 +320,7 @@ def _bsm_metrics(sums_n: np.ndarray) -> tuple[np.ndarray, ...]:
     """Bell-state analyzer on a psi+ input, one trial per row of the (B, 5)
     feature copy sums, each followed by its copy count N."""
     sums, n = sums_n[:, :4], sums_n[:, 4]
-    amp = _SQRT_HALF * _pair_amplitudes(_bsm_matrices(sums / n[:, None]), slice(None), _PSI_RAILS)
+    amp = _pair_amplitudes(_bsm_matrices(sums / n[:, None]), slice(None), _PSI_RAILS, _PSI_WEIGHTS)
     out = amp[..., 0] + amp[..., 1]
     f = fidelity(out, _BSM_TARGET)
     p_success = np.sum(np.abs(out) ** 2, axis=-1)

@@ -20,12 +20,10 @@ from .averaging import build_averaged_network
 from .cli import DEFAULT_SAMPLES, DEFAULT_SEED
 from .detection import (
     SUPPORT_THRESHOLD,
-    _CLICKS,
-    DetectionPattern,
     _stack_probabilities,
     fusion_outcomes,
 )
-from .fock import StateVec, apply_transfer
+from .fock import StateVec, apply_transfer, tensor
 from .interferometers import _bsm_matrices, _features, _fusion_gates
 from .metrics import (
     _BALANCED_SUPPORT,
@@ -188,20 +186,16 @@ def check_fusion_table() -> SuiteResult:
         devs.append(abs(outcome.probability - 0.125))
         conditional = fidelity(outcome.residual, bell_state(bell)) / outcome.probability
         devs.append(abs(1.0 - conditional))
-    probs = _stack_probabilities(out, DetectionPattern(rails, FUSION_PATTERNS["HH"]), FUSION_PATTERNS.values())
+    probs = _stack_probabilities(out, rails, FUSION_PATTERNS.values())
     p = dict(zip(FUSION_PATTERNS, probs[1:].T))  # each label's column over the grid
     devs += [*abs(sum(p.values()) - 0.5), *abs(p["HH"] - p["VV"]), *abs(p["HV"] - p["VH"])]
     return _result("fusion-pattern-table", devs, 1e-12)
 
 
 def _fusion_input() -> StateVec:
-    """Two dual-rail phi+ pairs on (H2, V2, H3, V3 | H1, V1, H4, V4), fused rails first.
-
-    Each pair is (|1010> + |0101>)/sqrt(2): both its qubits take the same
-    term q, so the kets are q1 + q2 + q1 + q2, with the product amplitude.
-    """
-    terms = ((1, 0), (0, 1))
-    return StateVec(8, {q1 + q2 + q1 + q2: _SQRT_HALF * _SQRT_HALF for q1 in terms for q2 in terms})
+    """Two dual-rail phi+ pairs, qubits (1, 2) and (3, 4), on (H2, V2, H3, V3 | H1, V1, H4, V4): fused rails first."""
+    pairs = tensor(bell_state("phi+"), bell_state("phi+"))  # on (H1, V1, H2, V2, H3, V3, H4, V4)
+    return StateVec(8, {ket[2:6] + ket[:2] + ket[6:]: a for ket, a in pairs.items()})
 
 
 def check_bsm_maps(samples: int, rng: np.random.Generator) -> SuiteResult:
@@ -242,7 +236,7 @@ def check_table2() -> SuiteResult:
     mismatches = []
     for label in BELL_LABELS:
         expected_at = (_BALANCED_SUPPORT[label], _BALANCED_SUPPORT[label] | TABLE2_CROSSES[label])
-        clicks = _stack_probabilities(apply_transfer(analyzers, bell_state(label)), _CLICKS, BSM_PATTERNS.values())
+        clicks = _stack_probabilities(apply_transfer(analyzers, bell_state(label)), range(4), BSM_PATTERNS.values())
         for eta, expected, probs in zip(etas, expected_at, clicks.tolist()):
             support = {pat for pat, prob in zip(BSM_PATTERNS, probs) if prob > SUPPORT_THRESHOLD}
             devs += [prob for pat, prob in zip(BSM_PATTERNS, probs) if pat not in expected]

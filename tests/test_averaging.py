@@ -371,9 +371,9 @@ def _copy_major_network(copies, n_passthrough):
     for j in range(m):
         for r in range(n):
             to_copy_major[j * n + r] = r * m + j
-    p = TransferMatrix(np.eye(m * n)[:, to_copy_major])  # a photon in mode i moves to to_copy_major[i]
-    p_inv = TransferMatrix(np.eye(m * n)[:, np.argsort(to_copy_major)])
-    core = encode @ p_inv @ direct_sum(copies) @ p @ encode
+    p = np.eye(m * n)[:, to_copy_major]  # a photon in mode i moves to to_copy_major[i]
+    p_inv = np.eye(m * n)[:, np.argsort(to_copy_major)]
+    core = TransferMatrix(encode.entries @ p_inv @ direct_sum(copies).entries @ p @ encode.entries)
     return direct_sum([core, TransferMatrix(np.eye(n_passthrough))]) if n_passthrough else core
 
 

@@ -45,6 +45,8 @@ def test_version(capsys):
         ["fusion-sweep", "--m-grid", "0:0.4:-0.1"],
         ["fusion-sweep", "--m-grid", "0.8"],
         ["fusion-sweep", "--n-copies", ","],
+        ["fusion-sweep", "--n-copies", "1,,2"],
+        ["fusion-sweep", "--n-copies", "1,2,"],
         ["table2", "--eta-h", "1.5"],
         ["verify", "--samples", "0"],
         ["fusion-sweep", "--n-copies", "1,1"],
@@ -57,6 +59,18 @@ def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", [",", "1,,2", "1,2,", " ,3"])
+def test_n_copies_with_an_empty_entry_is_quoted(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion-sweep", "--n-copies", text])
+    assert exc.value.code == 2
+    assert f"expected a comma-separated integer list, got {text!r}" in capsys.readouterr().err
+
+
+def test_n_copies_entries_may_carry_spaces():
+    assert parse_args(build_parser(), ["fusion-sweep", "--n-copies", "1, 2"]).n_copies == (1, 2)
 
 
 @pytest.mark.parametrize(

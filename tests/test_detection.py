@@ -248,13 +248,20 @@ def test_fusion_outcomes_on_unsorted_rails_and_extra_modes():
     assert list(outcomes["HV"].residual.items()) == [((0, 0, 0), 0.5 + 0j), ((1, 0, 0), 0.1 + 0j)]
 
 
-def test_fusion_outcomes_reject_bad_rails_like_a_projection():
-    state = StateVec.from_ket((1, 0, 1, 0, 0))
-    for rails in ((0, 1, 2, 5), (0, 1, 1, 2), (0, 1, 2), (0, 1, 2, 1.5), (0, -1, 2, 3)):
-        with pytest.raises(ValueError) as expected:
-            project_pattern(state, DetectionPattern(rails, FUSION_PATTERNS["HH"]))
-        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            fusion_outcomes(state, rails)
+@pytest.mark.parametrize(
+    "rails, message",
+    [
+        ((0, 1, 2), "rails must be four distinct non-negative modes, got (0, 1, 2)"),
+        ((0, 1, 2, 3, 4), "rails must be four distinct non-negative modes, got (0, 1, 2, 3, 4)"),
+        ((0, 1, 1, 2), "rails must be four distinct non-negative modes, got (0, 1, 1, 2)"),
+        ((0, -1, 2, 3), "rails must be four distinct non-negative modes, got (0, -1, 2, 3)"),
+        ((0, 1, 2, 1.5), "non-integral value in rails (0, 1, 2, 1.5)"),
+        ((0, 1, 2, 5), "measured modes (0, 1, 2, 5) reach beyond the 5 modes of the state"),
+    ],
+)
+def test_fusion_outcomes_reject_bad_rails_naming_them(rails, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fusion_outcomes(StateVec.from_ket((1, 0, 1, 0, 0)), rails)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from avgfusion.averaging import build_averaged_network
 from avgfusion.detection import (
-    _CLICKS,
     DetectionPattern,
     _stack_probabilities,
     project_pattern,
@@ -276,7 +275,7 @@ def test_composition_matches_matrix_product():
         t1 = random_unitary(rng, 4)
         t2 = random_unitary(rng, 4)
         s = random_state(rng, 4, int(rng.integers(2, 5)))
-        once = apply_transfer(t2 @ t1, s)
+        once = apply_transfer(TransferMatrix(t2.entries @ t1.entries), s)
         twice = apply_transfer(t2, apply_transfer(t1, s))
         for ket in set(once.kets()) | set(twice.kets()):
             assert twice.amplitude(ket) == pytest.approx(once.amplitude(ket), abs=1e-12)
@@ -646,12 +645,12 @@ def test_stacked_readers_equal_each_row_state_bit_for_bit(case, data):
     modes = data.draw(st.permutations(range(m)))[: data.draw(st.integers(0, m))]
     counts = st.tuples(*[st.integers(0, 3)] * len(modes))
     counts_list = data.draw(st.lists(counts, min_size=1, max_size=4, unique=True))
-    probs = _stack_probabilities(outs, DetectionPattern(modes, counts_list[0]), counts_list)
+    probs = _stack_probabilities(outs, modes, counts_list)
     assert probs.shape == (len(stack), len(counts_list))
     for row, out in zip(probs.tolist(), outs, strict=True):
         assert row == [project_pattern(out, DetectionPattern(modes, c))[1] for c in counts_list]
     if m == 4:
-        clicks = _stack_probabilities(outs, _CLICKS, BSM_PATTERNS.values())
+        clicks = _stack_probabilities(outs, range(4), BSM_PATTERNS.values())
         for row, out in zip(clicks.tolist(), outs, strict=True):
             assert row == [abs(out.amplitude(ket)) ** 2 for ket in BSM_PATTERNS.values()]
 

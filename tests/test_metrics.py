@@ -20,12 +20,18 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def test_bell_state_kets():
-    psi_plus = bell_state("psi+")
-    assert psi_plus.amplitude((1, 0, 0, 1)) == pytest.approx(SQRT_HALF)
-    assert psi_plus.amplitude((0, 1, 1, 0)) == pytest.approx(SQRT_HALF)
-    phi_minus = bell_state("phi-")
-    assert phi_minus.amplitude((1, 0, 1, 0)) == pytest.approx(SQRT_HALF)
-    assert phi_minus.amplitude((0, 1, 0, 1)) == pytest.approx(-SQRT_HALF)
+    """All four Bell states on (H1, V1, H2, V2), written out: their kets, in
+    order (H first), and their amplitudes, bit for bit."""
+    kets = {
+        "psi+": [((1, 0, 0, 1), SQRT_HALF), ((0, 1, 1, 0), SQRT_HALF)],
+        "psi-": [((1, 0, 0, 1), SQRT_HALF), ((0, 1, 1, 0), -SQRT_HALF)],
+        "phi+": [((1, 0, 1, 0), SQRT_HALF), ((0, 1, 0, 1), SQRT_HALF)],
+        "phi-": [((1, 0, 1, 0), SQRT_HALF), ((0, 1, 0, 1), -SQRT_HALF)],
+    }
+    for label in BELL_LABELS:
+        state = bell_state(label)
+        assert state.mode_count == 4
+        assert list(state.items()) == kets[label], label  # == on finite nonzero floats is bit equality
     with pytest.raises(ValueError):
         bell_state("sigma+")
 

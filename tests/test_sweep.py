@@ -589,7 +589,7 @@ def _ref_fusion_metrics(etas):
     kraus = _SQRT_HALF * _SQRT_HALF * _ref_pair_amplitudes(mean, [[1], [0]], [[3, 2]])
     prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1))
     hh = _REF_PATTERNS.index(FUSION_PATTERNS["HH"])
-    f_hh = fidelity(np.diagonal(kraus[:, hh], axis1=-2, axis2=-1), sweep._PHI_PLUS_DIAGONAL)
+    f_hh = fidelity(np.diagonal(kraus[:, hh], axis1=-2, axis2=-1), np.array([_SQRT_HALF, _SQRT_HALF]))  # phi+ on (VV, HH)
     p_hh = prob[:, hh]
     heralded = p_hh > 0
     f_hh_norm = np.full(len(p_hh), math.nan)
@@ -670,6 +670,20 @@ def test_run_sweep_equals_the_reference_engine_bit_for_bit(experiment, n_copies,
     with mock.patch.object(sweep, "_BLOCK", block):
         result = run_sweep(cfg)
     _assert_equals_reference(result)
+
+
+def test_pair_amplitudes_weigh_each_rail_pair():
+    """``weights`` multiply each rail pair's amplitudes, in the index shapes of
+    the fusion's 2x2 rail block and of the analyzer's two psi pairs."""
+    rng = np.random.default_rng(5)
+    mean = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    for rails, weights in (
+        (([[0], [1]], [[0, 1]]), np.array([[0.5, -2.0], [3.0, 0.25]])),
+        (([0, 1], [1, 0]), np.array([0.5, -0.75])),
+    ):
+        plain = sweep._pair_amplitudes(mean, slice(None), rails)
+        weighed = sweep._pair_amplitudes(mean, slice(None), rails, weights)
+        np.testing.assert_allclose(weighed, plain * weights, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
