@@ -48,6 +48,12 @@ MUTANTS = (
         "rng.bit_generator.advance(trial * 2 * operator.index(n_copies) + 1)",
     ),
     (
+        "sweep._stream keying a cell's stream with N and the m index swapped",
+        "sweep.py",
+        "for value in (master_seed, experiment_id, n_copies, m_index):",
+        "for value in (master_seed, experiment_id, m_index, n_copies):",
+    ),
+    (
         "_bsm_closed dividing by n**3",
         "closed_form.py",
         "n4 = (n * n) ** 2",

@@ -37,21 +37,16 @@ def render_sweep_svg(result: SweepResult) -> str:
     """Render the sweep's ``DEFAULT_PLOT_METRIC`` as a self-contained SVG document."""
     cfg = result.config
     metric = DEFAULT_PLOT_METRIC[cfg.experiment]
-    series = [
-        (n, [
-            (c.m, c.mean[metric], c.std[metric])
-            for c in result.cells
-            if c.n_copies == n and not math.isnan(c.mean[metric])
-        ])
-        for n in cfg.n_copies_list
-    ]
-    xs = [p[0] for _, pts in series for p in pts]
-    if not xs:
+    series = {n: [] for n in cfg.n_copies_list}  # one pass over the cells, in n_copies_list order
+    for c in result.cells:
+        mean = c.mean[metric]
+        if c.n_copies in series and not math.isnan(mean):
+            series[c.n_copies].append((c.m, mean, c.std[metric]))
+    points = [p for pts in series.values() for p in pts]
+    if not points:
         raise ValueError(f"no cell has a defined {metric!r} mean; nothing to plot")
-    lows = [p[1] - p[2] for _, pts in series for p in pts]
-    highs = [p[1] + p[2] for _, pts in series for p in pts]
-    x0, x1 = _padded(min(xs), max(xs))
-    y0, y1 = _padded(min(lows), max(highs))
+    x0, x1 = _padded(min(p[0] for p in points), max(p[0] for p in points))
+    y0, y1 = _padded(min(p[1] - p[2] for p in points), max(p[1] + p[2] for p in points))
 
     def px(x: float) -> float:
         return _LEFT + (x - x0) / (x1 - x0) * _PLOT_W
@@ -79,19 +74,20 @@ def render_sweep_svg(result: SweepResult) -> str:
         f'<text x="{_LEFT + _PLOT_W / 2}" y="{_HEIGHT - 10}" font-family="sans-serif" font-size="13" text-anchor="middle">m</text>'
     )
 
-    for k, (n, pts) in enumerate(series):
+    for k, (n, pts) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
+        xy = [(px(m), py(mean)) for m, mean, _ in pts]
         if len(pts) > 1:
-            coords = " ".join(f"{px(m):.2f},{py(mean):.2f}" for m, mean, _ in pts)
+            coords = " ".join(["%.2f,%.2f" % p for p in xy])
             body.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for m, mean, std in pts:
-            x = px(m)
+        for (x, y), (_, mean, std) in zip(xy, pts):
+            x = repr(x)  # spelled once for its three uses
             if std > 0:
                 body.append(
-                    f'<line x1="{x}" y1="{py(mean - std)}" x2="{x}" y2="{py(mean + std)}" '
+                    f'<line x1="{x}" y1="{py(mean - std)!r}" x2="{x}" y2="{py(mean + std)!r}" '
                     f'stroke="{color}" stroke-width="1"/>'
                 )
-            body.append(f'<circle cx="{x}" cy="{py(mean)}" r="3" fill="{color}"/>')
+            body.append(f'<circle cx="{x}" cy="{y!r}" r="3" fill="{color}"/>')
         lx, ly = _WIDTH - _RIGHT + 12, _TOP + 14 + 18 * k
         body.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         body.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="12">N={n}</text>')

@@ -9,8 +9,10 @@ matrix-level distance of the copy average to the balanced gate alone.
 Streams: every (N, m) cell draws from its own numpy stream, keyed by
 (master seed, experiment, N, m index), so results do not depend on execution
 order. Trial t reads draws t * 2N to t * 2N + 2N - 1, so more samples extend
-each cell and keep the earlier trials. :func:`trial_rng` positions a stream
-at any trial; a sweep draws each cell in one call from trial 0.
+each cell and keep the earlier trials. :func:`_stream` alone builds a stream
+from its key. :func:`trial_rng` positions a stream at any trial; a sweep
+draws each cell in one call from trial 0, straight into its copy count's
+(C, S, 2, N) array.
 
 Stages: the engine evaluates the mean matrix M_N = (1/N) sum_r U_r, which
 the post-selected N-copy network applies to the gate modes, and M_N is
@@ -31,8 +33,10 @@ cell's mean and std. Each metric is computed trial by trial, so neither
 blocks nor stacking change a bit; the largest arrays are one block's.
 
 Boundary: :func:`run_cell` checks outside input; :func:`run_sweep` draws
-from a :class:`SweepConfig` that has already checked its own, so nothing
-below these two checks again. Both, and the engine suites of ``verify``, go
+from a :class:`SweepConfig` that has already checked its own, through the
+unchecked :func:`_stream` and :func:`_reflectivities` that
+:func:`trial_rng` and :func:`sample_reflectivity` wrap, so nothing below
+these two checks again. Both, and the engine suites of ``verify``, go
 through :func:`_run_cells`, the engine's one walker from (C, S, 2, N) draws
 to cells. A :class:`Cell` keeps its trial axis next to the mean and std the
 engine's one stats pass took, so the CSV and the plots only format it. This
@@ -196,7 +200,11 @@ def sample_reflectivity(rng: np.random.Generator, m: float, size=None):
     values (in C order) that as many scalar draws would give. m = 0 draws like
     any other m and gives exactly 0.5.
     """
-    m = _check_m(m)
+    return _reflectivities(rng, _check_m(m), size)
+
+
+def _reflectivities(rng: np.random.Generator, m: float, size):
+    """:func:`sample_reflectivity` for an ``m`` that :func:`_check_m` has given."""
     return rng.uniform(0.5 - m, 0.5 + m, size)
 
 
@@ -216,14 +224,35 @@ def trial_rng(master_seed: int, experiment: str, n_copies: int, m_index: int, tr
     The stream is keyed by (master seed, experiment, N, m index) rather than
     spawned sequentially, and trial t reads its 2 * N draws from position
     t * 2 * N, so any subset of trials can run in any order and still draw
-    identical values. ``trial`` must be a non-negative integer.
+    identical values. The seed, N and m index must be non-negative integers,
+    and so must ``trial``.
     """
     trial = operator.index(trial)
     if trial < 0:
         raise ValueError(f"trial must be >= 0, got {trial}")
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed, _experiment_id(experiment), n_copies, m_index)))
+    master_seed, n_copies, m_index = key = tuple(map(operator.index, (master_seed, n_copies, m_index)))
+    if min(key) < 0:
+        raise ValueError(f"master_seed, n_copies and m_index must be non-negative, got {key}")
+    rng = _stream(master_seed, _experiment_id(experiment), n_copies, m_index)
     rng.bit_generator.advance(trial * 2 * operator.index(n_copies))
     return rng
+
+
+def _stream(master_seed: int, experiment_id: int, n_copies: int, m_index: int) -> np.random.Generator:
+    """The stream of one (N, m) cell at trial 0, from non-negative Python ints, unchecked.
+
+    It is ``np.random.default_rng(np.random.SeedSequence((master_seed,
+    experiment_id, n_copies, m_index)))``: SeedSequence reads a tuple of ints
+    as each one's 32-bit words, least significant first (one word for 0), and
+    handed those words as a uint32 array it mixes the same entropy without
+    converting the tuple element by element.
+    """
+    words = []
+    for value in (master_seed, experiment_id, n_copies, m_index):
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32))))
 
 
 #: The one click table, over the ten ``BSM_PATTERNS`` in order: the (2, 10) modes
@@ -442,13 +471,13 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     ``cfg`` has checked its fields, and its draws lie in [0, 1] by construction.
     Cells come out N-major, then in ``m_grid`` order.
     """
-    stacks = [
-        np.stack([
-            sample_reflectivity(trial_rng(cfg.master_seed, cfg.experiment, n, mi, 0), m, (cfg.samples, 2, n))
-            for mi, m in enumerate(cfg.m_grid)
-        ])
-        for n in cfg.n_copies_list
-    ]
+    experiment_id = EXPERIMENTS.index(cfg.experiment)
+    stacks = []
+    for n in cfg.n_copies_list:
+        stack = np.empty((len(cfg.m_grid), cfg.samples, 2, n))
+        for mi, m in enumerate(cfg.m_grid):
+            stack[mi] = _reflectivities(_stream(cfg.master_seed, experiment_id, n, mi), m, stack.shape[1:])
+        stacks.append(stack)
     return SweepResult(cfg, tuple(_run_cells(cfg.experiment, cfg.m_grid, *stacks)))
 
 
@@ -461,7 +490,7 @@ def write_atomic(path, chunks) -> None:
     was and no temporary file behind. An ``OSError`` on the temporary file
     names ``path``.
     """
-    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    tmp = f"{os.fsdecode(path)}.{os.urandom(4).hex()}.tmp"  # a bytes path's name, not its repr
     try:
         with open(tmp, "xb") as f:
             f.writelines(chunks)

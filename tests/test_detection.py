@@ -18,9 +18,10 @@ from avgfusion.detection import (
     pattern_support,
     project_pattern,
 )
-from avgfusion.fock import StateVec, apply_transfer, norm_sq, tensor
+from avgfusion.fock import StateVec, apply_transfer, norm_sq
 from avgfusion.interferometers import bsm_matrix, fusion_gate
 from avgfusion.metrics import _BALANCED_SUPPORT, BELL_LABELS, bell_state, fidelity
+from avgfusion.verify import _fusion_input
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -28,10 +29,7 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 def fused_two_pair_state(eta_x, eta_y):
     """Two phi+ pairs through one fusion gate on the middle qubits' rails."""
     net = build_averaged_network([fusion_gate(eta_x, eta_y)], n_passthrough=4)
-    raw = tensor(bell_state("phi+"), bell_state("phi+"))
-    order = (2, 3, 4, 5, 0, 1, 6, 7)
-    state = StateVec(8, {tuple(k[i] for i in order): a for k, a in raw.items()})
-    return run_averaged(net, state)
+    return run_averaged(net, _fusion_input())
 
 
 def test_detection_pattern_validation():

@@ -6,6 +6,8 @@ import hashlib
 import io
 import itertools
 import math
+import os
+import pathlib
 import warnings
 import weakref
 from unittest import mock
@@ -349,6 +351,32 @@ def test_every_trial_row_equals_its_own_trial_rng(seed, experiment, n_copies, m_
         _assert_cells_identical(by_key[cell.n_copies, cell.m], cell)
 
 
+_KEY_WORDS = [0, 1, 2**32 - 1, 2**32]  # one- and two-word key entries
+
+
+@pytest.mark.parametrize("seed", [*_KEY_WORDS, 2**64 - 1])
+def test_stream_draws_what_seedsequence_gives_the_key_tuple(seed):
+    """The one stream builder hands SeedSequence the key's uint32 words; its
+    generator draws exactly what numpy's own reading of the tuple gives."""
+    for experiment_id, n_copies, m_index in itertools.product(range(len(EXPERIMENTS)), _KEY_WORDS, _KEY_WORDS):
+        want = np.random.default_rng(np.random.SeedSequence((seed, experiment_id, n_copies, m_index)))
+        got = sweep._stream(seed, experiment_id, n_copies, m_index)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(5).tobytes() == want.random(5).tobytes()
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_sweep_cells_equal_trial_rng_draws_from_trial_0(experiment):
+    """Each cell of a sweep is the one draw sample_reflectivity makes from
+    trial_rng(..., 0), bit for bit, m = 0 and m = 0.5 cells included."""
+    cfg = SweepConfig(experiment, (3, 1), (0.0, 0.5, 0.2), samples=5, master_seed=2**64 - 1)
+    cells = run_sweep(cfg).cells
+    for cell, (n, (mi, m)) in zip(cells, itertools.product(cfg.n_copies_list, enumerate(cfg.m_grid)), strict=True):
+        want = sample_reflectivity(trial_rng(cfg.master_seed, experiment, n, mi, 0), m, (cfg.samples, 2, n))
+        assert (cell.n_copies, cell.m) == (n, m)
+        assert cell.etas.tobytes() == want.tobytes()
+
+
 def test_trial_rng_accepts_numpy_integers():
     for t in (0, 1, 4):
         want = trial_rng(7, "bsm", 3, 1, t).uniform(size=6)
@@ -480,8 +508,10 @@ def test_run_cell_rejects_a_metric_function_of_the_wrong_width(monkeypatch, expe
     [
         (lambda: trial_rng(0, "nope", 1, 0, 0), "unknown experiment 'nope'"),
         (lambda: trial_rng(0, "fusion", 1, 0, -1), "trial must be >= 0, got -1"),
+        (lambda: trial_rng(-1, "fusion", 1, 0, 0), r"must be non-negative, got \(-1, 1, 0\)"),
+        (lambda: trial_rng(0, "fusion", 1, -1, 0), r"must be non-negative, got \(0, 1, -1\)"),
     ],
-    ids=["experiment-trial-rng", "trial-1"],
+    ids=["experiment-trial-rng", "trial-1", "seed-1", "m-index-1"],
 )
 def test_stream_draws_reject_bad_input(draw, message):
     with pytest.raises(ValueError, match=message):
@@ -804,7 +834,10 @@ def test_every_default_cli_grid_is_one_metric_block(monkeypatch, tmp_path, comma
 def test_sweeps_call_the_names_perfbench_patches_as_sweep_globals(monkeypatch, tmp_path, name, command):
     """perfbench's layer tracer and its perturbation tests replace these
     ``sweep`` module globals (and every package binding of the same function),
-    so a sweep must look them up there on every call."""
+    so a sweep must look them up there on every call it makes. A sweep draws
+    its cells through the unchecked ``_stream`` and ``_reflectivities``, so it
+    calls ``trial_rng`` and ``sample_reflectivity`` not at all, and their
+    traced time is ``run_sweep``'s own."""
     original, calls = getattr(sweep, name), []
 
     def counted(*args, **kwargs):
@@ -815,8 +848,7 @@ def test_sweeps_call_the_names_perfbench_patches_as_sweep_globals(monkeypatch, t
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     assert cli.main([command, "--samples", "2", "--out", str(tmp_path / "out.csv")]) == 0
-    cells = {"fusion-sweep": 15, "bsm-sweep": 15, "trace-distance": 6}[command]
-    assert len(calls) == {"run_sweep": 1, "trial_rng": cells, "sample_reflectivity": cells}.get(name, 1)
+    assert len(calls) == {"trial_rng": 0, "sample_reflectivity": 0}.get(name, 1)
 
 
 @pytest.mark.parametrize("undefined", [False, True], ids=["defined", "one-nan"])
@@ -1126,6 +1158,20 @@ def test_csv_chunks_are_bytes_that_join_to_the_written_file(tmp_path, monkeypatc
     assert len(chunks) > 3 and all(type(chunk) is bytes for chunk in chunks)
     write_csv(result, path)
     assert b"".join(chunks) == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", [str, os.fsencode, pathlib.Path], ids=["str", "bytes", "Path"])
+def test_writers_write_the_same_bytes_to_str_bytes_and_path_targets(tmp_path, kind):
+    """write_atomic names its temporary file in the target's directory for
+    every path type ``open`` accepts, and leaves no temporary file behind."""
+    result = run_sweep(_tiny_config())
+    (tmp_path / "want").mkdir()
+    (tmp_path / "got").mkdir()
+    for name, write in (("out.csv", write_csv), ("out.svg", write_svg)):
+        write(result, str(tmp_path / "want" / name))
+        write(result, kind(str(tmp_path / "got" / name)))
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "got").iterdir()) == ["out.csv", "out.svg"]
 
 
 def test_write_csv_rejects_unwritable_path(tmp_path):
